@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from dsse import grid_model, network, pipeline, wls
+from dsse import network, wls
 from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
 from dsse.measurements import MeasurementSet
 from dsse.network import TrainConfig, load_checkpoint, save_checkpoint, train

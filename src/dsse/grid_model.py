@@ -23,7 +23,7 @@ The graph must be a tree (radial) with exactly one source bus.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -147,6 +147,23 @@ class FeederModel:
         self._label_to_index = {b.label: b.index for b in buses}
         self.loads_by_bus: dict[int, Load] = {ld.bus: ld for ld in loads}
 
+        # linear current operators over the slot phasors, one impedance
+        # inversion per branch: row (branch, phase) of ``branch_current`` is
+        # that phase's current from -> to; row s of the nodal admittance
+        # ``ybus`` is the net current leaving slot s into its branches
+        self.branch_phases = [(br.index, p) for br in branches for p in br.phases]
+        self._branch_phase_index = {bp: r for r, bp in enumerate(self.branch_phases)}
+        self.branch_current = np.zeros((len(self.branch_phases), self.n_slots), complex)
+        incidence = np.zeros((self.n_slots, len(self.branch_phases)))
+        for br in branches:
+            rows = [self.branch_phase_index(br.index, p) for p in br.phases]
+            y = br.admittance
+            for bus, sign in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
+                cols = [self.slot_index(bus, p) for p in br.phases]
+                self.branch_current[np.ix_(rows, cols)] = sign * y
+                incidence[cols, rows] = sign
+        self.ybus = incidence @ self.branch_current
+
     # -- lookups ---------------------------------------------------------
 
     def bus_by_label(self, label: int) -> int:
@@ -157,6 +174,9 @@ class FeederModel:
 
     def slot_index(self, bus: int, phase: str) -> int:
         return self._slot_index[(bus, phase)]
+
+    def branch_phase_index(self, branch: int, phase: str) -> int:
+        return self._branch_phase_index[(branch, phase)]
 
     def neighbors(self, bus: int) -> set[int]:
         return self._neighbors[bus]
@@ -259,6 +279,10 @@ class FeederModel:
                 raise FeederValidationError(
                     f"impedance of branch {br.from_bus}-{br.to_bus} needs positive "
                     "resistance on the diagonal"
+                )
+            if np.linalg.matrix_rank(z) < n:
+                raise FeederValidationError(
+                    f"impedance of branch {br.from_bus}-{br.to_bus} is singular"
                 )
         # connectivity (cycle + count check above makes this the tree check)
         seen = {0}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,9 @@ P_INJ, Q_INJ = "p_injection", "q_injection"
 
 BUS_KINDS_ROWS = {V_REAL, V_IMAG, P_INJ, Q_INJ}
 BRANCH_KINDS_ROWS = {I_REAL, I_IMAG}
+# row kind codes: PMU rows 0-3, injection rows 4-5; an even code takes the
+# real part of its phasor, an odd code the imaginary part
+_KIND_CODE = {k: c for c, k in enumerate((V_REAL, V_IMAG, I_REAL, I_IMAG, P_INJ, Q_INJ))}
 
 PMU_MAG_MAX_ERROR = 0.01
 PMU_ANGLE_MAX_ERROR = 1e-2  # rad, absolute
@@ -102,30 +105,39 @@ class MeasurementSet:
 
     def save(self, path):
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "locus", "phase", "noise_class", "max_error", "value", "variance"])
-            for m in self.rows:
-                w.writerow(
-                    [m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error),
-                     "" if m.value is None else repr(m.value),
-                     "" if m.variance is None else repr(m.variance)]
-                )
+            self.write_csv(fh)
+
+    def write_csv(self, fh):
+        w = csv.writer(fh)
+        w.writerow(["kind", "locus", "phase", "noise_class", "max_error", "value", "variance"])
+        for m in self.rows:
+            w.writerow(
+                [m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error),
+                 "" if m.value is None else repr(m.value),
+                 "" if m.variance is None else repr(m.variance)]
+            )
 
     @staticmethod
     def load(path) -> "MeasurementSet":
-        rows = []
         with open(path, newline="") as fh:
-            for rec in csv.DictReader(fh):
-                rows.append(
-                    Measurement(
-                        kind=rec["kind"],
-                        locus=int(rec["locus"]),
-                        phase=rec["phase"],
-                        noise=NoiseClass(rec["noise_class"], float(rec["max_error"])),
-                        value=float(rec["value"]) if rec["value"] else None,
-                        variance=float(rec["variance"]) if rec["variance"] else None,
-                    )
+            return MeasurementSet.read_csv(fh)
+
+    @staticmethod
+    def read_csv(fh) -> "MeasurementSet":
+        """Rows from ``write_csv`` text; the value and variance columns may be absent."""
+        rows = []
+        for rec in csv.DictReader(fh):
+            value, variance = rec.get("value"), rec.get("variance")
+            rows.append(
+                Measurement(
+                    kind=rec["kind"],
+                    locus=int(rec["locus"]),
+                    phase=rec["phase"],
+                    noise=NoiseClass(rec["noise_class"], float(rec["max_error"])),
+                    value=float(value) if value else None,
+                    variance=float(variance) if variance else None,
                 )
+            )
         return MeasurementSet(rows)
 
 
@@ -189,127 +201,64 @@ def plan_measurements(
 
 # -- h(x) and its Jacobian -------------------------------------------------
 #
-# Every row reduces to at most two complex quantities that are linear in the
-# complex state: the local voltage V and a branch/injection current I, each
-# expressed as {slot: complex coefficient}. PMU rows are linear in the
-# rectangular state; injection rows are the bilinear form -V * conj(I)
-# (consumption-positive).
+# A template compiles to one complex matrix C (rows x slots) over the slot
+# phasors v. Row r reads the current i = C[r] @ v: a unit vector for a PMU
+# voltage row (i = V), a row of the model's ``branch_current`` for a PMU
+# current row, and a row of ``ybus`` for an injection row (the net current
+# leaving the bus). PMU rows take the real or imaginary part of i, which is
+# linear in the rectangular state; injection rows take that part of the
+# bilinear s = -V * conj(i) at the row's own slot (consumption-positive).
 
 
-def _branch_current_coeffs(model: FeederModel, branch, phase) -> dict:
-    """Complex coefficients of I_phase (from -> to) w.r.t. the slot phasors."""
-    y = branch.admittance
-    k = branch.phases.index(phase)
-    coeffs = {}
-    for q_idx, q in enumerate(branch.phases):
-        c = y[k, q_idx]
-        coeffs[model.slot_index(branch.from_bus, q)] = coeffs.get(
-            model.slot_index(branch.from_bus, q), 0.0
-        ) + c
-        coeffs[model.slot_index(branch.to_bus, q)] = coeffs.get(
-            model.slot_index(branch.to_bus, q), 0.0
-        ) - c
-    return coeffs
-
-
-def _injection_current_coeffs(model: FeederModel, bus, phase) -> dict:
-    """Coefficients of the net current leaving `bus` into its branches."""
-    coeffs = {}
-    for br in model.branches_at(bus):
-        if phase not in br.phases:
-            continue
-        sign = 1.0 if br.from_bus == bus else -1.0
-        for slot, c in _branch_current_coeffs(model, br, phase).items():
-            coeffs[slot] = coeffs.get(slot, 0.0) + sign * c
-    return coeffs
+def _kind_codes(template: MeasurementSet) -> np.ndarray:
+    """Per-row kind codes; rejects unknown kinds."""
+    unknown = {m.kind for m in template} - _KIND_CODE.keys()
+    if unknown:
+        raise ValueError(f"unknown measurement kind {min(unknown)!r}")
+    return np.array([_KIND_CODE[m.kind] for m in template], dtype=int)
 
 
 class RowEvaluator:
-    """Precomputed coefficient structure for one template, reused per state."""
+    """One template compiled into arrays, reused for every state."""
 
     def __init__(self, model: FeederModel, template: MeasurementSet):
         self.model = model
-        self.rows = []
-        for m in template:
-            if m.kind in (V_REAL, V_IMAG):
-                slot = model.slot_index(m.locus, m.phase)
-                self.rows.append((m.kind, slot, None))
-            elif m.kind in (I_REAL, I_IMAG):
-                br = model.branches[m.locus]
-                self.rows.append(
-                    (m.kind, None, _branch_current_coeffs(model, br, m.phase))
-                )
-            elif m.kind in (P_INJ, Q_INJ):
-                slot = model.slot_index(m.locus, m.phase)
-                self.rows.append(
-                    (m.kind, slot, _injection_current_coeffs(model, m.locus, m.phase))
-                )
-            else:
-                raise ValueError(f"unknown measurement kind {m.kind!r}")
+        code = _kind_codes(template)
+        branch = (code == _KIND_CODE[I_REAL]) | (code == _KIND_CODE[I_IMAG])
+        self.power = code >= _KIND_CODE[P_INJ]
+        self.imag = code % 2 == 1
+        # the row's own bus slot (0, unused, for branch rows)
+        self.slot = np.array(
+            [0 if b else model.slot_index(m.locus, m.phase) for m, b in zip(template, branch)],
+            dtype=int,
+        )
+        self.own_slot = (self.slot[:, None] == np.arange(model.n_slots)).astype(float)
+        self.C = np.where(self.power[:, None], model.ybus[self.slot], self.own_slot)
+        self.C[branch] = model.branch_current[
+            [model.branch_phase_index(m.locus, m.phase) for m, b in zip(template, branch) if b]
+        ]
 
     def h(self, state: StateVector) -> np.ndarray:
         v = state.values
-        out = np.empty(len(self.rows))
-        for r, (kind, slot, coeffs) in enumerate(self.rows):
-            if kind == V_REAL:
-                out[r] = v[slot].real
-            elif kind == V_IMAG:
-                out[r] = v[slot].imag
-            else:
-                i = sum(c * v[s] for s, c in coeffs.items())
-                if kind == I_REAL:
-                    out[r] = i.real
-                elif kind == I_IMAG:
-                    out[r] = i.imag
-                else:
-                    s_cons = -v[slot] * np.conj(i)
-                    out[r] = s_cons.real if kind == P_INJ else s_cons.imag
-        return out
+        i = self.C @ v
+        q = np.where(self.power, -v[self.slot] * np.conj(i), i)
+        return np.where(self.imag, q.imag, q.real)
 
     def jacobian(self, state: StateVector) -> np.ndarray:
         """Analytic d h / d x_rect, |rows| x (2 * n_slots)."""
         v = state.values
-        H = np.zeros((len(self.rows), 2 * self.model.n_slots))
-        for r, (kind, slot, coeffs) in enumerate(self.rows):
-            if kind == V_REAL:
-                H[r, 2 * slot] = 1.0
-            elif kind == V_IMAG:
-                H[r, 2 * slot + 1] = 1.0
-            elif kind in (I_REAL, I_IMAG):
-                for s, c in coeffs.items():
-                    # dI/de = c, dI/df = jc
-                    if kind == I_REAL:
-                        H[r, 2 * s] = c.real
-                        H[r, 2 * s + 1] = -c.imag
-                    else:
-                        H[r, 2 * s] = c.imag
-                        H[r, 2 * s + 1] = c.real
-            else:
-                i = sum(c * v[s] for s, c in coeffs.items())
-                vb = v[slot]
-                for s, c in coeffs.items():
-                    # dS/de_s = -(delta * conj(I) + V * conj(c))
-                    # dS/df_s = -(j delta * conj(I) - j V * conj(c))
-                    d_e = -vb * np.conj(c)
-                    d_f = 1j * vb * np.conj(c)
-                    if s == slot:
-                        d_e -= np.conj(i)
-                        d_f -= 1j * np.conj(i)
-                    if kind == P_INJ:
-                        H[r, 2 * s] += d_e.real
-                        H[r, 2 * s + 1] += d_f.real
-                    else:
-                        H[r, 2 * s] += d_e.imag
-                        H[r, 2 * s + 1] += d_f.imag
-                if slot not in coeffs:
-                    d_e = -np.conj(i)
-                    d_f = -1j * np.conj(i)
-                    if kind == P_INJ:
-                        H[r, 2 * slot] += d_e.real
-                        H[r, 2 * slot + 1] += d_f.real
-                    else:
-                        H[r, 2 * slot] += d_e.imag
-                        H[r, 2 * slot + 1] += d_f.imag
+        power = self.power[:, None]
+        # complex derivatives of each row's i or s w.r.t. e_s and f_s:
+        # di/de = C, di/df = jC; ds/de = -(own conj(i) + V conj(C)),
+        # ds/df = -j (own conj(i) - V conj(C)), own = one-hot at the row's slot
+        own = self.own_slot * np.conj(self.C @ v)[:, None]
+        across = v[self.slot][:, None] * np.conj(self.C)
+        d_e = np.where(power, -(own + across), self.C)
+        d_f = np.where(power, -1j * (own - across), 1j * self.C)
+        imag = self.imag[:, None]
+        H = np.empty((len(self.slot), 2 * self.model.n_slots))
+        H[:, 0::2] = np.where(imag, d_e.imag, d_e.real)
+        H[:, 1::2] = np.where(imag, d_f.imag, d_f.real)
         return H
 
 
@@ -327,48 +276,45 @@ def jacobian_rows(
     return RowEvaluator(model, template).jacobian(x)
 
 
-def _phasor_sigmas(value: complex, max_mag_err: float, max_ang_err: float, floor: float):
+def _phasor_sigmas(value, max_mag_err, max_ang_err: float, floor):
     """First-order propagation of magnitude/angle maxima to rectangular sigmas."""
-    mag = abs(value)
+    mag = np.abs(value)
     theta = np.angle(value)
     s_mag = max_mag_err * mag / 3.0
     s_ang = max_ang_err / 3.0
     c, s = np.cos(theta), np.sin(theta)
     s_re = np.hypot(c * s_mag, mag * s * s_ang)
     s_im = np.hypot(s * s_mag, mag * c * s_ang)
-    return max(s_re, floor), max(s_im, floor)
+    return np.maximum(s_re, floor), np.maximum(s_im, floor)
 
 
 def row_sigmas(model: FeederModel, template: MeasurementSet, h_true: np.ndarray):
     """Per-row Gaussian sigma implied by each row's noise class at h(x_true)."""
+    code = _kind_codes(template)
+    max_error = np.array([m.noise.max_error for m in template], dtype=float)
+
+    # PMU rows come in adjacent (real, imag) pairs sharing one phasor
+    pmu = code < _KIND_CODE[P_INJ]
+    re = np.flatnonzero(pmu & (code % 2 == 0))
+    im = np.flatnonzero(pmu & (code % 2 == 1))
+    loci = [(m.locus, m.phase) for m in template]
+    if not (
+        np.array_equal(re + 1, im)
+        and np.array_equal(code[re] + 1, code[im])
+        and all(loci[r] == loci[r + 1] for r in re)
+    ):
+        raise ValueError("unpaired PMU row: each real row needs its imaginary row next")
+
+    s_floor = SIGMA_FLOOR_REL * model.power_base
     v_floor = SIGMA_FLOOR_REL * model.base_voltage
     i_floor = SIGMA_FLOOR_REL * model.power_base / model.base_voltage
-    s_floor = SIGMA_FLOOR_REL * model.power_base
-
-    sigmas = np.empty(len(template))
-    rows = template.rows
-    r = 0
-    while r < len(rows):
-        m = rows[r]
-        if m.kind in (V_REAL, I_REAL):
-            # PMU rows come in (real, imag) pairs sharing one phasor
-            pair = rows[r + 1]
-            assert pair.kind in (V_IMAG, I_IMAG) and pair.locus == m.locus
-            phasor = complex(h_true[r], h_true[r + 1])
-            floor = v_floor if m.kind == V_REAL else i_floor
-            s_re, s_im = _phasor_sigmas(
-                phasor, m.noise.max_error, PMU_ANGLE_MAX_ERROR, floor
-            )
-            sigmas[r], sigmas[r + 1] = s_re, s_im
-            r += 2
-        elif m.kind in (P_INJ, Q_INJ):
-            if m.noise.kind == "zero_injection":
-                sigmas[r] = m.noise.max_error * model.power_base / 3.0
-            else:
-                sigmas[r] = max(m.noise.max_error * abs(h_true[r]) / 3.0, s_floor)
-            r += 1
-        else:
-            raise ValueError(f"unpaired PMU row {m.kind}")
+    sigmas = np.maximum(max_error * np.abs(h_true) / 3.0, s_floor)
+    zero = ~pmu & np.array([m.noise.kind == "zero_injection" for m in template], dtype=bool)
+    sigmas[zero] = max_error[zero] * model.power_base / 3.0
+    floor = np.where(code[re] == _KIND_CODE[V_REAL], v_floor, i_floor)
+    sigmas[re], sigmas[im] = _phasor_sigmas(
+        h_true[re] + 1j * h_true[im], max_error[re], PMU_ANGLE_MAX_ERROR, floor
+    )
     return sigmas
 
 

@@ -13,7 +13,7 @@ by construction. Targets and outputs are per-unit voltage magnitudes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,6 +15,7 @@ matrix goes rank deficient.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -24,7 +25,6 @@ import numpy as np
 from dsse.grid_model import FeederModel
 from dsse.measurements import (
     MeasurementSet,
-    RowEvaluator,
     jacobian_rows,
     plan_measurements,
     synthesize,
@@ -32,7 +32,6 @@ from dsse.measurements import (
 from dsse.network import (
     InputEmbedding,
     TrainConfig,
-    evaluate,
     split_indices,
     train,
 )
@@ -166,15 +165,8 @@ def generate_dataset(
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    import io
-
     buf = io.StringIO()
-    import csv
-
-    w = csv.writer(buf)
-    w.writerow(["kind", "locus", "phase", "noise_class", "max_error"])
-    for m in ds.template:
-        w.writerow([m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error)])
+    ds.template.write_csv(buf)
     meta = dict(ds.meta, schema_version=1, seed=ds.seed, resampled=ds.resampled,
                 pmu_buses=list(ds.pmu_buses))
     with open(path, "wb") as fh:
@@ -190,25 +182,11 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    import csv
-    import io
-
-    from dsse.measurements import Measurement, NoiseClass
-
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        rows = []
-        for rec in csv.DictReader(io.StringIO(bytes(data["template"]).decode())):
-            rows.append(
-                Measurement(
-                    kind=rec["kind"],
-                    locus=int(rec["locus"]),
-                    phase=rec["phase"],
-                    noise=NoiseClass(rec["noise_class"], float(rec["max_error"])),
-                )
-            )
+        template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
         return Dataset(
-            template=MeasurementSet(rows),
+            template=template,
             pmu_buses=tuple(meta["pmu_buses"]),
             values=data["values"].copy(),
             variances=data["variances"].copy(),
@@ -226,33 +204,16 @@ def remove_pseudo_until_unobservable(
     """Drop pseudo P/Q rows (highest bus first) until the gain matrix loses
     rank at flat start; returns the reduced template and the removal count."""
     x0 = slack_state(model)
-    n_states = 2 * model.n_slots
     rows = list(template.rows)
-
-    def rank_of(rows_):
-        H = jacobian_rows(model, x0, MeasurementSet(rows_))
-        return np.linalg.matrix_rank(H)
-
     pseudo_keys = sorted(
-        {
-            (m.locus, m.phase)
-            for m in rows
-            if m.noise.kind == "pseudo_power"
-        },
-        reverse=True,
+        {(m.locus, m.phase) for m in rows if m.noise.kind == "pseudo_power"}, reverse=True
     )
-    removed = 0
-    for locus, phase in pseudo_keys:
-        rows = [
-            m
-            for m in rows
-            if not (
-                m.noise.kind == "pseudo_power" and m.locus == locus and m.phase == phase
-            )
-        ]
-        removed += 2
-        if rank_of(rows) < n_states:
-            return MeasurementSet(rows), removed
+    for key in pseudo_keys:
+        rows = [m for m in rows
+                if not (m.noise.kind == "pseudo_power" and (m.locus, m.phase) == key)]
+        H = jacobian_rows(model, x0, MeasurementSet(rows))
+        if np.linalg.matrix_rank(H) < 2 * model.n_slots:
+            return MeasurementSet(rows), len(template) - len(rows)
     raise RuntimeError("removing every pseudo row did not break observability")
 
 

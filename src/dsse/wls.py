@@ -39,7 +39,6 @@ class NonConvergedError(RuntimeError):
 class WlsConfig:
     tolerance: float = 1e-7  # max-norm of the state update, in per-unit
     max_iter: int = 50
-    flat_start: bool = True
 
     def __post_init__(self):
         if self.tolerance <= 0:

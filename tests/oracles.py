@@ -95,18 +95,9 @@ def random_tree_model(rng: np.random.Generator, n: int) -> FeederModel:
 # -- power-flow oracle -----------------------------------------------------
 
 
-def newton_power_flow(model: FeederModel, loads=None, tol=1e-10) -> StateVector:
-    """Dense Newton-Raphson on the nodal current-balance equations.
-
-    Unknowns are the non-source slot voltages (rectangular). For each
-    non-source slot the equation is: current leaving through branches
-    minus the load current conj(S/V) equals zero.
-    """
-    if loads is None:
-        loads = {ld.bus: ld.power for ld in model.loads}
-
+def nodal_admittance(model: FeederModel) -> np.ndarray:
+    """Complex nodal admittance over slots, stamped entry by entry."""
     n = model.n_slots
-    # complex nodal admittance over slots
     y = np.zeros((n, n), complex)
     for br in model.branches:
         adm = br.admittance
@@ -120,6 +111,21 @@ def newton_power_flow(model: FeederModel, loads=None, tol=1e-10) -> StateVector:
                 y[c, d] += adm[i, j]
                 y[a, d] -= adm[i, j]
                 y[c, b] -= adm[i, j]
+    return y
+
+
+def newton_power_flow(model: FeederModel, loads=None, tol=1e-10) -> StateVector:
+    """Dense Newton-Raphson on the nodal current-balance equations.
+
+    Unknowns are the non-source slot voltages (rectangular). For each
+    non-source slot the equation is: current leaving through branches
+    minus the load current conj(S/V) equals zero.
+    """
+    if loads is None:
+        loads = {ld.bus: ld.power for ld in model.loads}
+
+    n = model.n_slots
+    y = nodal_admittance(model)
 
     slack = np.array(
         [

@@ -136,6 +136,18 @@ class TestIngestion:
         with pytest.raises(FeederValidationError, match="resistance"):
             feeder_from_dict(doc)
 
+    def test_singular_impedance_rejected(self):
+        doc = minimal_doc()
+        doc["buses"][0]["phases"] = "AB"
+        doc["buses"][1]["phases"] = "AB"
+        doc["branches"][0]["phases"] = "AB"
+        doc["branches"][0]["impedance"] = [
+            [[0.3, 0.6], [0.3, 0.6]],
+            [[0.3, 0.6], [0.3, 0.6]],
+        ]
+        with pytest.raises(FeederValidationError, match="singular"):
+            feeder_from_dict(doc)
+
     def test_branch_phases_must_exist_at_endpoints(self):
         doc = minimal_doc()
         doc["branches"][0]["phases"] = "AB"
@@ -194,6 +206,18 @@ class TestDerivedStructure:
                 assert thirteen_bus.graph_distance(a, b) == oracles.bfs_distance(
                     thirteen_bus, a, b
                 )
+
+    @pytest.mark.parametrize("name", ["six_bus", "thirteen_bus"])
+    def test_current_operators_match_stamped_admittance(self, name, request):
+        model = request.getfixturevalue(name)
+        assert np.allclose(model.ybus, oracles.nodal_admittance(model), rtol=1e-12, atol=0)
+        for br in model.branches:
+            for k, p in enumerate(br.phases):
+                row = model.branch_current[model.branch_phase_index(br.index, p)]
+                for end, sign in ((br.from_bus, 1.0), (br.to_bus, -1.0)):
+                    for q_idx, q in enumerate(br.phases):
+                        assert row[model.slot_index(end, q)] == sign * br.admittance[k, q_idx]
+                assert np.count_nonzero(row) <= 2 * len(br.phases)
 
     def test_slots_are_bus_major_phase_minor(self, thirteen_bus):
         assert thirteen_bus.slots == sorted(

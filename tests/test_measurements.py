@@ -28,6 +28,20 @@ def six_plan(six_bus):
     return plan_measurements(six_bus, [six_bus.bus_by_label(4)])
 
 
+PMU_LABELS = {"six_bus": (4,), "thirteen_bus": (1, 12)}
+
+
+@pytest.fixture(params=sorted(PMU_LABELS))
+def feeder_case(request):
+    """(model, plan, power flow) per fixture; the 13-bus feeder adds 1- and
+    2-phase laterals and zero-injection buses."""
+    model = request.getfixturevalue(request.param)
+    plan = plan_measurements(
+        model, [model.bus_by_label(label) for label in PMU_LABELS[request.param]]
+    )
+    return model, plan, request.getfixturevalue(f"{request.param}_pf")
+
+
 class TestPlan:
     def test_six_bus_pmu_rows(self, six_bus, six_plan):
         pmu = six_bus.bus_by_label(4)
@@ -138,25 +152,25 @@ class TestMeasurementFunction:
             if m.kind in (P_INJ, Q_INJ):
                 assert abs(h[r]) < 1e-6
 
-    def test_injection_rows_equal_loads_consumption_positive(
-        self, six_bus, six_plan, six_bus_pf
-    ):
-        h = measurement_function(six_bus, six_bus_pf.state, six_plan)
-        for r, m in enumerate(six_plan):
+    def test_injection_rows_equal_loads_consumption_positive(self, feeder_case):
+        model, plan, pf = feeder_case
+        h = measurement_function(model, pf.state, plan)
+        for r, m in enumerate(plan):
             if m.kind not in (P_INJ, Q_INJ):
                 continue
-            load = six_bus.loads_by_bus.get(m.locus)
+            load = model.loads_by_bus.get(m.locus)
             s = load.power.get(m.phase, 0.0) if load else 0.0
             want = s.real if m.kind == P_INJ else s.imag
             assert h[r] == pytest.approx(want, abs=1e-2)
 
-    def test_current_rows_match_power_flow(self, six_bus, six_plan, six_bus_pf):
-        h = measurement_function(six_bus, six_bus_pf.state, six_plan)
-        for r, m in enumerate(six_plan):
+    def test_current_rows_match_power_flow(self, feeder_case):
+        model, plan, pf = feeder_case
+        h = measurement_function(model, pf.state, plan)
+        for r, m in enumerate(plan):
             if m.kind not in (I_REAL, I_IMAG):
                 continue
-            br = six_bus.branches[m.locus]
-            i_true = six_bus_pf.branch_currents[br.index][br.phases.index(m.phase)]
+            br = model.branches[m.locus]
+            i_true = pf.branch_currents[br.index][br.phases.index(m.phase)]
             want = i_true.real if m.kind == I_REAL else i_true.imag
             assert h[r] == pytest.approx(want, abs=1e-6)
 
@@ -181,10 +195,11 @@ class TestJacobian:
             if m.kind in (I_REAL, I_IMAG):
                 assert np.array_equal(H1[r], H2[r])
 
-    def test_matches_finite_differences(self, six_bus, six_plan):
-        ev = RowEvaluator(six_bus, six_plan)
+    def test_matches_finite_differences(self, feeder_case):
+        model, plan, _ = feeder_case
+        ev = RowEvaluator(model, plan)
         rng = np.random.default_rng(7)
-        base = slack_state(six_bus).rect
+        base = slack_state(model).rect
         for _ in range(5):
             x = base + rng.normal(0, 100, base.shape)
             H = ev.jacobian(StateVector.from_rect(x))
@@ -254,6 +269,16 @@ class TestSynthesis:
                 assert np.sqrt(m50.variance / m30.variance) == pytest.approx(
                     0.5 / 0.3, rel=1e-9
                 )
+
+    def test_unpaired_pmu_rows_rejected(self, six_bus, six_plan, six_bus_pf):
+        h = measurement_function(six_bus, six_bus_pf.state, six_plan)
+        lone_real = MeasurementSet([six_plan.rows[0]])
+        assert lone_real.rows[0].kind == V_REAL
+        with pytest.raises(ValueError, match="unpaired"):
+            row_sigmas(six_bus, lone_real, h[:1])
+        lone_imag = MeasurementSet(six_plan.rows[1:])
+        with pytest.raises(ValueError, match="unpaired"):
+            row_sigmas(six_bus, lone_imag, h[1:])
 
     def test_noise_class_rejects_nonpositive(self):
         with pytest.raises(ValueError):

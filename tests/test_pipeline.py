@@ -1,4 +1,6 @@
 import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,25 @@ class TestGenerateDataset:
         assert np.array_equal(back.values, six_ds.values)
         assert np.array_equal(back.features, six_ds.features)
         assert np.array_equal(back.v_true_pu, six_ds.v_true_pu)
+
+    def test_loads_five_column_template(self, six_ds, tmp_path):
+        # files written before the template CSV shared MeasurementSet's
+        # writer carry no value/variance columns
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["kind", "locus", "phase", "noise_class", "max_error"])
+        for m in six_ds.template:
+            w.writerow([m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error)])
+        path = tmp_path / "ds.npz"
+        save_dataset(six_ds, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["template"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        back = load_dataset(path)
+        assert back.template.signature() == six_ds.template.signature()
+        assert all(m.value is None and m.variance is None for m in back.template)
+        assert np.array_equal(back.values, six_ds.values)
 
     def test_config_hash_stable(self):
         a = config_hash(SMALL_PROFILE, [1, 2])
