@@ -17,7 +17,8 @@ A feeder file is a YAML document with exactly three top-level keys::
 ingestion remaps them to contiguous indices 0..N-1 in sorted-id order and
 keeps the original id as ``label``. Unknown keys are rejected.
 
-The graph must be a tree (radial) with exactly one source bus.
+The graph must be a tree (radial) with exactly one source bus, and every
+other bus must have exactly the phases of the branch that feeds it.
 """
 
 from __future__ import annotations
@@ -163,6 +164,11 @@ class FeederModel:
                 self.branch_current[np.ix_(rows, cols)] = sign * y
                 incidence[cols, rows] = sign
         self.ybus = incidence @ self.branch_current
+        # bus impedance matrix: inverse of the non-source block of ``ybus``,
+        # zero in the source rows and columns
+        free = [s for s, (b, _) in enumerate(self.slots) if b != self.source]
+        self.zbus = np.zeros((self.n_slots, self.n_slots), complex)
+        self.zbus[np.ix_(free, free)] = np.linalg.inv(self.ybus[np.ix_(free, free)])
 
     # -- lookups ---------------------------------------------------------
 
@@ -213,26 +219,6 @@ class FeederModel:
                     queue.append(v)
         raise KeyError(f"no path between buses {a} and {b}")
 
-    def bfs_order(self) -> list[tuple[int, int | None]]:
-        """(bus, parent) pairs in BFS order from the source."""
-        order = [(self.source, None)]
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            for v in sorted(self._neighbors[u]):
-                if v not in seen:
-                    seen.add(v)
-                    order.append((v, u))
-                    queue.append(v)
-        return order
-
-    def branch_between(self, a: int, b: int) -> Branch:
-        for br in self.branches_at(a):
-            if {br.from_bus, br.to_bus} == {a, b}:
-                return br
-        raise KeyError(f"no branch between buses {a} and {b}")
-
     # -- validation --------------------------------------------------------
 
     def _validate(self):
@@ -248,7 +234,7 @@ class FeederModel:
             raise FeederValidationError(
                 f"cycle or disconnection: |branches| = {len(branches)} != |buses| - 1 = {len(buses) - 1}"
             )
-        nbr = [set() for _ in buses]
+        nbr = [{} for _ in buses]  # bus -> {neighbour: branch}
         for br in branches:
             if br.from_bus == br.to_bus:
                 raise FeederValidationError(f"self-loop at bus {br.from_bus}")
@@ -256,8 +242,8 @@ class FeederModel:
                 raise FeederValidationError(
                     f"cycle: duplicate branch between {br.from_bus} and {br.to_bus}"
                 )
-            nbr[br.from_bus].add(br.to_bus)
-            nbr[br.to_bus].add(br.from_bus)
+            nbr[br.from_bus][br.to_bus] = br
+            nbr[br.to_bus][br.from_bus] = br
             for end in (br.from_bus, br.to_bus):
                 if not br.phases.issubset(buses[end].phases):
                     raise FeederValidationError(
@@ -284,38 +270,28 @@ class FeederModel:
                 raise FeederValidationError(
                     f"impedance of branch {br.from_bus}-{br.to_bus} is singular"
                 )
-        # connectivity (cycle + count check above makes this the tree check)
-        seen = {0}
-        queue = deque([0])
+        # connectivity from the source (with the count check above, the tree
+        # check); each bus has exactly the phases of the branch feeding it,
+        # which keeps every phase continuous from the source and the
+        # non-source block of ybus invertible
+        seen = {sources[0].index}
+        queue = deque(seen)
         while queue:
             u = queue.popleft()
-            for v in nbr[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
+            for v, br in nbr[u].items():
+                if v in seen:
+                    continue
+                if br.phases != buses[v].phases:
+                    raise FeederValidationError(
+                        f"phase mismatch: bus {buses[v].label} has phases "
+                        f"{buses[v].phases.phases} but its feeding branch carries "
+                        f"{br.phases.phases}"
+                    )
+                seen.add(v)
+                queue.append(v)
         if len(seen) != len(buses):
             missing = sorted(set(range(len(buses))) - seen)
             raise FeederValidationError(f"disconnected bus(es): {missing}")
-        # phase continuity from the source so the sweep is well defined
-        src = next(b.index for b in buses if b.kind == "source")
-        parent_phases = {src: buses[src].phases}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in nbr[u]:
-                if v not in parent_phases:
-                    br_ph = next(
-                        br.phases
-                        for br in branches
-                        if {br.from_bus, br.to_bus} == {u, v}
-                    )
-                    if not br_ph.issubset(parent_phases[u]):
-                        raise FeederValidationError(
-                            f"phase mismatch: branch {u}-{v} carries phases absent "
-                            "on the path to the source"
-                        )
-                    parent_phases[v] = br_ph
-                    queue.append(v)
         seen_load_buses = set()
         for ld in loads:
             if ld.bus in seen_load_buses:

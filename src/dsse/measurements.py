@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,11 @@ class MeasurementSet:
         return hashlib.sha256(payload).hexdigest()
 
     def with_values(self, values, variances) -> "MeasurementSet":
+        values = np.asarray(values, dtype=float).tolist()
+        variances = np.asarray(variances, dtype=float).tolist()
         return MeasurementSet(
             [
-                replace(m, value=float(v), variance=float(s2))
+                Measurement(m.kind, m.locus, m.phase, m.noise, v, s2)
                 for m, v, s2 in zip(self.rows, values, variances)
             ]
         )

@@ -1,4 +1,13 @@
-"""Backward/forward-sweep power flow for radial three-phase feeders.
+"""Bus-impedance-matrix power flow for radial three-phase feeders.
+
+Constant-power loads draw the slot currents I = conj(S / V). With the source
+held at the slack voltage V0, the non-source voltages satisfy
+V = V0 - Zbus @ I, where ``FeederModel.zbus`` inverts the non-source block of
+the nodal admittance (Teng, "A direct approach for distribution system load
+flow solutions", IEEE Trans. Power Delivery, 2003). Iterating that fixed
+point from the slack state is exactly the classic backward/forward sweep: on
+a shunt-free tree, Zbus @ I sums each branch's impedance times the load
+current downstream of it along every slot's path to the source.
 
 State ordering is the model's slot list: bus-major, phase-minor. Voltages
 are complex line-to-neutral volts; the source bus is the slack with a
@@ -92,68 +101,41 @@ def solve_power_flow(
     tolerance: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PowerFlowResult:
-    """Fixed point of backward current sweep / forward voltage-drop sweep.
+    """Fixed point V = V0 - Zbus @ conj(S / V), iterated from the slack state.
 
     ``loads`` maps bus index -> {phase: complex S in W + jvar}; defaults to
     the feeder's own loads. ``tolerance`` is in volts and defaults to 1e-8
-    of the base voltage.
+    of the base voltage. ``branch_currents`` maps each branch index to its
+    per-phase current from ``from_bus`` to ``to_bus``.
     """
     if loads is None:
         loads = {ld.bus: ld.power for ld in model.loads}
+    s = np.zeros(model.n_slots, complex)
     for bus, power in loads.items():
-        for p in power:
-            if p not in model.buses[bus].phases:
+        for p, value in power.items():
+            try:
+                s[model.slot_index(bus, p)] = value
+            except KeyError:
                 raise PowerFlowError(
-                    f"load on phase {p} absent at bus {model.buses[bus].label}"
-                )
+                    f"load on bus {bus} phase {p} has no state slot"
+                ) from None
     if tolerance is None:
         tolerance = DEFAULT_TOL_PU * model.base_voltage
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
 
-    order = model.bfs_order()
-    # branch feeding each non-source bus, with orientation parent -> child
-    feed = {}
-    for child, parent in order[1:]:
-        feed[child] = model.branch_between(parent, child)
-
-    v = slack_state(model).values.copy()
-    slack = v.copy()
-    branch_i = {br.index: np.zeros(len(br.phases), complex) for br in model.branches}
-
+    v = slack_state(model).values
+    # each slot's phase of the source voltage
+    v0 = v[[model.slot_index(model.source, p) for _, p in model.slots]]
     mismatch = np.inf
     for it in range(1, max_iter + 1):
-        # backward: aggregate currents from the leaves toward the source
-        inflow = {b: {} for b, _ in order}  # bus -> phase -> downstream current
-        for child, parent in reversed(order[1:]):
-            br = feed[child]
-            i_br = np.zeros(len(br.phases), complex)
-            for k, p in enumerate(br.phases):
-                i = 0.0 + 0.0j
-                s = loads.get(child, {}).get(p)
-                if s is not None:
-                    i += np.conj(s / v[model.slot_index(child, p)])
-                i += inflow[child].get(p, 0.0)
-                i_br[k] = i
-            branch_i[br.index] = i_br
-            for k, p in enumerate(br.phases):
-                inflow[parent][p] = inflow[parent].get(p, 0.0) + i_br[k]
-
-        # forward: propagate voltage drops from the source outward
-        v_new = v.copy()
-        for b, p in model.slots:
-            if b == model.source:
-                v_new[model.slot_index(b, p)] = slack[model.slot_index(b, p)]
-        for child, parent in order[1:]:
-            br = feed[child]
-            vp = np.array([v_new[model.slot_index(parent, p)] for p in br.phases])
-            vc = vp - br.series_impedance @ branch_i[br.index]
-            for k, p in enumerate(br.phases):
-                v_new[model.slot_index(child, p)] = vc[k]
-            # phases of the child not carried by the branch keep the slack value
+        v_new = v0 - model.zbus @ np.conj(s / v)
         mismatch = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
         v = v_new
         if mismatch < tolerance:
+            splits = np.cumsum([len(br.phases) for br in model.branches])[:-1]
+            currents = np.split(model.branch_current @ v, splits)
+            branch_i = {br.index: i for br, i in zip(model.branches, currents)}
             return PowerFlowResult(StateVector(v), branch_i, it, mismatch)
 
     raise NotConvergedError(max_iter, mismatch)

@@ -92,6 +92,27 @@ def random_tree_model(rng: np.random.Generator, n: int) -> FeederModel:
     return feeder_from_dict(doc)
 
 
+def path_impedance(model: FeederModel) -> np.ndarray:
+    """Bus impedance over slots from the tree paths to the source.
+
+    Z[s, t] sums Z_br[p(s), p(t)] over the branches that lie on both the
+    source path of slot s's bus and that of slot t's bus.
+    """
+    g = nx_graph(model)
+    branch_of = {frozenset((br.from_bus, br.to_bus)): br for br in model.branches}
+    path = {}
+    for b in range(model.n_buses):
+        hops = nx.shortest_path(g, model.source, b)
+        path[b] = {branch_of[frozenset(e)].index for e in zip(hops, hops[1:])}
+    z = np.zeros((model.n_slots, model.n_slots), complex)
+    for s, (b, p) in enumerate(model.slots):
+        for t, (c, q) in enumerate(model.slots):
+            for k in path[b] & path[c]:
+                br = model.branches[k]
+                z[s, t] += br.series_impedance[br.phases.index(p), br.phases.index(q)]
+    return z
+
+
 # -- power-flow oracle -----------------------------------------------------
 
 

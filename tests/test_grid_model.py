@@ -158,6 +158,30 @@ class TestIngestion:
         with pytest.raises(FeederValidationError, match="phase"):
             feeder_from_dict(doc)
 
+    def test_bus_phase_not_carried_by_feeding_branch_rejected(self):
+        # a phase-B load on an AB bus fed by an A-only branch would be unserved
+        doc = minimal_doc()
+        doc["buses"][0]["phases"] = "ABC"
+        doc["buses"][1]["phases"] = "AB"
+        doc["loads"][0]["power"] = {"B": [500_000.0, 0.0]}
+        with pytest.raises(FeederValidationError, match="phase"):
+            feeder_from_dict(doc)
+
+    def test_branch_phase_absent_upstream_rejected(self):
+        doc = minimal_doc()
+        doc["buses"][0]["phases"] = "ABC"
+        doc["buses"][1]["phases"] = "ABC"
+        doc["buses"].append(
+            {"id": 3, "phases": "B", "kind": "load", "base_voltage_v": 2400.0}
+        )
+        # branch 2-3 carries phase B, which branch 1-2 does not bring in
+        doc["branches"].append(
+            {"from": 2, "to": 3, "phases": "B", "impedance": [[[0.3, 0.6]]]}
+        )
+        doc["loads"] = [{"bus": 3, "power": {"B": [10000.0, 4000.0]}}]
+        with pytest.raises(FeederValidationError, match="phase"):
+            feeder_from_dict(doc)
+
     def test_zero_injection_bus_must_be_loadless(self):
         doc = minimal_doc()
         doc["buses"][1]["kind"] = "zero_injection"
@@ -218,6 +242,16 @@ class TestDerivedStructure:
                     for q_idx, q in enumerate(br.phases):
                         assert row[model.slot_index(end, q)] == sign * br.admittance[k, q_idx]
                 assert np.count_nonzero(row) <= 2 * len(br.phases)
+
+    @pytest.mark.parametrize("name", ["six_bus", "thirteen_bus"])
+    def test_zbus_matches_path_impedance(self, name, request):
+        model = request.getfixturevalue(name)
+        expected = oracles.path_impedance(model)
+        err = np.max(np.abs(model.zbus - expected))
+        assert err <= 1e-13 * np.max(np.abs(expected))
+        src = [model.slot_index(model.source, p) for p in model.buses[model.source].phases]
+        assert not model.zbus[src].any()
+        assert not model.zbus[:, src].any()
 
     def test_slots_are_bus_major_phase_minor(self, thirteen_bus):
         assert thirteen_bus.slots == sorted(

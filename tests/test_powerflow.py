@@ -70,6 +70,11 @@ class TestSolvePowerFlow:
         with pytest.raises(PowerFlowError, match="phase"):
             solve_power_flow(thirteen_bus, loads=bad)
 
+    def test_load_without_state_slot_rejected(self, six_bus):
+        # bus -1 must not wrap around to the last bus
+        with pytest.raises(PowerFlowError, match="slot"):
+            solve_power_flow(six_bus, loads={-1: {"A": 5e5}})
+
     def test_infeasible_load_does_not_converge(self):
         # beyond the maximum power transfer of the 2-bus line
         m = feeder_from_dict(two_bus_doc(r=1.0, x=0.0, p=2e6, q=0.0))
