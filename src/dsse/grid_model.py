@@ -17,8 +17,9 @@ A feeder file is a YAML document with exactly three top-level keys::
 ingestion remaps them to contiguous indices 0..N-1 in sorted-id order and
 keeps the original id as ``label``. Unknown keys are rejected.
 
-The graph must be a tree (radial) with exactly one source bus, and every
-other bus must have exactly the phases of the branch that feeds it.
+The graph must be a tree (radial) with exactly one source bus, which
+carries no load, and every other bus must have exactly the phases of the
+branch that feeds it.
 """
 
 from __future__ import annotations
@@ -298,6 +299,8 @@ class FeederModel:
                 raise FeederValidationError(f"duplicate load entry for bus {ld.bus}")
             seen_load_buses.add(ld.bus)
             bus = buses[ld.bus]
+            if bus.kind == "source":
+                raise FeederValidationError(f"source bus {bus.label} has an attached load")
             if bus.kind == "zero_injection":
                 raise FeederValidationError(
                     f"zero-injection bus {bus.label} has an attached load"

@@ -33,8 +33,6 @@ V_REAL, V_IMAG = "v_real", "v_imag"
 I_REAL, I_IMAG = "i_real", "i_imag"
 P_INJ, Q_INJ = "p_injection", "q_injection"
 
-BUS_KINDS_ROWS = {V_REAL, V_IMAG, P_INJ, Q_INJ}
-BRANCH_KINDS_ROWS = {I_REAL, I_IMAG}
 # row kind codes: PMU rows 0-3, injection rows 4-5; an even code takes the
 # real part of its phasor, an odd code the imaginary part
 _KIND_CODE = {k: c for c, k in enumerate((V_REAL, V_IMAG, I_REAL, I_IMAG, P_INJ, Q_INJ))}
@@ -220,6 +218,13 @@ def _kind_codes(template: MeasurementSet) -> np.ndarray:
     return np.array([_KIND_CODE[m.kind] for m in template], dtype=int)
 
 
+def unit_bases(model: FeederModel, template: MeasurementSet) -> np.ndarray:
+    """Per-row unit base: V for voltage rows, VA/V for current rows, VA for
+    P/Q rows. Dividing a row by its base makes it per-unit."""
+    v, s = model.base_voltage, model.power_base
+    return np.array([v, s / v, s])[_kind_codes(template) // 2]
+
+
 class RowEvaluator:
     """One template compiled into arrays, reused for every state."""
 
@@ -307,15 +312,13 @@ def row_sigmas(model: FeederModel, template: MeasurementSet, h_true: np.ndarray)
     ):
         raise ValueError("unpaired PMU row: each real row needs its imaginary row next")
 
-    s_floor = SIGMA_FLOOR_REL * model.power_base
-    v_floor = SIGMA_FLOOR_REL * model.base_voltage
-    i_floor = SIGMA_FLOOR_REL * model.power_base / model.base_voltage
-    sigmas = np.maximum(max_error * np.abs(h_true) / 3.0, s_floor)
+    base = unit_bases(model, template)
+    floor = SIGMA_FLOOR_REL * base
+    sigmas = np.maximum(max_error * np.abs(h_true) / 3.0, floor)
     zero = ~pmu & np.array([m.noise.kind == "zero_injection" for m in template], dtype=bool)
-    sigmas[zero] = max_error[zero] * model.power_base / 3.0
-    floor = np.where(code[re] == _KIND_CODE[V_REAL], v_floor, i_floor)
+    sigmas[zero] = max_error[zero] * base[zero] / 3.0
     sigmas[re], sigmas[im] = _phasor_sigmas(
-        h_true[re] + 1j * h_true[im], max_error[re], PMU_ANGLE_MAX_ERROR, floor
+        h_true[re] + 1j * h_true[im], max_error[re], PMU_ANGLE_MAX_ERROR, floor[re]
     )
     return sigmas
 

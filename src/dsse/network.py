@@ -26,6 +26,7 @@ from dsse.measurements import (
     Q_INJ,
     V_IMAG,
     V_REAL,
+    unit_bases,
 )
 from dsse.partitioning import MaskPlan
 
@@ -52,30 +53,19 @@ class InputEmbedding:
         self.signature = template.signature()
         self.width = model.n_buses * INPUT_CHANNELS
         pmu = set(pmu_buses or [])
-        v_base = model.base_voltage
-        i_base = model.power_base / model.base_voltage
-        s_base = model.power_base
 
         self._index = np.empty(len(template), dtype=int)
-        self._scale = np.empty(len(template))
+        self._scale = unit_bases(model, template)
         for r, m in enumerate(template):
+            bus = m.locus
             if m.kind in (I_REAL, I_IMAG):
                 br = model.branches[m.locus]
-                if br.from_bus in pmu:
-                    bus = br.from_bus
-                elif br.to_bus in pmu:
-                    bus = br.to_bus
-                else:
-                    bus = br.from_bus
-                scale = i_base
-            else:
-                bus = m.locus
-                scale = v_base if m.kind in (V_REAL, V_IMAG) else s_base
+                to_pmu = br.to_bus in pmu and br.from_bus not in pmu
+                bus = br.to_bus if to_pmu else br.from_bus
             p = "ABC".index(m.phase)
             self._index[r] = (
                 bus * INPUT_CHANNELS + p * CHANNELS_PER_PHASE + _KIND_CHANNEL[m.kind]
             )
-            self._scale[r] = scale
 
     def embed_values(self, values: np.ndarray) -> np.ndarray:
         """Value vector(s) -> feature vector(s); rows sharing a slot sum."""

@@ -8,8 +8,8 @@ synthesize a noisy measurement vector. Sample i uses the seed sequence
 
 Scenario semantics: scenario 1 is the full measurement plan with 30%
 pseudo noise; scenario 2 raises pseudo noise to 50% with the same rows;
-scenario 3 keeps 30% noise but removes pseudo rows until the WLS gain
-matrix goes rank deficient.
+scenario 3 keeps 30% noise but removes pseudo rows until WLS's own
+observability test, ``wls.check_observable``, fails.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dsse.network import (
 )
 from dsse.partitioning import build_mask_plan, count_params, partition_at_pmus
 from dsse.powerflow import NotConvergedError, slack_state, solve_power_flow
-from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, estimate
+from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, check_observable, estimate
 
 
 @dataclass
@@ -201,8 +201,9 @@ def load_dataset(path) -> Dataset:
 def remove_pseudo_until_unobservable(
     model: FeederModel, template: MeasurementSet
 ) -> tuple[MeasurementSet, int]:
-    """Drop pseudo P/Q rows (highest bus first) until the gain matrix loses
-    rank at flat start; returns the reduced template and the removal count."""
+    """Drop pseudo P/Q rows (highest bus first) until ``check_observable``,
+    the test WLS applies, rejects the template; returns the reduced template
+    and the removal count."""
     x0 = slack_state(model)
     rows = list(template.rows)
     pseudo_keys = sorted(
@@ -211,9 +212,11 @@ def remove_pseudo_until_unobservable(
     for key in pseudo_keys:
         rows = [m for m in rows
                 if not (m.noise.kind == "pseudo_power" and (m.locus, m.phase) == key)]
-        H = jacobian_rows(model, x0, MeasurementSet(rows))
-        if np.linalg.matrix_rank(H) < 2 * model.n_slots:
-            return MeasurementSet(rows), len(template) - len(rows)
+        reduced = MeasurementSet(rows)
+        try:
+            check_observable(model, reduced, jacobian_rows(model, x0, reduced))
+        except UnobservableError:
+            return reduced, len(template) - len(rows)
     raise RuntimeError("removing every pseudo row did not break observability")
 
 

@@ -1,11 +1,13 @@
 """Weighted-least-squares state estimation via Gauss-Newton iterations.
 
 Minimizes J(x) = [z - h(x)]^T R^-1 [z - h(x)] over the rectangular
-voltage state. Each iteration solves the normal equations of the
-sigma-whitened Jacobian; a step-halving guard keeps the objective
-monotone non-increasing. A singular (or numerically singular) gain
-matrix H^T R^-1 H means the measurement set does not pin down the state:
-the estimator raises ``UnobservableError`` instead of returning garbage.
+voltage state. Before iterating, ``check_observable`` tests the template
+once: the flat-start Jacobian, each row made per-unit by its unit base,
+must have full column rank. Otherwise the measurement set does not pin
+down the state, and the estimator raises ``UnobservableError`` instead of
+returning garbage. Scenario 3 of the pipeline uses the same test. Each
+iteration solves the sigma-whitened least-squares step by QR; a
+step-halving guard keeps the objective monotone non-increasing.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from dsse.grid_model import FeederModel
-from dsse.measurements import MeasurementSet, RowEvaluator
+from dsse.measurements import MeasurementSet, RowEvaluator, unit_bases
 from dsse.powerflow import StateVector, slack_state
 
-GAIN_CONDITION_LIMIT = 1e12
 MAX_STEP_HALVINGS = 4
 
 
 class UnobservableError(RuntimeError):
-    """Gain matrix numerically singular: the network is unobservable."""
+    """The measurement rows do not determine the state."""
 
 
 class NonConvergedError(RuntimeError):
@@ -51,7 +52,7 @@ class WlsReport:
     objective: float
     iterations: int
     converged: bool
-    gain_condition: float
+    observability_margin: float
 
 
 def objective(
@@ -61,6 +62,19 @@ def objective(
     ev = evaluator or RowEvaluator(model, z)
     r = z.values() - ev.h(x)
     return float(np.sum(r * r / z.variances()))
+
+
+def check_observable(model: FeederModel, template: MeasurementSet, H: np.ndarray) -> float:
+    """Margin s_min / s_max of the flat-start Jacobian ``H`` of ``template``
+    with each row made per-unit by its unit base, so that neither the row
+    weights nor the units move it. Raises ``UnobservableError`` when the
+    margin is at most max(H.shape) * eps, numpy's default rank tolerance:
+    H then lacks full column rank."""
+    s = np.linalg.svd(H / unit_bases(model, template)[:, None], compute_uv=False)
+    margin = float(s[-1] / s[0]) if len(s) == H.shape[1] and s[0] > 0 else 0.0
+    if margin <= max(H.shape) * np.finfo(float).eps:
+        raise UnobservableError(f"observability margin {margin:.3e}: rank-deficient Jacobian")
+    return margin
 
 
 def estimate(
@@ -76,36 +90,20 @@ def estimate(
     if np.any(sigma <= 0):
         raise ValueError("measurement variances must be positive")
 
-    x = x0.copy() if x0 is not None else slack_state(model)
+    flat = slack_state(model)
+    H = ev.jacobian(flat)
+    margin = check_observable(model, z, H)
+    x = x0.copy() if x0 is not None else flat
     j_cur = objective(model, z, x, ev)
     base = model.base_voltage
 
-    gain_condition = np.inf
     for it in range(1, config.max_iter + 1):
-        H = ev.jacobian(x)
-        A = H / sigma[:, None]
-        r = (zv - ev.h(x)) / sigma
-        # Jacobi column equilibration: the condition estimate should flag
-        # structural rank deficiency, not mixed units (volts vs watts)
-        col = np.linalg.norm(A, axis=0)
-        if np.any(col == 0.0):
-            raise UnobservableError(
-                "state component(s) touched by no measurement row"
-            )
-        As = A / col
-        G = As.T @ As
-        gain_condition = float(np.linalg.cond(G))
-        if not np.isfinite(gain_condition) or gain_condition > GAIN_CONDITION_LIMIT:
-            raise UnobservableError(
-                f"gain matrix condition {gain_condition:.3e} exceeds "
-                f"{GAIN_CONDITION_LIMIT:.0e}"
-            )
-        try:
-            c = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError as exc:
-            raise UnobservableError("gain matrix factorization failed") from exc
-        g = As.T @ r
-        delta = np.linalg.solve(c.T, np.linalg.solve(c, g)) / col
+        if x is not flat:  # a cold start's first step reuses the flat-start H
+            H = ev.jacobian(x)
+        # Gauss-Newton step: least squares on the sigma-whitened rows
+        # (H / sigma) delta = r / sigma by QR, without the normal equations
+        q, R = np.linalg.qr(H / sigma[:, None])
+        delta = np.linalg.solve(R, q.T @ ((zv - ev.h(x)) / sigma))
 
         # step-halving guard: never accept an objective increase beyond
         # floating-point slack
@@ -122,11 +120,11 @@ def estimate(
             # no productive step left; converged if the full step was already
             # below tolerance, otherwise report the stall
             if float(np.max(np.abs(delta))) / base < config.tolerance:
-                return WlsReport(x, j_cur, it, True, gain_condition)
-            raise NonConvergedError(WlsReport(x, j_cur, it, False, gain_condition))
+                return WlsReport(x, j_cur, it, True, margin)
+            raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
         x, j_cur, alpha = accepted
 
         if float(np.max(np.abs(alpha * delta))) / base < config.tolerance:
-            return WlsReport(x, j_cur, it, True, gain_condition)
+            return WlsReport(x, j_cur, it, True, margin)
 
-    raise NonConvergedError(WlsReport(x, j_cur, config.max_iter, False, gain_condition))
+    raise NonConvergedError(WlsReport(x, j_cur, config.max_iter, False, margin))

@@ -110,6 +110,7 @@ class TestIngestion:
             (lambda d: d["branches"][0].update(color="red"), "unknown"),
             (lambda d: d["loads"][0].update(bus=99), "unknown bus"),
             (lambda d: d["loads"][0]["power"].update(D=[1.0, 0.0]), "not one of"),
+            (lambda d: d["loads"][0].update(bus=1), "source"),
         ],
     )
     def test_schema_violations(self, mutate, error):

@@ -168,6 +168,35 @@ class TestScenarios:
         assert pseudo == {0.5}
 
 
+@pytest.mark.parametrize(
+    "feeder,pmu_labels", [("six_bus", (4,)), ("thirteen_bus", (1, 12))]
+)
+def test_tight_zero_injection_keeps_observability(
+    request, monkeypatch, feeder, pmu_labels
+):
+    # a more accurate zero-injection row adds information: scenario 1 must
+    # stay observable and scenario 3 must still fail, whatever the row weights
+    from dsse import measurements
+    from dsse.measurements import synthesize
+
+    monkeypatch.setattr(measurements, "ZERO_INJECTION_MAX_ERROR", 1e-7)
+    model = request.getfixturevalue(feeder)
+    pf = request.getfixturevalue(f"{feeder}_pf")
+    s1, _, s3 = standard_scenarios([model.bus_by_label(b) for b in pmu_labels])
+    template, _ = scenario_template(model, s1)
+    assert {m.noise.max_error for m in template if m.noise.kind == "zero_injection"} == {1e-7}
+    for seed in range(5):
+        report = estimate(model, synthesize(template, pf.state, model, seed))
+        assert report.converged
+        err = np.max(np.abs(report.x_hat.magnitudes() - pf.state.magnitudes()))
+        assert err / model.base_voltage < 0.05
+
+    reduced, removed = scenario_template(model, s3)
+    assert removed > 0
+    with pytest.raises(UnobservableError):
+        estimate(model, synthesize(reduced, pf.state, model, 0))
+
+
 @pytest.fixture(scope="module")
 def six_results(six_bus):
     scenario = Scenario("scenario1", (3,), pseudo_noise=0.3)
