@@ -143,6 +143,8 @@ def cmd_estimate(args):
         if mset.signature() != meta["template_signature"]:
             print("measurement rows do not match the training template", file=sys.stderr)
             return EXIT_VALIDATION
+        if not (np.isfinite(mset.values()).all() and np.isfinite(mset.variances()).all()):
+            raise ValueError("measurement values and variances must be finite")
         embedding = network.InputEmbedding(model, mset, pmu)
         mags = net.forward(embedding.embed_values(mset.values()))
     for (b, p), v in zip(model.slots, mags):

@@ -19,9 +19,11 @@ the bus, so a load bus's P row equals its active demand.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +37,12 @@ P_INJ, Q_INJ = "p_injection", "q_injection"
 
 # row kind codes: PMU rows 0-3, injection rows 4-5; an even code takes the
 # real part of its phasor, an odd code the imaginary part
-_KIND_CODE = {k: c for c, k in enumerate((V_REAL, V_IMAG, I_REAL, I_IMAG, P_INJ, Q_INJ))}
+_KINDS = (V_REAL, V_IMAG, I_REAL, I_IMAG, P_INJ, Q_INJ)
+KIND_CODE = {k: c for c, k in enumerate(_KINDS)}
 
 PMU_MAG_MAX_ERROR = 0.01
 PMU_ANGLE_MAX_ERROR = 1e-2  # rad, absolute
 SMART_METER_MAX_ERROR = 0.02
-PSEUDO_MAX_ERROR = 0.5
 ZERO_INJECTION_MAX_ERROR = 1e-5
 
 # relative floor keeping every variance strictly positive
@@ -57,8 +59,10 @@ class NoiseClass:
             raise ValueError("max_error must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Measurement:
+    """One row: built to construct a set, or read back from one."""
+
     kind: str  # v_real | v_imag | i_real | i_imag | p_injection | q_injection
     locus: int  # bus index, or branch index for current kinds
     phase: str
@@ -70,37 +74,89 @@ class Measurement:
         return (self.kind, self.locus, self.phase, self.noise.kind, self.noise.max_error)
 
 
-@dataclass
-class MeasurementSet:
-    """Ordered measurement rows plus the diagonal covariance they induce."""
+def _column(data, dtype) -> np.ndarray:
+    col = np.array(data, dtype=dtype)
+    col.flags.writeable = False
+    return col
 
-    rows: list
+
+class MeasurementSet:
+    """Ordered measurement rows plus the diagonal covariance they induce.
+
+    The rows are stored as read-only columns, built once: ``code`` (kind
+    code), ``locus``, ``phase``, ``noise_kind`` and ``max_error``, plus the
+    ``values()`` and ``variances()`` arrays, NaN where unset. Realized sets
+    from ``with_values`` share the template's columns.
+    """
+
+    def __init__(self, rows):
+        rows = list(rows)
+        unknown = {m.kind for m in rows} - KIND_CODE.keys()
+        if unknown:
+            raise ValueError(f"unknown measurement kind {min(unknown)!r}")
+        self.code = _column([KIND_CODE[m.kind] for m in rows], int)
+        self.locus = _column([m.locus for m in rows], int)
+        self.phase = _column([m.phase for m in rows], str)
+        self.noise_kind = _column([m.noise.kind for m in rows], str)
+        self.max_error = _column([m.noise.max_error for m in rows], float)
+        self._values = _column([np.nan if m.value is None else m.value for m in rows], float)
+        self._variances = _column(
+            [np.nan if m.variance is None else m.variance for m in rows], float
+        )
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.code)
+
+    def _keys(self):
+        """Per-row (kind, locus, phase, noise kind, max error) tuples."""
+        return zip(
+            [_KINDS[c] for c in self.code.tolist()], self.locus.tolist(), self.phase.tolist(),
+            self.noise_kind.tolist(), self.max_error.tolist(),
+        )
 
     def __iter__(self):
-        return iter(self.rows)
+        """Frozen row views, rebuilt from the columns."""
+        for (kind, locus, phase, noise, max_error), v, s2 in zip(
+            self._keys(), self._values.tolist(), self._variances.tolist()
+        ):
+            yield Measurement(
+                kind, locus, phase, NoiseClass(noise, max_error),
+                None if math.isnan(v) else v, None if math.isnan(s2) else s2,
+            )
+
+    @property
+    def rows(self) -> list:
+        return list(self)
 
     def values(self) -> np.ndarray:
-        return np.array([m.value for m in self.rows], dtype=float)
+        return self._values
 
     def variances(self) -> np.ndarray:
-        return np.array([m.variance for m in self.rows], dtype=float)
+        return self._variances
 
     def signature(self) -> str:
         """Hash of the template structure (rows sans values)."""
-        payload = json.dumps([m.key() for m in self.rows]).encode()
-        return hashlib.sha256(payload).hexdigest()
+        return hashlib.sha256(json.dumps(list(self._keys())).encode()).hexdigest()
+
+    def _replace(self, **columns) -> "MeasurementSet":
+        new = copy.copy(self)
+        new.__dict__.update(columns)
+        return new
 
     def with_values(self, values, variances) -> "MeasurementSet":
-        values = np.asarray(values, dtype=float).tolist()
-        variances = np.asarray(variances, dtype=float).tolist()
-        return MeasurementSet(
-            [
-                Measurement(m.kind, m.locus, m.phase, m.noise, v, s2)
-                for m, v, s2 in zip(self.rows, values, variances)
-            ]
+        """The same rows carrying ``values`` and ``variances``."""
+        values, variances = _column(values, float), _column(variances, float)
+        if values.shape != (len(self),) or variances.shape != (len(self),):
+            raise ValueError(
+                f"expected {len(self)} values and variances, "
+                f"got shapes {values.shape} and {variances.shape}"
+            )
+        return self._replace(_values=values, _variances=variances)
+
+    def select(self, keep) -> "MeasurementSet":
+        """The rows where the boolean mask ``keep`` is true, in order."""
+        return self._replace(
+            **{name: _column(col[keep], col.dtype) for name, col in vars(self).items()}
         )
 
     def save(self, path):
@@ -110,7 +166,7 @@ class MeasurementSet:
     def write_csv(self, fh):
         w = csv.writer(fh)
         w.writerow(["kind", "locus", "phase", "noise_class", "max_error", "value", "variance"])
-        for m in self.rows:
+        for m in self:
             w.writerow(
                 [m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error),
                  "" if m.value is None else repr(m.value),
@@ -125,20 +181,15 @@ class MeasurementSet:
     @staticmethod
     def read_csv(fh) -> "MeasurementSet":
         """Rows from ``write_csv`` text; the value and variance columns may be absent."""
-        rows = []
-        for rec in csv.DictReader(fh):
-            value, variance = rec.get("value"), rec.get("variance")
-            rows.append(
-                Measurement(
-                    kind=rec["kind"],
-                    locus=int(rec["locus"]),
-                    phase=rec["phase"],
-                    noise=NoiseClass(rec["noise_class"], float(rec["max_error"])),
-                    value=float(value) if value else None,
-                    variance=float(variance) if variance else None,
-                )
+        return MeasurementSet(
+            Measurement(
+                rec["kind"], int(rec["locus"]), rec["phase"],
+                NoiseClass(rec["noise_class"], float(rec["max_error"])),
+                float(rec["value"]) if rec.get("value") else None,
+                float(rec["variance"]) if rec.get("variance") else None,
             )
-        return MeasurementSet(rows)
+            for rec in csv.DictReader(fh)
+        )
 
 
 def plan_measurements(
@@ -166,36 +217,29 @@ def plan_measurements(
         raise ValueError(f"metered buses {sorted(metered - load_buses)} carry no load")
 
     rows = []
+
+    def add(kinds, locus, phases, noise):
+        rows.extend(Measurement(k, locus, p, noise) for p in phases for k in kinds)
+
     pmu_v = NoiseClass("pmu_voltage", PMU_MAG_MAX_ERROR)
     pmu_i = NoiseClass("pmu_current", PMU_MAG_MAX_ERROR)
     for b in pmu_buses:
-        for p in model.buses[b].phases:
-            rows.append(Measurement(V_REAL, b, p, pmu_v))
-            rows.append(Measurement(V_IMAG, b, p, pmu_v))
-    seen_branches = set()
-    for b in pmu_buses:
-        for br in model.branches_at(b):
-            if br.index in seen_branches:
-                continue
-            seen_branches.add(br.index)
-            for p in br.phases:
-                rows.append(Measurement(I_REAL, br.index, p, pmu_i))
-                rows.append(Measurement(I_IMAG, br.index, p, pmu_i))
+        add((V_REAL, V_IMAG), b, model.buses[b].phases, pmu_v)
+    # every branch incident to a PMU bus, once, in first-seen order
+    branches = {br.index: br for b in pmu_buses for br in model.branches_at(b)}
+    for br in branches.values():
+        add((I_REAL, I_IMAG), br.index, br.phases, pmu_i)
     for ld in sorted(model.loads, key=lambda l: l.bus):
-        cls = (
+        noise = (
             NoiseClass("smart_meter_power", SMART_METER_MAX_ERROR)
             if ld.bus in metered
             else NoiseClass("pseudo_power", pseudo_noise)
         )
-        for p in sorted(ld.power):
-            rows.append(Measurement(P_INJ, ld.bus, p, cls))
-            rows.append(Measurement(Q_INJ, ld.bus, p, cls))
+        add((P_INJ, Q_INJ), ld.bus, sorted(ld.power), noise)
     zi = NoiseClass("zero_injection", ZERO_INJECTION_MAX_ERROR)
     for bus in model.buses:
         if bus.kind == "zero_injection":
-            for p in bus.phases:
-                rows.append(Measurement(P_INJ, bus.index, p, zi))
-                rows.append(Measurement(Q_INJ, bus.index, p, zi))
+            add((P_INJ, Q_INJ), bus.index, bus.phases, zi)
     return MeasurementSet(rows)
 
 
@@ -210,19 +254,11 @@ def plan_measurements(
 # bilinear s = -V * conj(i) at the row's own slot (consumption-positive).
 
 
-def _kind_codes(template: MeasurementSet) -> np.ndarray:
-    """Per-row kind codes; rejects unknown kinds."""
-    unknown = {m.kind for m in template} - _KIND_CODE.keys()
-    if unknown:
-        raise ValueError(f"unknown measurement kind {min(unknown)!r}")
-    return np.array([_KIND_CODE[m.kind] for m in template], dtype=int)
-
-
 def unit_bases(model: FeederModel, template: MeasurementSet) -> np.ndarray:
     """Per-row unit base: V for voltage rows, VA/V for current rows, VA for
     P/Q rows. Dividing a row by its base makes it per-unit."""
     v, s = model.base_voltage, model.power_base
-    return np.array([v, s / v, s])[_kind_codes(template) // 2]
+    return np.array([v, s / v, s])[template.code // 2]
 
 
 class RowEvaluator:
@@ -230,19 +266,17 @@ class RowEvaluator:
 
     def __init__(self, model: FeederModel, template: MeasurementSet):
         self.model = model
-        code = _kind_codes(template)
-        branch = (code == _KIND_CODE[I_REAL]) | (code == _KIND_CODE[I_IMAG])
-        self.power = code >= _KIND_CODE[P_INJ]
+        code = template.code
+        branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
+        self.power = code >= KIND_CODE[P_INJ]
         self.imag = code % 2 == 1
         # the row's own bus slot (0, unused, for branch rows)
-        self.slot = np.array(
-            [0 if b else model.slot_index(m.locus, m.phase) for m, b in zip(template, branch)],
-            dtype=int,
-        )
+        loci = list(zip(template.locus.tolist(), template.phase.tolist(), branch.tolist()))
+        self.slot = np.array([0 if b else model.slot_index(n, p) for n, p, b in loci], dtype=int)
         self.own_slot = (self.slot[:, None] == np.arange(model.n_slots)).astype(float)
         self.C = np.where(self.power[:, None], model.ybus[self.slot], self.own_slot)
         self.C[branch] = model.branch_current[
-            [model.branch_phase_index(m.locus, m.phase) for m, b in zip(template, branch) if b]
+            [model.branch_phase_index(n, p) for n, p, b in loci if b]
         ]
 
     def h(self, state: StateVector) -> np.ndarray:
@@ -297,25 +331,24 @@ def _phasor_sigmas(value, max_mag_err, max_ang_err: float, floor):
 
 def row_sigmas(model: FeederModel, template: MeasurementSet, h_true: np.ndarray):
     """Per-row Gaussian sigma implied by each row's noise class at h(x_true)."""
-    code = _kind_codes(template)
-    max_error = np.array([m.noise.max_error for m in template], dtype=float)
+    code, max_error = template.code, template.max_error
 
     # PMU rows come in adjacent (real, imag) pairs sharing one phasor
-    pmu = code < _KIND_CODE[P_INJ]
+    pmu = code < KIND_CODE[P_INJ]
     re = np.flatnonzero(pmu & (code % 2 == 0))
     im = np.flatnonzero(pmu & (code % 2 == 1))
-    loci = [(m.locus, m.phase) for m in template]
     if not (
         np.array_equal(re + 1, im)
         and np.array_equal(code[re] + 1, code[im])
-        and all(loci[r] == loci[r + 1] for r in re)
+        and np.array_equal(template.locus[re], template.locus[im])
+        and np.array_equal(template.phase[re], template.phase[im])
     ):
         raise ValueError("unpaired PMU row: each real row needs its imaginary row next")
 
     base = unit_bases(model, template)
     floor = SIGMA_FLOOR_REL * base
     sigmas = np.maximum(max_error * np.abs(h_true) / 3.0, floor)
-    zero = ~pmu & np.array([m.noise.kind == "zero_injection" for m in template], dtype=bool)
+    zero = ~pmu & (template.noise_kind == "zero_injection")
     sigmas[zero] = max_error[zero] * base[zero] / 3.0
     sigmas[re], sigmas[im] = _phasor_sigmas(
         h_true[re] + 1j * h_true[im], max_error[re], PMU_ANGLE_MAX_ERROR, floor[re]

@@ -17,26 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dsse.grid_model import FeederModel
-from dsse.measurements import (
-    I_IMAG,
-    I_REAL,
-    MeasurementSet,
-    P_INJ,
-    Q_INJ,
-    V_IMAG,
-    V_REAL,
-    unit_bases,
-)
+from dsse.grid_model import PHASES, FeederModel
+from dsse.measurements import I_IMAG, I_REAL, KIND_CODE, MeasurementSet, unit_bases
 from dsse.partitioning import MaskPlan
 
 LEAKY_SLOPE = 0.01
 
-# per-phase input channels: v_real, v_imag, i_real, i_imag, p, q
+# per-phase input channels, one per row kind code (``KIND_CODE``): v_real,
+# v_imag, i_real, i_imag, p, q
 CHANNELS_PER_PHASE = 6
 INPUT_CHANNELS = 3 * CHANNELS_PER_PHASE
-
-_KIND_CHANNEL = {V_REAL: 0, V_IMAG: 1, I_REAL: 2, I_IMAG: 3, P_INJ: 4, Q_INJ: 5}
 
 
 class TemplateMismatchError(ValueError):
@@ -52,31 +42,25 @@ class InputEmbedding:
         self.model = model
         self.signature = template.signature()
         self.width = model.n_buses * INPUT_CHANNELS
-        pmu = set(pmu_buses or [])
-
-        self._index = np.empty(len(template), dtype=int)
+        pmu = np.zeros(model.n_buses, dtype=bool)
+        pmu[list(pmu_buses or [])] = True
+        code, bus = template.code, template.locus.copy()
+        branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
+        ends = np.array([(br.from_bus, br.to_bus) for br in model.branches], dtype=int)
+        from_bus, to_bus = ends.reshape(-1, 2)[template.locus[branch]].T
+        to_pmu = pmu[to_bus] & ~pmu[from_bus]
+        bus[branch] = np.where(to_pmu, to_bus, from_bus)
+        phase = np.array([PHASES.index(p) for p in template.phase.tolist()], dtype=int)
+        self._index = bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + code
         self._scale = unit_bases(model, template)
-        for r, m in enumerate(template):
-            bus = m.locus
-            if m.kind in (I_REAL, I_IMAG):
-                br = model.branches[m.locus]
-                to_pmu = br.to_bus in pmu and br.from_bus not in pmu
-                bus = br.to_bus if to_pmu else br.from_bus
-            p = "ABC".index(m.phase)
-            self._index[r] = (
-                bus * INPUT_CHANNELS + p * CHANNELS_PER_PHASE + _KIND_CHANNEL[m.kind]
-            )
 
     def embed_values(self, values: np.ndarray) -> np.ndarray:
-        """Value vector(s) -> feature vector(s); rows sharing a slot sum."""
-        values = np.asarray(values, dtype=float)
-        single = values.ndim == 1
-        v2 = values[None, :] if single else values
-        scaled = v2 / self._scale
-        out = np.zeros((v2.shape[0], self.width))
-        for r in range(v2.shape[1]):
-            out[:, self._index[r]] += scaled[:, r]
-        return out[0] if single else out
+        """Value vector(s) -> feature vector(s); rows sharing a slot sum, in
+        row order."""
+        scaled = np.atleast_2d(values) / self._scale
+        out = np.zeros((len(scaled), self.width))
+        np.add.at(out, (slice(None), self._index), scaled)
+        return out[0] if np.ndim(values) == 1 else out
 
 
 def embed_input(
@@ -108,6 +92,12 @@ class MaskedNetwork:
         self.slots = list(model.slots)
         self.slot_bus = np.array([b for b, _ in self.slots])
         self.width = self.n_buses * self.f
+        # per exit layer: the slots it feeds, in slot order, and their buses
+        slot_exit = plan.exit_layer[self.slot_bus]
+        self.exits = []
+        for e in np.unique(slot_exit).tolist():
+            sel = np.flatnonzero(slot_exit == e)
+            self.exits.append((e, sel, self.slot_bus[sel]))
 
         f, c = self.f, INPUT_CHANNELS
         self.weight_masks = []
@@ -159,9 +149,6 @@ class MaskedNetwork:
         for b, m in zip(self.biases, self.bias_masks):
             b *= m
 
-    def _bus_cols(self, bus):
-        return slice(bus * self.f, (bus + 1) * self.f)
-
     # -- evaluation --------------------------------------------------------
 
     def _forward_cached(self, x):
@@ -175,10 +162,9 @@ class MaskedNetwork:
             k = _leaky(z)
             acts.append(k)
         out = np.empty((x.shape[0], len(self.slots)))
-        for s, bus in enumerate(self.slot_bus):
-            e = int(self.plan.exit_layer[bus])
-            block = acts[e][:, self._bus_cols(bus)]
-            out[:, s] = block @ self.readout_w[s] + self.readout_b[s]
+        for e, sel, bus in self.exits:
+            block = acts[e].reshape(len(x), self.n_buses, self.f)[:, bus]
+            out[:, sel] = np.einsum("bsf,sf->bs", block, self.readout_w[sel]) + self.readout_b[sel]
         return out, pre, acts
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -200,14 +186,14 @@ class MaskedNetwork:
 
         d_out = 2.0 * diff
         d_acts = [np.zeros_like(a) for a in acts]
-        g_rw = np.zeros_like(self.readout_w)
-        g_rb = np.zeros_like(self.readout_b)
-        for s, bus in enumerate(self.slot_bus):
-            e = int(self.plan.exit_layer[bus])
-            cols = self._bus_cols(bus)
-            g_rw[s] = d_out[:, s] @ acts[e][:, cols]
-            g_rb[s] = d_out[:, s].sum()
-            d_acts[e][:, cols] += np.outer(d_out[:, s], self.readout_w[s])
+        g_rw = np.empty_like(self.readout_w)
+        g_rb = d_out.sum(axis=0)
+        for e, sel, bus in self.exits:
+            block = acts[e].reshape(len(x), self.n_buses, self.f)[:, bus]
+            g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
+            # the phases of one bus share its block: accumulate in slot order
+            d_block = d_acts[e].reshape(len(x), self.n_buses, self.f)
+            np.add.at(d_block, (slice(None), bus), d_out[:, sel, None] * self.readout_w[sel])
 
         g_w = [np.zeros_like(w) for w in self.weights]
         g_b = [np.zeros_like(b) for b in self.biases]
@@ -235,7 +221,6 @@ class TrainConfig:
 @dataclass
 class EvalReport:
     nu: float  # mean squared L2 voltage-magnitude error over samples
-    per_bus: dict  # bus index -> mean squared error contribution
     n_samples: int
 
 
@@ -328,10 +313,7 @@ def evaluate(net: MaskedNetwork, features: np.ndarray, targets: np.ndarray) -> E
     out = net.forward(np.atleast_2d(features))
     sq = (out - np.atleast_2d(targets)) ** 2
     nu = float(np.mean(np.sum(sq, axis=1)))
-    per_bus = {}
-    for s, bus in enumerate(net.slot_bus):
-        per_bus[int(bus)] = per_bus.get(int(bus), 0.0) + float(np.mean(sq[:, s]))
-    return EvalReport(nu=nu, per_bus=per_bus, n_samples=len(features))
+    return EvalReport(nu=nu, n_samples=len(features))
 
 
 # -- checkpointing ---------------------------------------------------------

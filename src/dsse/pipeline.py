@@ -205,18 +205,16 @@ def remove_pseudo_until_unobservable(
     the test WLS applies, rejects the template; returns the reduced template
     and the removal count."""
     x0 = slack_state(model)
-    rows = list(template.rows)
-    pseudo_keys = sorted(
-        {(m.locus, m.phase) for m in rows if m.noise.kind == "pseudo_power"}, reverse=True
-    )
-    for key in pseudo_keys:
-        rows = [m for m in rows
-                if not (m.noise.kind == "pseudo_power" and (m.locus, m.phase) == key)]
-        reduced = MeasurementSet(rows)
+    pseudo = template.noise_kind == "pseudo_power"
+    loci = set(zip(template.locus[pseudo].tolist(), template.phase[pseudo].tolist()))
+    keep = np.ones(len(template), dtype=bool)
+    for locus, phase in sorted(loci, reverse=True):
+        keep &= ~(pseudo & (template.locus == locus) & (template.phase == phase))
+        reduced = template.select(keep)
         try:
             check_observable(model, reduced, jacobian_rows(model, x0, reduced))
         except UnobservableError:
-            return reduced, len(template) - len(rows)
+            return reduced, len(template) - len(reduced)
     raise RuntimeError("removing every pseudo row did not break observability")
 
 
@@ -246,13 +244,13 @@ def wls_test_run(model, template, dataset, test_idx, wls_config=None):
     """Per-sample WLS estimates on the test split, individually timed.
 
     Returns (per-sample magnitude estimates p.u. or None, times, status,
-    failure count). Timing covers the estimate call only.
+    failure count). Timing covers the estimate call only. The status is
+    "nonconverged" when no sample converged.
     """
     ev_cfg = wls_config or WlsConfig()
     estimates = []
     times = []
     failures = 0
-    status = "ok"
     for i in test_idx:
         mset = template.with_values(dataset.values[i], dataset.variances[i])
         t0 = time.perf_counter()
@@ -261,12 +259,11 @@ def wls_test_run(model, template, dataset, test_idx, wls_config=None):
         except UnobservableError:
             return None, [], "unobservable", len(test_idx)
         except NonConvergedError:
-            failures += 1
-            times.append(time.perf_counter() - t0)
-            estimates.append(None)
-            continue
+            report = None
         times.append(time.perf_counter() - t0)
-        estimates.append(report.x_hat.magnitudes() / model.base_voltage)
+        failures += report is None
+        estimates.append(None if report is None else report.x_hat.magnitudes() / model.base_voltage)
+    status = "ok" if failures < len(test_idx) else "nonconverged"
     return estimates, times, status, failures
 
 
@@ -313,19 +310,11 @@ def run_scenario(
         estimates, times, status, failures = wls_test_run(
             model, template, dataset, test_idx, wls_config
         )
-        if status == "unobservable":
-            rows.append(BenchRow(scenario.name, "wls", None, None, status, failures))
-        else:
-            rows.append(
-                BenchRow(
-                    scenario.name,
-                    "wls",
-                    _nu(estimates, truth),
-                    float(np.mean(times)),
-                    status,
-                    failures,
-                )
-            )
+        ok = status == "ok"
+        nu = _nu(estimates, truth) if ok else None
+        mean_time = float(np.mean(times)) if times else None
+        rows.append(BenchRow(scenario.name, "wls", nu, mean_time, status, failures))
+        if ok:
             artifacts["traces"]["wls"] = estimates
 
     for kind in ("pawnn", "p2n2"):
@@ -340,17 +329,9 @@ def run_scenario(
         assert np.array_equal(val_idx, test_idx)
         outs, times = nn_test_run(net, dataset, test_idx)
         counts = count_params(plan)
-        rows.append(
-            BenchRow(
-                scenario.name,
-                kind,
-                _nu(outs, truth),
-                float(np.mean(times)),
-                "ok",
-                0,
-                counts.p2n2_params if kind == "p2n2" else counts.pawnn_params,
-            )
-        )
+        params = counts.p2n2_params if kind == "p2n2" else counts.pawnn_params
+        rows.append(BenchRow(scenario.name, kind, _nu(outs, truth), float(np.mean(times)),
+                             "ok", 0, params))
         artifacts["traces"][kind] = outs
         artifacts[f"net_{kind}"] = net
     return rows, artifacts

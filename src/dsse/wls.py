@@ -85,10 +85,10 @@ def estimate(
 ) -> WlsReport:
     config = config or WlsConfig()
     ev = RowEvaluator(model, z)
-    zv = z.values()
-    sigma = np.sqrt(z.variances())
-    if np.any(sigma <= 0):
-        raise ValueError("measurement variances must be positive")
+    zv, variances = z.values(), z.variances()
+    if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
+        raise ValueError("measurement values must be finite, variances finite and positive")
+    sigma = np.sqrt(variances)
 
     flat = slack_state(model)
     H = ev.jacobian(flat)

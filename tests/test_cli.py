@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -116,6 +117,27 @@ def test_estimate_template_mismatch_is_validation_error(
             "--checkpoint", str(checkpoint_path),
         ]
     )
+    assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("estimator", ["wls", "checkpoint"])
+@pytest.mark.parametrize("cell", ["", "nan"], ids=["empty", "nan"])
+def test_estimate_nonfinite_input_is_validation_error(
+    workdir, checkpoint_path, six_bus, six_bus_pf, estimator, cell
+):
+    # an empty value cell is what a saved template holds
+    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
+    zpath = workdir / f"z_nonfinite_{estimator}_{cell}.csv"
+    z.save(zpath)
+    with open(zpath, newline="") as fh:
+        recs = list(csv.DictReader(fh))
+    recs[1]["value"] = cell
+    with open(zpath, "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(recs[0]))
+        w.writeheader()
+        w.writerows(recs)
+    how = ["--wls"] if estimator == "wls" else ["--checkpoint", str(checkpoint_path)]
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath), *how])
     assert code == EXIT_VALIDATION
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,27 @@ class TestPlan:
         assert realized.signature() == six_plan.signature()
         other = plan_measurements(six_bus, [six_bus.bus_by_label(2)])
         assert other.signature() != six_plan.signature()
+
+    @pytest.mark.parametrize(
+        "feeder,digest",
+        [
+            ("six_bus", "cade1e00c6231732e8cb6e85df4cc6833dcc3cb4e6231cb74fb36cbed79b6f8d"),
+            ("thirteen_bus", "f9152e792e98a96fbb7574ef886e2c2fae1a8248502ed602744f9ea24d8ce63c"),
+        ],
+    )
+    def test_signature_pinned(self, request, feeder, digest):
+        # checkpoints store this digest as their template signature
+        model = request.getfixturevalue(feeder)
+        plan = plan_measurements(model, [model.bus_by_label(b) for b in PMU_LABELS[feeder]])
+        assert plan.signature() == digest
+
+    def test_rows_read_only(self, six_plan):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            six_plan.rows[0].variance = 0.0
+        with pytest.raises(ValueError):
+            six_plan.values()[0] = 1.0
+        with pytest.raises(ValueError, match="expected 54"):
+            six_plan.with_values(np.zeros(53), np.ones(53))
 
     def test_csv_roundtrip(self, six_bus, six_plan, six_bus_pf, tmp_path):
         realized = synthesize(six_plan, six_bus_pf.state, six_bus, 3)

@@ -24,7 +24,7 @@ from dsse.pipeline import (
     standard_scenarios,
 )
 from dsse.powerflow import StateVector, solve_power_flow
-from dsse.wls import UnobservableError, estimate
+from dsse.wls import UnobservableError, WlsConfig, estimate
 
 
 SMALL_PROFILE = LoadProfileConfig(samples=200, seed=3)
@@ -231,6 +231,18 @@ class TestRunScenario:
         assert by["p2n2"].status == "ok"
         assert np.isfinite(by["p2n2"].nu)
         assert artifacts["removed_pseudo"] > 0
+
+    def test_all_wls_samples_failing_is_nonconverged(self, six_bus):
+        scenario = Scenario("scenario1", (3,), pseudo_noise=0.3)
+        rows, artifacts = run_scenario(
+            six_bus, scenario, LoadProfileConfig(samples=20, seed=3), SMALL_TRAIN,
+            wls_config=WlsConfig(max_iter=1), estimators=("wls",),
+        )
+        (row,) = rows
+        assert row.status == "nonconverged"
+        assert row.nu is None
+        assert row.failures == len(artifacts["test_idx"]) > 0
+        assert format_report(rows).splitlines()[2].split()[2] == "-"
 
 
 class TestReport:

@@ -119,7 +119,9 @@ class TestEstimate:
     def test_nonpositive_variance_rejected(self, six_bus):
         state = slack_state(six_bus)
         z = direct_voltage_rows(six_bus, state, sigma=1.0)
-        z.rows[0].variance = 0.0
+        variances = z.variances().copy()
+        variances[0] = 0.0
+        z = z.with_values(z.values(), variances)
         with pytest.raises(ValueError):
             estimate(six_bus, z)
 
