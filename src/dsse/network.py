@@ -1,13 +1,15 @@
 """Masked feed-forward network with early-exit readouts, trained with ADAM.
 
 Layer recursion: k_t = leaky_relu(W_t k_{t-1} + b_t) with k_0 the embedded
-measurement vector. Every W_t is dense storage gated by the plan's bus
-mask expanded to F x F blocks (F x C for the input layer); masked entries
-are forced to exactly zero after every update. Bus b's voltage magnitudes
-are read from layer ``exit_layer[b]`` through a per-slot linear head.
+measurement vector. Every W_t is gated by the plan's bus mask expanded to
+F x F blocks (F x C for the input layer). All parameters are views of one
+flat vector ``theta``; masked entries are zero from initialisation on and
+ADAM updates only the live ones. Bus b's voltage magnitudes are read from
+layer ``exit_layer[b]`` through a per-slot linear head.
 
-Gradients are hand-rolled reverse mode; masked entries get gradient zero
-by construction. Targets and outputs are per-unit voltage magnitudes.
+Gradients are hand-rolled reverse mode into one array laid out like
+``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
+voltage magnitudes.
 """
 
 from __future__ import annotations
@@ -75,15 +77,12 @@ def embed_input(
 
 
 def _leaky(x):
-    return np.where(x >= 0, x, LEAKY_SLOPE * x)
-
-
-def _leaky_grad(x):
-    return np.where(x >= 0, 1.0, LEAKY_SLOPE)
+    return np.maximum(x, LEAKY_SLOPE * x)  # exact for 0 < slope < 1
 
 
 class MaskedNetwork:
-    """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts."""
+    """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts,
+    as views of one vector ``theta``; ``live`` indexes its unmasked entries."""
 
     def __init__(self, plan: MaskPlan, model: FeederModel, seed: int = 0):
         self.plan = plan
@@ -92,62 +91,75 @@ class MaskedNetwork:
         self.slots = list(model.slots)
         self.slot_bus = np.array([b for b, _ in self.slots])
         self.width = self.n_buses * self.f
-        # per exit layer: the slots it feeds, in slot order, and their buses
+        # per exit layer: the slots it feeds, in slot order, their buses, and
+        # per phase rank (place among its bus's slots) their positions and buses
         slot_exit = plan.exit_layer[self.slot_bus]
         self.exits = []
         for e in np.unique(slot_exit).tolist():
             sel = np.flatnonzero(slot_exit == e)
-            self.exits.append((e, sel, self.slot_bus[sel]))
+            bus = self.slot_bus[sel]
+            rank = np.arange(len(bus)) - np.searchsorted(bus, bus)
+            ranks = [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
+            self.exits.append((e, sel, bus, [(i, bus[i]) for i in ranks]))
 
         f, c = self.f, INPUT_CHANNELS
-        self.weight_masks = []
-        for t, mask in enumerate(plan.masks):
-            fin = c if t == 0 else f
-            self.weight_masks.append(np.kron(mask, np.ones((f, fin))).astype(bool))
-        self.bias_masks = [
-            np.kron(mask.any(axis=1), np.ones(f)).astype(bool) for mask in plan.masks
+        self.weight_masks = [
+            np.kron(mask, np.ones((f, c if t == 0 else f))).astype(bool)
+            for t, mask in enumerate(plan.masks)
         ]
+        self.bias_masks = [np.kron(mask.any(axis=1), np.ones(f)).astype(bool) for mask in plan.masks]
 
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
+        params = []
         for wm in self.weight_masks:
             w = np.zeros(wm.shape)
             fan_in = wm.sum(axis=1)
             live = fan_in > 0
-            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), wm.shape[1])) * np.sqrt(
-                2.0 / fan_in[live]
-            )[:, None]
-            self.weights.append(w * wm)
-            self.biases.append(np.zeros(wm.shape[0]))
-        self.readout_w = rng.normal(0.0, 1.0, (len(self.slots), self.f)) / np.sqrt(self.f)
-        self.readout_b = np.ones(len(self.slots))  # magnitudes sit near 1 p.u.
+            scale = np.sqrt(2.0 / fan_in[live])[:, None]
+            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), wm.shape[1])) * scale
+            params.append(w * wm)
+        params += [np.zeros(wm.shape[0]) for wm in self.weight_masks]
+        params.append(rng.normal(0.0, 1.0, (len(self.slots), self.f)) / np.sqrt(self.f))
+        params.append(np.ones(len(self.slots)))  # magnitudes sit near 1 p.u.
+        ends = np.cumsum([p.size for p in params]).tolist()
+        self._spans = [(end - p.size, end, p.shape) for p, end in zip(params, ends)]
+        self.theta = np.concatenate([p.ravel() for p in params])
+        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
+        self._mask = np.concatenate([m.ravel() for m in self.parameter_masks()])
+        self.live = np.flatnonzero(self._mask)
 
     # -- parameter plumbing ------------------------------------------------
+
+    def _views(self, flat):
+        """(weights, biases, readout_w, readout_b) as views of a theta-like vector."""
+        v = [flat[start:stop].reshape(shape) for start, stop, shape in self._spans]
+        t = self.plan.depth
+        return v[:t], v[t : 2 * t], v[2 * t], v[2 * t + 1]
 
     def parameters(self):
         return self.weights + self.biases + [self.readout_w, self.readout_b]
 
+    def parameter_names(self):
+        t = range(self.plan.depth)
+        return [f"w{i}" for i in t] + [f"b{i}" for i in t] + ["readout_w", "readout_b"]
+
     def parameter_masks(self):
-        return (
-            self.weight_masks
-            + [m.astype(bool) for m in self.bias_masks]
-            + [np.ones_like(self.readout_w, dtype=bool), np.ones_like(self.readout_b, dtype=bool)]
-        )
+        return self.weight_masks + self.bias_masks + [
+            np.ones_like(self.readout_w, dtype=bool), np.ones_like(self.readout_b, dtype=bool)
+        ]
 
     def set_parameters(self, params):
-        t = self.plan.depth
-        self.weights = [p.copy() for p in params[:t]]
-        self.biases = [p.copy() for p in params[t : 2 * t]]
-        self.readout_w = params[2 * t].copy()
-        self.readout_b = params[2 * t + 1].copy()
-        self.apply_masks()
-
-    def apply_masks(self):
-        for w, m in zip(self.weights, self.weight_masks):
-            w *= m
-        for b, m in zip(self.biases, self.bias_masks):
-            b *= m
+        """Copy arrays in ``parameters()`` order, times their masks, into
+        ``theta``. Raises ValueError, naming the array, unless every array
+        is present (not None), has the plan's shape and is finite."""
+        for name, p, new in zip(self.parameter_names(), self.parameters(), params, strict=True):
+            if new is None or np.shape(new) != p.shape:
+                raise ValueError(f"parameter {name} is missing or not of shape {p.shape}")
+            if np.asarray(new).dtype.kind not in "biuf" or not np.isfinite(new).all():
+                raise ValueError(f"parameter {name} must hold finite real numbers")
+        for p, new in zip(self.parameters(), params):
+            p[...] = new
+        self.theta *= self._mask
 
     # -- evaluation --------------------------------------------------------
 
@@ -162,7 +174,7 @@ class MaskedNetwork:
             k = _leaky(z)
             acts.append(k)
         out = np.empty((x.shape[0], len(self.slots)))
-        for e, sel, bus in self.exits:
+        for e, sel, bus, _ in self.exits:
             block = acts[e].reshape(len(x), self.n_buses, self.f)[:, bus]
             out[:, sel] = np.einsum("bsf,sf->bs", block, self.readout_w[sel]) + self.readout_b[sel]
         return out, pre, acts
@@ -173,35 +185,40 @@ class MaskedNetwork:
         out, _, _ = self._forward_cached(x)
         return out[0] if single else out
 
-    def loss_and_gradients(self, x, targets):
+    def loss_and_gradients(self, x, targets, out=None):
         """Summed squared L2 magnitude error over the batch, plus gradients
-        aligned with ``parameters()``. Masked entries get exactly 0."""
+        aligned with ``parameters()``: views of one array laid out like
+        ``theta`` (``out`` if given). Masked entries get exactly 0."""
         x = np.atleast_2d(x)
         targets = np.atleast_2d(targets)
         if x.shape[0] == 0:
             raise ValueError("empty batch")
-        out, pre, acts = self._forward_cached(x)
-        diff = out - targets
+        y, pre, acts = self._forward_cached(x)
+        diff = y - targets
         loss = float(np.sum(diff * diff))
 
+        grad = np.empty_like(self.theta) if out is None else out
+        g_w, g_b, g_rw, g_rb = self._views(grad)
         d_out = 2.0 * diff
-        d_acts = [np.zeros_like(a) for a in acts]
-        g_rw = np.empty_like(self.readout_w)
-        g_rb = d_out.sum(axis=0)
-        for e, sel, bus in self.exits:
+        d_acts = [None] + [np.zeros_like(a) for a in acts[1:]]
+        np.sum(d_out, axis=0, out=g_rb)
+        for e, sel, bus, passes in self.exits:
             block = acts[e].reshape(len(x), self.n_buses, self.f)[:, bus]
             g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
             # the phases of one bus share its block: accumulate in slot order
+            d_slot = d_out[:, sel, None] * self.readout_w[sel]
             d_block = d_acts[e].reshape(len(x), self.n_buses, self.f)
-            np.add.at(d_block, (slice(None), bus), d_out[:, sel, None] * self.readout_w[sel])
+            for idx, rank_bus in passes:
+                d_block[:, rank_bus] += d_slot[:, idx]
 
-        g_w = [np.zeros_like(w) for w in self.weights]
-        g_b = [np.zeros_like(b) for b in self.biases]
         for t in range(self.plan.depth - 1, -1, -1):
-            d_pre = d_acts[t + 1] * _leaky_grad(pre[t])
-            g_w[t] = (d_pre.T @ acts[t]) * self.weight_masks[t]
-            g_b[t] = d_pre.sum(axis=0) * self.bias_masks[t]
-            d_acts[t] += d_pre @ self.weights[t]
+            d = d_acts[t + 1]
+            d_pre = np.where(pre[t] >= 0, d, LEAKY_SLOPE * d)
+            np.matmul(d_pre.T, acts[t], out=g_w[t])
+            np.sum(d_pre, axis=0, out=g_b[t])
+            if t:  # nothing reads the input's gradient
+                d_acts[t] += d_pre @ self.weights[t]
+        np.multiply(grad, self._mask, out=grad)
         return loss, g_w + g_b + [g_rw, g_rb]
 
 
@@ -258,17 +275,18 @@ def train(
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 
-    params = net.parameters()
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    masks = net.parameter_masks()
+    # ADAM runs on the live entries of theta only; masked ones stay zero
+    live = net.live
+    m = np.zeros(len(live))
+    v = np.zeros(len(live))
+    grad = np.empty_like(net.theta)
     rng = np.random.default_rng(config.seed + 1)
 
     def val_loss():
         out = net.forward(x_val)
         return float(np.mean(np.sum((out - y_val) ** 2, axis=1)))
 
-    best = (val_loss(), [p.copy() for p in params])
+    best = (val_loss(), net.theta.copy())
     curve = []
     step = 0
     stale = 0
@@ -277,32 +295,29 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            loss, grads = net.loss_and_gradients(x_tr[batch], y_tr[batch])
+            loss, _ = net.loss_and_gradients(x_tr[batch], y_tr[batch], out=grad)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
             epoch_loss += loss
             step += 1
-            inv_b = 1.0 / len(batch)
-            for p, g, mi, vi, mask in zip(params, grads, m, v, masks):
-                g = g * inv_b  # per-sample scale so lr is batch-size free
-                mi *= config.beta1
-                mi += (1 - config.beta1) * g
-                vi *= config.beta2
-                vi += (1 - config.beta2) * g * g
-                m_hat = mi / (1 - config.beta1**step)
-                v_hat = vi / (1 - config.beta2**step)
-                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-                p *= mask
+            g = grad[live] * (1.0 / len(batch))  # per-sample scale so lr is batch-size free
+            m *= config.beta1
+            m += (1 - config.beta1) * g
+            v *= config.beta2
+            v += (1 - config.beta2) * g * g
+            m_hat = m / (1 - config.beta1**step)
+            v_hat = v / (1 - config.beta2**step)
+            net.theta[live] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
         vl = val_loss()
         curve.append((epoch, epoch_loss / max(len(x_tr), 1), vl))
         if vl < best[0] - 1e-12:
-            best = (vl, [p.copy() for p in params])
+            best = (vl, net.theta.copy())
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
-    net.set_parameters(best[1])
+    net.theta[:] = best[1]
     return net, curve, val_idx
 
 
@@ -328,10 +343,7 @@ def save_checkpoint(net: MaskedNetwork, path, extra_meta=None) -> None:
     }
     if extra_meta:
         meta.update(extra_meta)
-    arrays = {f"w{t}": w for t, w in enumerate(net.weights)}
-    arrays.update({f"b{t}": b for t, b in enumerate(net.biases)})
-    arrays["readout_w"] = net.readout_w
-    arrays["readout_b"] = net.readout_b
+    arrays = dict(zip(net.parameter_names(), net.parameters()))
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
@@ -343,9 +355,5 @@ def load_checkpoint(path, plan: MaskPlan, model: FeederModel) -> MaskedNetwork:
         if meta["plan_signature"] != plan.signature():
             raise ValueError("checkpoint plan hash does not match the feeder's plan")
         net = MaskedNetwork(plan, model, seed=0)
-        net.weights = [data[f"w{t}"].copy() for t in range(plan.depth)]
-        net.biases = [data[f"b{t}"].copy() for t in range(plan.depth)]
-        net.readout_w = data["readout_w"].copy()
-        net.readout_b = data["readout_b"].copy()
-    net.apply_masks()
+        net.set_parameters([data.get(name) for name in net.parameter_names()])
     return net

@@ -3,7 +3,9 @@
 Everything here is deliberately written with different algorithms and
 different libraries than the code under test: the power flow is a dense
 Newton-Raphson solve on the full nodal equations (scipy), graph questions
-go through networkx, and derivative checks use central finite differences.
+go through networkx, derivative checks use central finite differences, and
+and the reference trainer is the network's dense, array-by-array training
+path: ADAM over every entry, masks re-applied after each update.
 """
 
 from __future__ import annotations
@@ -13,6 +15,13 @@ import numpy as np
 import scipy.optimize
 
 from dsse.grid_model import FeederModel
+from dsse.network import (
+    LEAKY_SLOPE,
+    MaskedNetwork,
+    TrainConfig,
+    TrainingDiverged,
+    split_indices,
+)
 from dsse.powerflow import SLACK_ANGLES, StateVector
 
 
@@ -211,3 +220,116 @@ def fd_scalar_grad(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         xm[k] -= h
         out[k] = (fun(xp) - fun(xm)) / (2.0 * h)
     return out
+
+
+# -- training oracle -------------------------------------------------------
+
+
+def reference_forward(net: MaskedNetwork, x):
+    """Dense forward pass of ``net``: (outputs, pre-activations, activations)."""
+    x = np.atleast_2d(x)
+    pre = []
+    acts = [x]
+    k = x
+    for w, b in zip(net.weights, net.biases):
+        z = k @ w.T + b
+        pre.append(z)
+        k = np.where(z >= 0, z, LEAKY_SLOPE * z)
+        acts.append(k)
+    out = np.empty((x.shape[0], len(net.slots)))
+    for e, sel, bus, _ in net.exits:
+        block = acts[e].reshape(len(x), net.n_buses, net.f)[:, bus]
+        out[:, sel] = np.einsum("bsf,sf->bs", block, net.readout_w[sel]) + net.readout_b[sel]
+    return out, pre, acts
+
+
+def reference_loss_and_gradients(net: MaskedNetwork, x, targets):
+    """Summed squared error and per-array gradients of ``net``, each weight
+    gradient a dense product multiplied by its mask, and the readout's
+    gradient scattered slot by slot with ``np.add.at``."""
+    x = np.atleast_2d(x)
+    targets = np.atleast_2d(targets)
+    out, pre, acts = reference_forward(net, x)
+    diff = out - targets
+    loss = float(np.sum(diff * diff))
+
+    d_out = 2.0 * diff
+    d_acts = [np.zeros_like(a) for a in acts]
+    g_rw = np.empty_like(net.readout_w)
+    g_rb = d_out.sum(axis=0)
+    for e, sel, bus, _ in net.exits:
+        block = acts[e].reshape(len(x), net.n_buses, net.f)[:, bus]
+        g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
+        d_block = d_acts[e].reshape(len(x), net.n_buses, net.f)
+        np.add.at(d_block, (slice(None), bus), d_out[:, sel, None] * net.readout_w[sel])
+
+    g_w = [np.zeros_like(w) for w in net.weights]
+    g_b = [np.zeros_like(b) for b in net.biases]
+    for t in range(net.plan.depth - 1, -1, -1):
+        d_pre = d_acts[t + 1] * np.where(pre[t] >= 0, 1.0, LEAKY_SLOPE)
+        g_w[t] = (d_pre.T @ acts[t]) * net.weight_masks[t]
+        g_b[t] = d_pre.sum(axis=0) * net.bias_masks[t]
+        d_acts[t] += d_pre @ net.weights[t]
+    return loss, g_w + g_b + [g_rw, g_rb]
+
+
+def reference_train(plan, model, features, targets, config=None):
+    """ADAM training as ``dsse.network.train`` specifies it, run on each
+    parameter array separately over every dense entry, with the masks
+    re-applied after every update and the gradients of
+    ``reference_loss_and_gradients``. Returns (network, curve,
+    heldout_indices)."""
+    config = config or TrainConfig()
+    net = MaskedNetwork(plan, model, seed=config.seed)
+    train_idx, val_idx = split_indices(len(features), config.train_fraction, config.seed)
+    if len(train_idx) == 0 or len(val_idx) == 0:
+        raise ValueError("dataset too small for the configured split")
+    x_tr, y_tr = features[train_idx], targets[train_idx]
+    x_val, y_val = features[val_idx], targets[val_idx]
+
+    params = net.parameters()
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    masks = net.parameter_masks()
+    rng = np.random.default_rng(config.seed + 1)
+
+    def val_loss():
+        out, _, _ = reference_forward(net, x_val)
+        return float(np.mean(np.sum((out - y_val) ** 2, axis=1)))
+
+    best = (val_loss(), [p.copy() for p in params])
+    curve = []
+    step = 0
+    stale = 0
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(x_tr))
+        epoch_loss = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            loss, grads = reference_loss_and_gradients(net, x_tr[batch], y_tr[batch])
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
+            epoch_loss += loss
+            step += 1
+            inv_b = 1.0 / len(batch)
+            for p, g, mi, vi, mask in zip(params, grads, m, v, masks):
+                g = g * inv_b  # per-sample scale so lr is batch-size free
+                mi *= config.beta1
+                mi += (1 - config.beta1) * g
+                vi *= config.beta2
+                vi += (1 - config.beta2) * g * g
+                m_hat = mi / (1 - config.beta1**step)
+                v_hat = vi / (1 - config.beta2**step)
+                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                p *= mask
+        vl = val_loss()
+        curve.append((epoch, epoch_loss / max(len(x_tr), 1), vl))
+        if vl < best[0] - 1e-12:
+            best = (vl, [p.copy() for p in params])
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+    net.set_parameters(best[1])
+    return net, curve, val_idx

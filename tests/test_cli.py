@@ -141,6 +141,28 @@ def test_estimate_nonfinite_input_is_validation_error(
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("corrupt", ["short-readout_b", "nan-w0", "missing-b1"])
+def test_estimate_invalid_checkpoint_is_validation_error(
+    workdir, checkpoint_path, six_bus, six_bus_pf, corrupt
+):
+    with np.load(checkpoint_path) as data:
+        arrays = dict(data)
+    if corrupt == "short-readout_b":
+        arrays["readout_b"] = arrays["readout_b"][:1]
+    elif corrupt == "nan-w0":
+        arrays["w0"] = np.full_like(arrays["w0"], np.nan)
+    else:
+        del arrays["b1"]
+    bad = workdir / f"bad_{corrupt}.npz"
+    np.savez(bad, **arrays)
+    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
+    zpath = workdir / f"z_bad_{corrupt}.csv"
+    z.save(zpath)
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
+                 "--checkpoint", str(bad)])
+    assert code == EXIT_VALIDATION
+
+
 def test_bad_feeder_is_validation_error(workdir):
     bad = workdir / "bad.yaml"
     bad.write_text("buses: [{id: 1, phases: Q, kind: source, base_voltage_v: 1.0}]\n")

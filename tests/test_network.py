@@ -19,6 +19,7 @@ from dsse.network import (
     train,
 )
 from dsse.partitioning import build_mask_plan, partition_at_pmus
+from dsse.pipeline import LoadProfileConfig, generate_dataset
 
 
 def two_bus_model():
@@ -189,6 +190,35 @@ class TestGradients:
         for g, m in zip(grads, net.parameter_masks()):
             assert not np.any(g[~m])
 
+    def test_out_buffer_receives_every_gradient(self, six_bus):
+        plan = make_plan(six_bus, [3], 2)
+        net = MaskedNetwork(plan, six_bus, seed=5)
+        rng = np.random.default_rng(3)
+        x = rng.normal(0, 1, (4, net.weight_masks[0].shape[1]))
+        y = rng.normal(1, 0.1, (4, six_bus.n_slots))
+        loss, grads = net.loss_and_gradients(x, y)
+        buf = np.full_like(net.theta, np.nan)  # every entry must be overwritten
+        loss_out, grads_out = net.loss_and_gradients(x, y, out=buf)
+        assert loss_out == loss
+        for g, g_out in zip(grads, grads_out, strict=True):
+            assert np.shares_memory(g_out, buf)
+            assert g.tobytes() == g_out.tobytes()
+        assert not np.shares_memory(grads[0], grads_out[0])
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_match_dense_reference_bytewise(self, thirteen_bus, prune):
+        plan = make_plan(thirteen_bus, [0, 11], 3, prune=prune)
+        net = MaskedNetwork(plan, thirteen_bus, seed=6)
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (7, net.weight_masks[0].shape[1]))
+        y = rng.normal(1, 0.1, (7, thirteen_bus.n_slots))
+        loss, grads = net.loss_and_gradients(x, y)
+        ref_loss, ref_grads = oracles.reference_loss_and_gradients(net, x, y)
+        assert loss == ref_loss
+        assert net.forward(x).tobytes() == oracles.reference_forward(net, x)[0].tobytes()
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert g.tobytes() == ref.tobytes()
+
     def test_perfect_fit_means_zero_gradients(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=6)
@@ -248,6 +278,48 @@ class TestTraining:
         save_checkpoint(net2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fixture, labels, kind, cfg",
+        [
+            ("six_bus", (4,), "p2n2",
+             dict(epochs=200, patience=3, learning_rate=1e-2, batch_size=32, seed=1)),
+            ("thirteen_bus", (1, 12), "p2n2", dict(epochs=20, learning_rate=3e-3, seed=0)),
+            ("thirteen_bus", (1, 12), "pawnn", dict(epochs=20, learning_rate=3e-3, seed=3)),
+        ],
+        ids=["six_bus-early_stop", "thirteen_bus-p2n2", "thirteen_bus-pawnn"],
+    )
+    def test_matches_reference_trainer_bytewise(self, request, fixture, labels, kind, cfg):
+        model = request.getfixturevalue(fixture)
+        pmu = [model.bus_by_label(label) for label in labels]
+        template = plan_measurements(model, pmu)
+        ds = generate_dataset(model, template, LoadProfileConfig(samples=200, seed=5), pmu)
+        plan = make_plan(model, pmu, 8, prune=kind == "p2n2")
+        config = TrainConfig(**cfg)
+        net, curve, val_idx = train(plan, model, ds.features, ds.v_true_pu, config)
+        ref, ref_curve, ref_val_idx = oracles.reference_train(
+            plan, model, ds.features, ds.v_true_pu, config
+        )
+        if fixture == "six_bus":
+            assert len(curve) < config.epochs  # early stopping fired
+        assert curve == ref_curve
+        assert np.array_equal(val_idx, ref_val_idx)
+        assert net.theta.tobytes() == ref.theta.tobytes()
+
+    def test_masked_entries_stay_zero_after_training(self, six_bus):
+        plan = make_plan(six_bus, [3], 2)
+        rng = np.random.default_rng(8)
+        x = rng.normal(0, 1, (60, 6 * INPUT_CHANNELS))
+        y = rng.normal(1, 0.05, (60, six_bus.n_slots))
+        cfg = TrainConfig(epochs=10, seed=2, learning_rate=1e-2, patience=100)
+        net, _, _ = train(plan, six_bus, x, y, cfg)
+        masks = net.parameter_masks()
+        for p, m in zip(net.parameters(), masks, strict=True):
+            assert np.shares_memory(p, net.theta)
+            assert not np.any(p[~m])
+        assert len(net.live) == sum(int(m.sum()) for m in masks)
+        init = MaskedNetwork(plan, six_bus, seed=2)
+        assert not np.array_equal(net.theta[net.live], init.theta[net.live])
+
     def test_too_small_dataset_rejected(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
         with pytest.raises(ValueError):
@@ -294,3 +366,47 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         with pytest.raises(ValueError, match="plan"):
             load_checkpoint(path, other, six_bus)
+
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("readout_b", lambda a: a[:1]),
+            ("w1", lambda a: np.zeros((1, 1))),
+            ("b0", lambda a: np.full_like(a, np.nan)),
+            ("readout_w", lambda a: np.where(a > 0, np.inf, a)),
+            ("w0", None),
+        ],
+        ids=["short-readout_b", "tiny-w1", "nan-b0", "inf-readout_w", "missing-w0"],
+    )
+    def test_invalid_array_rejected(self, six_bus, tmp_path, name, corrupt):
+        plan = make_plan(six_bus, [3], 2)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(MaskedNetwork(plan, six_bus, seed=16), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        if corrupt is None:
+            del arrays[name]
+        else:
+            arrays[name] = corrupt(arrays[name])
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"parameter {name} "):
+            load_checkpoint(path, plan, six_bus)
+
+    def test_set_parameters_validates_before_writing(self, six_bus):
+        plan = make_plan(six_bus, [3], 2)
+        net = MaskedNetwork(plan, six_bus, seed=17)
+        before = net.theta.copy()
+        params = [p + 1.0 for p in net.parameters()]
+        params[-1] = params[-1][:1]
+        with pytest.raises(ValueError, match="parameter readout_b "):
+            net.set_parameters(params)
+        assert net.theta.tobytes() == before.tobytes()
+        with pytest.raises(ValueError):
+            net.set_parameters(params[:-1])
+
+    def test_set_parameters_masks_entries(self, six_bus):
+        plan = make_plan(six_bus, [3], 2)
+        net = MaskedNetwork(plan, six_bus, seed=18)
+        net.set_parameters([np.ones_like(p) for p in net.parameters()])
+        for p, m in zip(net.parameters(), net.parameter_masks(), strict=True):
+            assert np.array_equal(p, m.astype(float))
