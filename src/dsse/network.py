@@ -90,7 +90,6 @@ class MaskedNetwork:
         self.f = plan.block_width
         self.slots = list(model.slots)
         self.slot_bus = np.array([b for b, _ in self.slots])
-        self.width = self.n_buses * self.f
         # per exit layer: the slots it feeds, in slot order, their buses, and
         # per phase rank (place among its bus's slots) their positions and buses
         slot_exit = plan.exit_layer[self.slot_bus]
@@ -103,11 +102,13 @@ class MaskedNetwork:
             self.exits.append((e, sel, bus, [(i, bus[i]) for i in ranks]))
 
         f, c = self.f, INPUT_CHANNELS
-        self.weight_masks = [
-            np.kron(mask, np.ones((f, c if t == 0 else f))).astype(bool)
-            for t, mask in enumerate(plan.masks)
+        self.weight_masks = []
+        for t, mask in enumerate(plan.masks):
+            fin = c if t == 0 else f
+            self.weight_masks.append(np.kron(mask, np.ones((f, fin))).astype(bool))
+        self.bias_masks = [
+            np.kron(mask.any(axis=1), np.ones(f)).astype(bool) for mask in plan.masks
         ]
-        self.bias_masks = [np.kron(mask.any(axis=1), np.ones(f)).astype(bool) for mask in plan.masks]
 
         rng = np.random.default_rng(seed)
         params = []
@@ -115,8 +116,9 @@ class MaskedNetwork:
             w = np.zeros(wm.shape)
             fan_in = wm.sum(axis=1)
             live = fan_in > 0
-            scale = np.sqrt(2.0 / fan_in[live])[:, None]
-            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), wm.shape[1])) * scale
+            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), wm.shape[1])) * np.sqrt(
+                2.0 / fan_in[live]
+            )[:, None]
             params.append(w * wm)
         params += [np.zeros(wm.shape[0]) for wm in self.weight_masks]
         params.append(rng.normal(0.0, 1.0, (len(self.slots), self.f)) / np.sqrt(self.f))
