@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 validation error, 3 unobservable, 4 non-convergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from dsse import network, wls
 from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
 from dsse.measurements import MeasurementSet
-from dsse.network import TrainConfig, load_checkpoint, save_checkpoint, train
+from dsse.network import TrainConfig, checkpoint_meta, load_checkpoint, save_checkpoint, train
 from dsse.partitioning import build_mask_plan, export_mask_plan, partition_at_pmus
 from dsse.pipeline import (
     LoadProfileConfig,
@@ -95,7 +94,7 @@ def cmd_generate(args):
 
 def cmd_train(args):
     model = load_feeder(args.feeder)
-    ds = load_dataset(args.dataset)
+    ds = load_dataset(args.dataset, model)
     pmu = list(ds.pmu_buses)
     partitions = partition_at_pmus(model, pmu)
     plan = build_mask_plan(
@@ -131,22 +130,17 @@ def cmd_estimate(args):
         mags = rep.x_hat.magnitudes() / model.base_voltage
         print(f"# converged in {rep.iterations} iterations, J={rep.objective:.6e}")
     else:
-        with np.load(args.checkpoint) as data:
-            meta = json.loads(bytes(data["meta"]).decode())
-        pmu = meta["pmu_buses"]
-        partitions = partition_at_pmus(model, pmu)
+        meta = checkpoint_meta(args.checkpoint, "pmu_buses", "block_width", "template_signature")
         plan = build_mask_plan(
-            model, partitions, block_width=meta["block_width"],
+            model, partition_at_pmus(model, meta["pmu_buses"]), block_width=meta["block_width"],
             prune=meta.get("kind", "p2n2") == "p2n2",
         )
         net = load_checkpoint(args.checkpoint, plan, model)
         if mset.signature() != meta["template_signature"]:
-            print("measurement rows do not match the training template", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ValueError("measurement rows do not match the training template")
         if not (np.isfinite(mset.values()).all() and np.isfinite(mset.variances()).all()):
             raise ValueError("measurement values and variances must be finite")
-        embedding = network.InputEmbedding(model, mset, pmu)
-        mags = net.forward(embedding.embed_values(mset.values()))
+        mags = net.forward(network.InputEmbedding(model, mset).embed_values(mset.values()))
     for (b, p), v in zip(model.slots, mags):
         print(f"{model.buses[b].label},{p},{v:.6f}")
     return EXIT_OK

@@ -112,7 +112,8 @@ class Load:
 class FeederModel:
     """Validated, immutable radial feeder.
 
-    Exposes the adjacency structure, unique tree distances, and the fixed
+    Exposes the adjacency structure, unique tree distances, each branch's
+    ``downstream_bus`` (its end farther from the source), and the fixed
     state-slot ordering (bus-major, phase-minor) used everywhere else.
     """
 
@@ -120,19 +121,11 @@ class FeederModel:
         self.buses: list[Bus] = buses
         self.branches: list[Branch] = branches
         self.loads: list[Load] = loads
-        self._validate()
+        self._validate()  # also builds ``_nbr`` and ``downstream_bus``
 
         self.n_buses = len(buses)
         self.source = next(b.index for b in buses if b.kind == "source")
         self.base_voltage = buses[self.source].base_voltage
-
-        self._neighbors = [set() for _ in buses]
-        self._branch_at = [[] for _ in buses]
-        for br in branches:
-            self._neighbors[br.from_bus].add(br.to_bus)
-            self._neighbors[br.to_bus].add(br.from_bus)
-            self._branch_at[br.from_bus].append(br.index)
-            self._branch_at[br.to_bus].append(br.index)
 
         # state slots: (bus, phase) bus-major, phase-minor
         self.slots: list[tuple[int, str]] = [
@@ -185,11 +178,12 @@ class FeederModel:
     def branch_phase_index(self, branch: int, phase: str) -> int:
         return self._branch_phase_index[(branch, phase)]
 
-    def neighbors(self, bus: int) -> set[int]:
-        return self._neighbors[bus]
+    def neighbors(self, bus: int):
+        """Buses one branch away from ``bus``, as a set-like view."""
+        return self._nbr[bus].keys()
 
     def branches_at(self, bus: int) -> list[Branch]:
-        return [self.branches[i] for i in self._branch_at[bus]]
+        return list(self._nbr[bus].values())
 
     # -- derived structure -----------------------------------------------
 
@@ -212,7 +206,7 @@ class FeederModel:
         queue = deque([a])
         while queue:
             u = queue.popleft()
-            for v in self._neighbors[u]:
+            for v in self._nbr[u]:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     if v == b:
@@ -235,7 +229,7 @@ class FeederModel:
             raise FeederValidationError(
                 f"cycle or disconnection: |branches| = {len(branches)} != |buses| - 1 = {len(buses) - 1}"
             )
-        nbr = [{} for _ in buses]  # bus -> {neighbour: branch}
+        self._nbr = nbr = [{} for _ in buses]  # bus -> {neighbour: branch}, in branch order
         for br in branches:
             if br.from_bus == br.to_bus:
                 raise FeederValidationError(f"self-loop at bus {br.from_bus}")
@@ -274,14 +268,16 @@ class FeederModel:
         # connectivity from the source (with the count check above, the tree
         # check); each bus has exactly the phases of the branch feeding it,
         # which keeps every phase continuous from the source and the
-        # non-source block of ybus invertible
+        # non-source block of ybus invertible; it records ``downstream_bus``
         seen = {sources[0].index}
         queue = deque(seen)
+        self.downstream_bus = np.zeros(len(branches), dtype=int)
         while queue:
             u = queue.popleft()
             for v, br in nbr[u].items():
                 if v in seen:
                     continue
+                self.downstream_bus[br.index] = v
                 if br.phases != buses[v].phases:
                     raise FeederValidationError(
                         f"phase mismatch: bus {buses[v].label} has phases "

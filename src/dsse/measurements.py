@@ -86,7 +86,7 @@ class MeasurementSet:
     The rows are stored as read-only columns, built once: ``code`` (kind
     code), ``locus``, ``phase``, ``noise_kind`` and ``max_error``, plus the
     ``values()`` and ``variances()`` arrays, NaN where unset. Realized sets
-    from ``with_values`` share the template's columns.
+    from ``with_values`` share the template's columns and its digest.
     """
 
     def __init__(self, rows):
@@ -103,6 +103,7 @@ class MeasurementSet:
         self._variances = _column(
             [np.nan if m.variance is None else m.variance for m in rows], float
         )
+        self._digest = None
 
     def __len__(self):
         return len(self.code)
@@ -135,8 +136,10 @@ class MeasurementSet:
         return self._variances
 
     def signature(self) -> str:
-        """Hash of the template structure (rows sans values)."""
-        return hashlib.sha256(json.dumps(list(self._keys())).encode()).hexdigest()
+        """Hash of the template structure (rows sans values), once per column set."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(json.dumps(list(self._keys())).encode()).hexdigest()
+        return self._digest
 
     def _replace(self, **columns) -> "MeasurementSet":
         new = copy.copy(self)
@@ -151,13 +154,12 @@ class MeasurementSet:
                 f"expected {len(self)} values and variances, "
                 f"got shapes {values.shape} and {variances.shape}"
             )
-        return self._replace(_values=values, _variances=variances)
+        return self._replace(_values=values, _variances=variances, _digest=self.signature())
 
     def select(self, keep) -> "MeasurementSet":
         """The rows where the boolean mask ``keep`` is true, in order."""
-        return self._replace(
-            **{name: _column(col[keep], col.dtype) for name, col in vars(self).items()}
-        )
+        cols = {k: _column(c[keep], c.dtype) for k, c in vars(self).items() if k != "_digest"}
+        return self._replace(**cols, _digest=None)
 
     def save(self, path):
         with open(path, "w", newline="") as fh:

@@ -1,11 +1,11 @@
 """Masked feed-forward network with early-exit readouts, trained with ADAM.
 
 Layer recursion: k_t = leaky_relu(W_t k_{t-1} + b_t) with k_0 the embedded
-measurement vector. Every W_t is gated by the plan's bus mask expanded to
-F x F blocks (F x C for the input layer). All parameters are views of one
-flat vector ``theta``; masked entries are zero from initialisation on and
-ADAM updates only the live ones. Bus b's voltage magnitudes are read from
-layer ``exit_layer[b]`` through a per-slot linear head.
+measurement vector, each row's per-unit value in its own (bus, phase, kind)
+cell. W_t is gated by the plan's bus mask expanded to F x F blocks (F x C
+for the input layer). All parameters are views of one flat vector ``theta``;
+masked entries are zero from initialisation on and ADAM updates only the
+live ones. A per-slot linear head reads bus b from layer ``exit_layer[b]``.
 
 Gradients are hand-rolled reverse mode into one array laid out like
 ``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
@@ -25,10 +25,10 @@ from dsse.partitioning import MaskPlan
 
 LEAKY_SLOPE = 0.01
 
-# per-phase input channels, one per row kind code (``KIND_CODE``): v_real,
-# v_imag, i_real, i_imag, p, q
+# input cells per bus and phase, one per row kind code (``KIND_CODE``)
 CHANNELS_PER_PHASE = 6
 INPUT_CHANNELS = 3 * CHANNELS_PER_PHASE
+INPUT_LAYOUT = 2  # checkpoint stamp: one cell per row, currents at the downstream bus
 
 
 class TemplateMismatchError(ValueError):
@@ -36,38 +36,34 @@ class TemplateMismatchError(ValueError):
 
 
 class InputEmbedding:
-    """Routes measurement rows to per-bus channel slots (branch currents to
-    the PMU-side bus), normalized by the feeder bases. Deterministic layout:
-    bus-major, phase-major (A, B, C), then kind."""
+    """Puts each row's per-unit value in its own cell (bus, phase, kind code): a
+    branch-current row at the branch's downstream bus, which only that branch
+    feeds, any other row at its bus. Rows off the feeder or sharing a cell are
+    rejected. Layout: bus-major, phase-major (A, B, C), then kind."""
 
-    def __init__(self, model: FeederModel, template: MeasurementSet, pmu_buses=None):
-        self.model = model
+    def __init__(self, model: FeederModel, template: MeasurementSet):
         self.signature = template.signature()
         self.width = model.n_buses * INPUT_CHANNELS
-        pmu = np.zeros(model.n_buses, dtype=bool)
-        pmu[list(pmu_buses or [])] = True
         code, bus = template.code, template.locus.copy()
         branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
-        ends = np.array([(br.from_bus, br.to_bus) for br in model.branches], dtype=int)
-        from_bus, to_bus = ends.reshape(-1, 2)[template.locus[branch]].T
-        to_pmu = pmu[to_bus] & ~pmu[from_bus]
-        bus[branch] = np.where(to_pmu, to_bus, from_bus)
+        if ((bus < 0) | (bus >= np.where(branch, len(model.branches), model.n_buses))).any():
+            raise ValueError("a measurement row's locus is not a bus or branch of the feeder")
+        bus[branch] = model.downstream_bus[bus[branch]]
         phase = np.array([PHASES.index(p) for p in template.phase.tolist()], dtype=int)
         self._index = bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + code
+        shared = np.setdiff1d(np.arange(len(code)), np.unique(self._index, return_index=True)[1])
+        if len(shared):
+            raise ValueError(f"measurement row {shared[0]} shares an earlier row's input cell")
         self._scale = unit_bases(model, template)
 
     def embed_values(self, values: np.ndarray) -> np.ndarray:
-        """Value vector(s) -> feature vector(s); rows sharing a slot sum, in
-        row order."""
-        scaled = np.atleast_2d(values) / self._scale
-        out = np.zeros((len(scaled), self.width))
-        np.add.at(out, (slice(None), self._index), scaled)
-        return out[0] if np.ndim(values) == 1 else out
+        """Value vector(s) -> feature vector(s); empty cells hold 0."""
+        out = np.zeros(np.shape(values)[:-1] + (self.width,))
+        out[..., self._index] = np.asarray(values) / self._scale
+        return out
 
 
-def embed_input(
-    z: MeasurementSet, model: FeederModel, embedding: InputEmbedding
-) -> np.ndarray:
+def embed_input(z: MeasurementSet, embedding: InputEmbedding) -> np.ndarray:
     """Feature vector for one realized measurement set."""
     if z.signature() != embedding.signature:
         raise TemplateMismatchError(
@@ -339,6 +335,7 @@ def evaluate(net: MaskedNetwork, features: np.ndarray, targets: np.ndarray) -> E
 def save_checkpoint(net: MaskedNetwork, path, extra_meta=None) -> None:
     meta = {
         "plan_signature": net.plan.signature(),
+        "input_layout": INPUT_LAYOUT,
         "n_buses": net.n_buses,
         "block_width": net.f,
         "slots": [[int(b), p] for b, p in net.slots],
@@ -351,11 +348,22 @@ def save_checkpoint(net: MaskedNetwork, path, extra_meta=None) -> None:
         np.savez(fh, **arrays)
 
 
-def load_checkpoint(path, plan: MaskPlan, model: FeederModel) -> MaskedNetwork:
+def checkpoint_meta(path, *fields) -> dict:
+    """A checkpoint's metadata; ValueError without the layout stamp or one of ``fields``."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["plan_signature"] != plan.signature():
-            raise ValueError("checkpoint plan hash does not match the feeder's plan")
-        net = MaskedNetwork(plan, model, seed=0)
+    if meta.get("input_layout") != INPUT_LAYOUT:
+        raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")
+    missing = [name for name in fields if name not in meta]
+    if missing:
+        raise ValueError(f"checkpoint metadata lacks the field {missing[0]!r}")
+    return meta
+
+
+def load_checkpoint(path, plan: MaskPlan, model: FeederModel) -> MaskedNetwork:
+    if checkpoint_meta(path, "plan_signature")["plan_signature"] != plan.signature():
+        raise ValueError("checkpoint plan hash does not match the feeder's plan")
+    net = MaskedNetwork(plan, model, seed=0)
+    with np.load(path) as data:
         net.set_parameters([data.get(name) for name in net.parameter_names()])
     return net

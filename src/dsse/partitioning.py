@@ -23,6 +23,7 @@ Depth bookkeeping:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
@@ -61,8 +62,6 @@ class MaskPlan:
         return self.adjacency.shape[0]
 
     def signature(self) -> str:
-        import hashlib
-
         payload = json.dumps(
             {
                 "adjacency": self.adjacency.astype(int).tolist(),

@@ -14,9 +14,11 @@ observability test, ``wls.check_observable``, fails.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
+import os
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -76,6 +78,8 @@ class BenchRow:
 
 @dataclass
 class Dataset:
+    """Samples of one template; ``features`` derive from ``values`` and are never saved."""
+
     template: MeasurementSet
     pmu_buses: tuple
     values: np.ndarray  # (M, rows)
@@ -120,12 +124,11 @@ def generate_dataset(
 ) -> Dataset:
     """M samples of (measurement vector, per-unit magnitude labels)."""
     seed = profile.seed if seed is None else seed
-    embedding = InputEmbedding(model, template, pmu_buses)
+    embedding = InputEmbedding(model, template)
     base_loads = sorted(model.loads, key=lambda l: l.bus)
 
-    m_rows = len(template)
-    values = np.empty((profile.samples, m_rows))
-    variances = np.empty((profile.samples, m_rows))
+    values = np.empty((profile.samples, len(template)))
+    variances = np.empty((profile.samples, len(template)))
     v_true = np.empty((profile.samples, model.n_slots))
     resampled = 0
     for i in range(profile.samples):
@@ -150,13 +153,12 @@ def generate_dataset(
         variances[i] = mset.variances()
         v_true[i] = pf.state.magnitudes() / model.base_voltage
 
-    features = embedding.embed_values(values)
     return Dataset(
         template=template,
         pmu_buses=tuple(sorted(set(pmu_buses))),
         values=values,
         variances=variances,
-        features=features,
+        features=embedding.embed_values(values),
         v_true_pu=v_true,
         seed=seed,
         resampled=resampled,
@@ -167,31 +169,32 @@ def generate_dataset(
 def save_dataset(ds: Dataset, path) -> None:
     buf = io.StringIO()
     ds.template.write_csv(buf)
-    meta = dict(ds.meta, schema_version=1, seed=ds.seed, resampled=ds.resampled,
+    meta = dict(ds.meta, schema_version=2, seed=ds.seed, resampled=ds.resampled,
                 pmu_buses=list(ds.pmu_buses))
     with open(path, "wb") as fh:
         np.savez(
             fh,
             values=ds.values,
             variances=ds.variances,
-            features=ds.features,
             v_true_pu=ds.v_true_pu,
             template=np.frombuffer(buf.getvalue().encode(), dtype=np.uint8),
             meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
         )
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, model: FeederModel) -> Dataset:
+    """A ``save_dataset`` file; features stored by schema 1 are ignored."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
+        values = data["values"]
         return Dataset(
             template=template,
             pmu_buses=tuple(meta["pmu_buses"]),
-            values=data["values"].copy(),
-            variances=data["variances"].copy(),
-            features=data["features"].copy(),
-            v_true_pu=data["v_true_pu"].copy(),
+            values=values,
+            variances=data["variances"],
+            features=InputEmbedding(model, template).embed_values(values),
+            v_true_pu=data["v_true_pu"],
             seed=meta["seed"],
             resampled=meta["resampled"],
             meta={k: v for k, v in meta.items() if k not in ("schema_version",)},
@@ -352,9 +355,6 @@ def format_report(rows) -> str:
 
 def report(rows, out_dir, traces_by_scenario=None) -> None:
     """Human-readable table plus machine-readable columnar files."""
-    import csv
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(format_report(rows))

@@ -153,9 +153,8 @@ def complex_power_balance(model: FeederModel, result: PowerFlowResult, loads=Non
     s_src = 0.0 + 0.0j
     for br in model.branches_at(model.source):
         i = result.branch_currents[br.index]
-        away = br.from_bus == model.source
+        sign = 1.0 if br.from_bus == model.source else -1.0
         for k, p in enumerate(br.phases):
-            sign = 1.0 if away else -1.0
             s_src += v[model.slot_index(model.source, p)] * np.conj(sign * i[k])
     s_load = sum(s for power in loads.values() for s in power.values())
     s_loss = 0.0 + 0.0j

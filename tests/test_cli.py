@@ -12,6 +12,8 @@ from dsse.cli import (
 )
 from dsse.fixtures import fixture_path
 from dsse.measurements import plan_measurements, synthesize
+from dsse.network import MaskedNetwork, save_checkpoint
+from dsse.partitioning import build_mask_plan, partition_at_pmus
 from dsse.pipeline import remove_pseudo_until_unobservable
 
 SIX = str(fixture_path("six_bus"))
@@ -48,10 +50,10 @@ def checkpoint_path(workdir, dataset_path):
     return out
 
 
-def test_generate_writes_loadable_dataset(dataset_path):
+def test_generate_writes_loadable_dataset(dataset_path, six_bus):
     from dsse.pipeline import load_dataset
 
-    ds = load_dataset(dataset_path)
+    ds = load_dataset(dataset_path, six_bus)
     assert len(ds) == 120
 
 
@@ -160,6 +162,57 @@ def test_estimate_invalid_checkpoint_is_validation_error(
     z.save(zpath)
     code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
                  "--checkpoint", str(bad)])
+    assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("pmu_buses", "lacks the field 'pmu_buses'"),
+     ("block_width", "lacks the field 'block_width'"),
+     ("template_signature", "lacks the field 'template_signature'"),
+     # same array shapes as a current checkpoint, but trained on the old embedding
+     ("input_layout", "retrain")],
+)
+def test_estimate_checkpoint_meta_missing_field(
+    workdir, checkpoint_path, six_bus, six_bus_pf, capsys, field, message
+):
+    with np.load(checkpoint_path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    del meta[field]
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    bad = workdir / f"no_{field}.npz"
+    np.savez(bad, **arrays)
+    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
+    zpath = workdir / f"z_no_{field}.csv"
+    z.save(zpath)
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
+                 "--checkpoint", str(bad)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_estimate_library_checkpoint_is_validation_error(workdir, six_bus, six_bus_pf, capsys):
+    # save_checkpoint without extra_meta writes no pmu_buses
+    plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, [3]), block_width=2)
+    path = workdir / "library.npz"
+    save_checkpoint(MaskedNetwork(plan, six_bus, seed=0), path)
+    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
+    zpath = workdir / "z_library.csv"
+    z.save(zpath)
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
+                 "--checkpoint", str(path)])
+    assert code == EXIT_VALIDATION
+    assert "lacks the field 'pmu_buses'" in capsys.readouterr().err
+
+
+def test_train_on_another_feeders_dataset_is_validation_error(workdir):
+    thirteen = str(fixture_path("thirteen_bus"))
+    ds = workdir / "ds13.npz"
+    assert main(["generate", "--feeder", thirteen, "--pmu", "1", "12", "--out", str(ds),
+                 "--samples", "20"]) == EXIT_OK
+    code = main(["train", "--feeder", SIX, "--dataset", str(ds),
+                 "--out", str(workdir / "net13.npz"), "--epochs", "1"])
     assert code == EXIT_VALIDATION
 
 

@@ -262,6 +262,16 @@ class TestDerivedStructure:
         for s, (b, p) in enumerate(thirteen_bus.slots):
             assert thirteen_bus.slot_index(b, p) == s
 
+    def test_downstream_bus_is_the_end_farther_from_the_source(self, thirteen_bus):
+        m = thirteen_bus
+        for br, down in zip(m.branches, m.downstream_bus.tolist()):
+            up = br.from_bus + br.to_bus - down
+            assert m.graph_distance(m.source, down) == m.graph_distance(m.source, up) + 1
+        # a branch written child -> parent feeds its from-bus
+        doc = minimal_doc()
+        doc["branches"][0]["from"], doc["branches"][0]["to"] = 2, 1
+        assert feeder_from_dict(doc).downstream_bus.tolist() == [1]
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 25), st.integers(0, 2**31 - 1))
     def test_random_tree_distances(self, n, seed):

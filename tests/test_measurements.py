@@ -138,6 +138,19 @@ class TestPlan:
         plan = plan_measurements(model, [model.bus_by_label(b) for b in PMU_LABELS[feeder]])
         assert plan.signature() == digest
 
+    def test_realized_set_reuses_template_digest(self, six_bus, six_bus_pf, monkeypatch):
+        template = plan_measurements(six_bus, [six_bus.bus_by_label(4)])
+        digest = template.signature()
+        keep = template.noise_kind != "pseudo_power"
+        monkeypatch.setattr(MeasurementSet, "_keys", lambda self: pytest.fail("hashed again"))
+        realized = synthesize(template, six_bus_pf.state, six_bus, 0)
+        assert realized.signature() == digest
+        assert realized.with_values(realized.values(), realized.variances()).signature() == digest
+        monkeypatch.undo()
+        # a selection is a new column set, with its own digest
+        assert template.select(keep).signature() != digest
+        assert template.select(np.ones(len(template), bool)).signature() == digest
+
     def test_rows_read_only(self, six_plan):
         with pytest.raises(dataclasses.FrozenInstanceError):
             six_plan.rows[0].variance = 0.0

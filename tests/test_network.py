@@ -1,9 +1,21 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from dsse.grid_model import feeder_from_dict
-from dsse.measurements import plan_measurements, synthesize
+from dsse.measurements import (
+    I_IMAG,
+    I_REAL,
+    KIND_CODE,
+    V_REAL,
+    MeasurementSet,
+    plan_measurements,
+    synthesize,
+    unit_bases,
+)
 from dsse.network import (
     CHANNELS_PER_PHASE,
     INPUT_CHANNELS,
@@ -19,7 +31,12 @@ from dsse.network import (
     train,
 )
 from dsse.partitioning import build_mask_plan, partition_at_pmus
-from dsse.pipeline import LoadProfileConfig, generate_dataset
+from dsse.pipeline import (
+    LoadProfileConfig,
+    generate_dataset,
+    scenario_template,
+    standard_scenarios,
+)
 
 
 def two_bus_model():
@@ -46,12 +63,12 @@ def make_plan(model, pmus, block_width, prune=True):
 class TestInputEmbedding:
     def test_zero_values_give_zero_features(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [3])
-        emb = InputEmbedding(six_bus, template, [3])
+        emb = InputEmbedding(six_bus, template)
         out = emb.embed_values(np.zeros(len(template)))
         assert out.shape == (6 * INPUT_CHANNELS,)
         assert not out.any()
 
-    def test_pmu_only_occupies_only_that_bus(self, six_bus):
+    def test_source_pmu_current_occupies_downstream_bus(self, six_bus):
         m = feeder_from_dict(
             {
                 "buses": [
@@ -65,38 +82,80 @@ class TestInputEmbedding:
             }
         )
         template = plan_measurements(m, [0])
-        emb = InputEmbedding(m, template, [0])
+        emb = InputEmbedding(m, template)
         feat = emb.embed_values(np.ones(len(template)))
-        occupied = {int(i) // INPUT_CHANNELS for i in np.nonzero(feat)[0]}
-        assert occupied == {0}
+        occupied = {divmod(int(i), INPUT_CHANNELS) for i in np.nonzero(feat)[0]}
+        # the PMU's voltage stays at the source, the branch current goes to bus 2
+        assert occupied == {(0, 0), (0, 1), (1, 2), (1, 3)}
 
     def test_scenario_channel_occupancy(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [six_bus.bus_by_label(4)])
-        emb = InputEmbedding(six_bus, template, [six_bus.bus_by_label(4)])
+        emb = InputEmbedding(six_bus, template)
         z = synthesize(template, six_bus_pf.state, six_bus, 0)
-        feat = embed_input(z, six_bus, emb)
+        feat = embed_input(z, emb)
         occupancy = {}
         for i in np.nonzero(feat)[0]:
             bus = six_bus.buses[int(i) // INPUT_CHANNELS].label
             kind = int(i) % CHANNELS_PER_PHASE
             occupancy.setdefault(bus, set()).add(kind)
-        # channels: 0/1 voltage, 2/3 current, 4/5 power
-        assert occupancy[4] >= {0, 1, 2, 3, 4, 5}  # PMU + zero-injection rows
-        for label in (2, 3, 5, 6):
+        # channels: 0/1 voltage, 2/3 current, 4/5 power; each branch current
+        # sits at its downstream bus (3-4 at 4, 4-5 at 5, 4-6 at 6)
+        assert occupancy[4] == {0, 1, 2, 3, 4, 5}  # PMU, current 3-4, zero injection
+        for label in (5, 6):
+            assert occupancy[label] == {2, 3, 4, 5}  # current + pseudo P/Q
+        for label in (2, 3):
             assert occupancy[label] == {4, 5}  # pseudo P/Q only
         assert 1 not in occupancy  # source bus carries no rows here
+
+    @pytest.mark.parametrize("feeder, pmu_labels", [("six_bus", (4,)), ("thirteen_bus", (1, 12))])
+    def test_every_row_has_its_own_cell(self, request, feeder, pmu_labels):
+        model = request.getfixturevalue(feeder)
+        state = request.getfixturevalue(f"{feeder}_pf").state
+        pmu = [model.bus_by_label(b) for b in pmu_labels]
+        for scenario in standard_scenarios(pmu):
+            template, _ = scenario_template(model, scenario)
+            z = synthesize(template, state, model, 0)
+            feat = embed_input(z, InputEmbedding(model, template))
+            # oracle cell: a branch row sits at the end farther from the source
+            cells = []
+            for m in z:
+                bus = m.locus
+                if m.kind in (I_REAL, I_IMAG):
+                    br = model.branches[m.locus]
+                    bus = max((br.from_bus, br.to_bus),
+                              key=lambda b: model.graph_distance(model.source, b))
+                phase = "ABC".index(m.phase)
+                cells.append(bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + KIND_CODE[m.kind])
+            assert len(set(cells)) == len(cells), scenario.name
+            expected = np.zeros(model.n_buses * INPUT_CHANNELS)
+            expected[cells] = z.values() / unit_bases(model, template)
+            assert np.array_equal(feat, expected), scenario.name
+
+    def test_shared_cell_rejected(self, six_bus):
+        template = plan_measurements(six_bus, [3])
+        doubled = MeasurementSet(template.rows + template.rows[5:6])
+        with pytest.raises(ValueError, match="row 54 shares an earlier row's input cell"):
+            InputEmbedding(six_bus, doubled)
+
+    @pytest.mark.parametrize("kind, locus", [(V_REAL, 6), (V_REAL, -1), (I_REAL, 5), (I_IMAG, -2)])
+    def test_locus_off_the_feeder_rejected(self, six_bus, kind, locus):
+        # a negative locus would otherwise wrap into another bus's cell
+        rows = plan_measurements(six_bus, [3]).rows
+        rows[0] = dataclasses.replace(rows[0], kind=kind, locus=locus)
+        with pytest.raises(ValueError, match="not a bus or branch"):
+            InputEmbedding(six_bus, MeasurementSet(rows))
 
     def test_template_mismatch_rejected(self, six_bus, six_bus_pf):
         t1 = plan_measurements(six_bus, [3])
         t2 = plan_measurements(six_bus, [2])
-        emb = InputEmbedding(six_bus, t1, [3])
+        emb = InputEmbedding(six_bus, t1)
         z = synthesize(t2, six_bus_pf.state, six_bus, 0)
         with pytest.raises(TemplateMismatchError):
-            embed_input(z, six_bus, emb)
+            embed_input(z, emb)
 
     def test_batched_equals_single(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [3])
-        emb = InputEmbedding(six_bus, template, [3])
+        emb = InputEmbedding(six_bus, template)
         vals = np.stack(
             [
                 synthesize(template, six_bus_pf.state, six_bus, s).values()
@@ -366,6 +425,21 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         with pytest.raises(ValueError, match="plan"):
             load_checkpoint(path, other, six_bus)
+
+    def test_unstamped_layout_rejected(self, six_bus, tmp_path):
+        # a checkpoint written before the one-cell-per-row embedding has the
+        # same shapes but no layout stamp; it must not load silently
+        plan = make_plan(six_bus, [3], 2)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(MaskedNetwork(plan, six_bus, seed=19), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta["input_layout"]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="retrain"):
+            load_checkpoint(path, plan, six_bus)
 
     @pytest.mark.parametrize(
         "name, corrupt",

@@ -1,11 +1,12 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
 
 from dsse.measurements import measurement_function, plan_measurements
-from dsse.network import TrainConfig
+from dsse.network import InputEmbedding, TrainConfig
 from dsse.pipeline import (
     BenchRow,
     Dataset,
@@ -87,17 +88,17 @@ class TestGenerateDataset:
         save_dataset(generate_dataset(six_bus, template, cfg, [3]), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_roundtrip(self, six_ds, tmp_path):
+    def test_roundtrip(self, six_bus, six_ds, tmp_path):
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
-        back = load_dataset(path)
+        back = load_dataset(path, six_bus)
         assert back.template.signature() == six_ds.template.signature()
         assert back.pmu_buses == six_ds.pmu_buses
         assert np.array_equal(back.values, six_ds.values)
         assert np.array_equal(back.features, six_ds.features)
         assert np.array_equal(back.v_true_pu, six_ds.v_true_pu)
 
-    def test_loads_five_column_template(self, six_ds, tmp_path):
+    def test_loads_five_column_template(self, six_bus, six_ds, tmp_path):
         # files written before the template CSV shared MeasurementSet's
         # writer carry no value/variance columns
         buf = io.StringIO()
@@ -111,10 +112,27 @@ class TestGenerateDataset:
             arrays = dict(data)
         arrays["template"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
         np.savez(path, **arrays)
-        back = load_dataset(path)
+        back = load_dataset(path, six_bus)
         assert back.template.signature() == six_ds.template.signature()
         assert all(m.value is None and m.variance is None for m in back.template)
         assert np.array_equal(back.values, six_ds.values)
+
+    def test_features_are_derived_not_stored(self, six_bus, six_ds, tmp_path):
+        path = tmp_path / "ds.npz"
+        save_dataset(six_ds, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        assert "features" not in arrays
+        assert json.loads(bytes(arrays["meta"]).decode())["schema_version"] == 2
+        # a schema-1 file stored features of the old embedding; they are ignored
+        meta = dict(json.loads(bytes(arrays["meta"]).decode()), schema_version=1)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        arrays["features"] = np.full_like(six_ds.features, 7.0)
+        np.savez(path, **arrays)
+        back = load_dataset(path, six_bus)
+        expected = InputEmbedding(six_bus, six_ds.template).embed_values(six_ds.values)
+        assert np.array_equal(back.features, expected)
+        assert np.array_equal(back.features, six_ds.features)
 
     def test_config_hash_stable(self):
         a = config_hash(SMALL_PROFILE, [1, 2])
