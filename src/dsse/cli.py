@@ -58,37 +58,28 @@ def _add_train_args(p):
     p.add_argument("--block-width", type=int, default=8)
 
 
+def _profile(args):
+    return LoadProfileConfig(samples=args.samples, seed=args.seed, amplitude=args.amplitude,
+                             noise_sigma=args.noise_sigma)
+
+
 def _train_config(args):
-    return TrainConfig(
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        patience=args.patience,
-        train_fraction=args.train_fraction,
-        seed=args.seed,
-    )
+    return TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
+                       epochs=args.epochs, patience=args.patience,
+                       train_fraction=args.train_fraction, seed=args.seed)
 
 
 def cmd_generate(args):
     model = load_feeder(args.feeder)
     pmu = _pmu_indices(model, args.pmu)
-    scenario = Scenario(
-        "generate",
-        tuple(pmu),
-        metered_loads=tuple(_pmu_indices(model, args.metered or [])),
-        pseudo_noise=args.pseudo_noise,
-        make_unobservable=args.unobservable,
-    )
+    scenario = Scenario("generate", tuple(pmu),
+                        metered_loads=tuple(_pmu_indices(model, args.metered or [])),
+                        pseudo_noise=args.pseudo_noise, make_unobservable=args.unobservable)
     template, removed = scenario_template(model, scenario)
-    profile = LoadProfileConfig(
-        samples=args.samples,
-        seed=args.seed,
-        amplitude=args.amplitude,
-        noise_sigma=args.noise_sigma,
-    )
-    ds = generate_dataset(model, template, profile, pmu)
+    ds = generate_dataset(model, template, _profile(args), pmu)
     save_dataset(ds, args.out)
-    print(f"wrote {len(ds)} samples ({len(template)} rows, {removed} pseudo rows removed) to {args.out}")
+    print(f"wrote {len(ds)} samples ({len(template)} rows, {removed} pseudo rows removed, "
+          f"{ds.resampled} load draws resampled) to {args.out}")
     return EXIT_OK
 
 
@@ -149,10 +140,7 @@ def cmd_estimate(args):
 def cmd_bench(args):
     model = load_feeder(args.feeder)
     pmu = _pmu_indices(model, args.pmu)
-    profile = LoadProfileConfig(
-        samples=args.samples, seed=args.seed,
-        amplitude=args.amplitude, noise_sigma=args.noise_sigma,
-    )
+    profile = _profile(args)
     rows = []
     traces = {}
     for scenario in standard_scenarios(pmu):

@@ -282,9 +282,11 @@ class RowEvaluator:
         ]
 
     def h(self, state: StateVector) -> np.ndarray:
+        """h at one state (BLAS product), or per row of states with (M, n_slots)
+        ``values`` (einsum, whose row sums do not depend on M, unlike BLAS)."""
         v = state.values
-        i = self.C @ v
-        q = np.where(self.power, -v[self.slot] * np.conj(i), i)
+        i = self.C @ v if v.ndim == 1 else np.einsum("rj,mj->mr", self.C, v)
+        q = np.where(self.power, -v[..., self.slot] * np.conj(i), i)
         return np.where(self.imag, q.imag, q.real)
 
     def jacobian(self, state: StateVector) -> np.ndarray:
@@ -332,7 +334,8 @@ def _phasor_sigmas(value, max_mag_err, max_ang_err: float, floor):
 
 
 def row_sigmas(model: FeederModel, template: MeasurementSet, h_true: np.ndarray):
-    """Per-row Gaussian sigma implied by each row's noise class at h(x_true)."""
+    """Per-row Gaussian sigma implied by each row's noise class at h(x_true);
+    ``h_true`` may be one vector or a (M, rows) batch."""
     code, max_error = template.code, template.max_error
 
     # PMU rows come in adjacent (real, imag) pairs sharing one phasor
@@ -351,9 +354,9 @@ def row_sigmas(model: FeederModel, template: MeasurementSet, h_true: np.ndarray)
     floor = SIGMA_FLOOR_REL * base
     sigmas = np.maximum(max_error * np.abs(h_true) / 3.0, floor)
     zero = ~pmu & (template.noise_kind == "zero_injection")
-    sigmas[zero] = max_error[zero] * base[zero] / 3.0
-    sigmas[re], sigmas[im] = _phasor_sigmas(
-        h_true[re] + 1j * h_true[im], max_error[re], PMU_ANGLE_MAX_ERROR, floor[re]
+    sigmas[..., zero] = max_error[zero] * base[zero] / 3.0
+    sigmas[..., re], sigmas[..., im] = _phasor_sigmas(
+        h_true[..., re] + 1j * h_true[..., im], max_error[re], PMU_ANGLE_MAX_ERROR, floor[re]
     )
     return sigmas
 

@@ -141,9 +141,10 @@ def _hop_diameter(model: FeederModel, buses: frozenset) -> int:
     return best
 
 
-def resolution_depth(model: FeederModel, part: Partition) -> int:
-    """Layer index after which the partition's buses are fully resolved."""
-    hop = _hop_diameter(model, part.buses)
+def resolution_depth(model: FeederModel, part: Partition, hop: int | None = None) -> int:
+    """Layer index after which the partition's buses are fully resolved;
+    ``hop`` is the partition's hop diameter when the caller has it."""
+    hop = _hop_diameter(model, part.buses) if hop is None else hop
     if len(part.buses) == 1:
         return 0
     if part.buses == part.pmus:
@@ -171,8 +172,8 @@ def build_mask_plan(
         raise ValueError("block_width must be >= 1")
     n = model.n_buses
     adjacency = model.adjacency_pattern()
-    depths = [resolution_depth(model, p) for p in partitions]
     hops = [_hop_diameter(model, p.buses) for p in partitions]
+    depths = [resolution_depth(model, p, hop) for p, hop in zip(partitions, hops)]
     depth = max(1, max(depths, default=1))
 
     exit_layer = np.zeros(n, dtype=int)

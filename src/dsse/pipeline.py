@@ -3,8 +3,14 @@
 A dataset sample is one synthetic operating point: draw per-load
 multipliers from a daily shape with multiplicative noise, solve the power
 flow, record the true per-unit voltage magnitudes as labels, and
-synthesize a noisy measurement vector. Sample i uses the seed sequence
-(seed, i), so parallel and serial generation produce identical data.
+synthesize a noisy measurement vector. Sample i draws its multipliers, then
+its noise, from one generator seeded (seed, i, attempt); a draw whose power
+flow does not converge is redrawn with attempt + 1, at most 20 times.
+``generate_dataset`` solves all samples in one batch (``solve_batch``) and
+evaluates h(x) once; sample i is bit-for-bit the same in a dataset of any
+size, so parallel and serial generation produce identical data. It matches a
+per-sample ``solve_power_flow`` and ``synthesize`` loop up to rounding (1e-12
+p.u. labels, 1e-7 sigma values) with the same resampling.
 
 Scenario semantics: scenario 1 is the full measurement plan with 30%
 pseudo noise; scenario 2 raises pseudo noise to 50% with the same rows;
@@ -25,20 +31,13 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from dsse.grid_model import FeederModel
-from dsse.measurements import (
-    MeasurementSet,
-    jacobian_rows,
-    plan_measurements,
-    synthesize,
-)
-from dsse.network import (
-    InputEmbedding,
-    TrainConfig,
-    split_indices,
-    train,
-)
+# solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
+from dsse.measurements import (MeasurementSet, RowEvaluator, jacobian_rows, plan_measurements,
+                               row_sigmas, synthesize)  # noqa: F401
+from dsse.network import InputEmbedding, TrainConfig, split_indices, train
 from dsse.partitioning import build_mask_plan, count_params, partition_at_pmus
-from dsse.powerflow import NotConvergedError, slack_state, solve_power_flow
+from dsse.powerflow import (DEFAULT_MAX_ITER, NotConvergedError, StateVector, slack_state,
+                            solve_batch, solve_power_flow)  # noqa: F401
 from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, check_observable, estimate
 
 
@@ -108,60 +107,52 @@ def config_hash(*parts) -> str:
 
 def sample_multipliers(cfg: LoadProfileConfig, rng, n_loads: int) -> np.ndarray:
     hour = rng.uniform(0.0, 24.0)
-    shape = 1.0 + cfg.amplitude * np.cos(
-        2.0 * np.pi * (hour - cfg.peak_hour) / 24.0
-    )
+    shape = 1.0 + cfg.amplitude * np.cos(2.0 * np.pi * (hour - cfg.peak_hour) / 24.0)
     noise = np.exp(rng.normal(0.0, cfg.noise_sigma, n_loads) - cfg.noise_sigma**2 / 2)
     return np.maximum(shape * noise, cfg.floor)
 
 
-def generate_dataset(
-    model: FeederModel,
-    template: MeasurementSet,
-    profile: LoadProfileConfig,
-    pmu_buses,
-    seed: int | None = None,
-) -> Dataset:
+def generate_dataset(model: FeederModel, template: MeasurementSet, profile: LoadProfileConfig,
+                     pmu_buses, seed: int | None = None) -> Dataset:
     """M samples of (measurement vector, per-unit magnitude labels)."""
     seed = profile.seed if seed is None else seed
     embedding = InputEmbedding(model, template)
+    evaluator = RowEvaluator(model, template)
     base_loads = sorted(model.loads, key=lambda l: l.bus)
+    # the load matrix's (slot, load) cells and each cell's base power
+    slot = [model.slot_index(ld.bus, p) for ld in base_loads for p in ld.power]
+    load = [k for k, ld in enumerate(base_loads) for _ in ld.power]
+    power = np.array([s for ld in base_loads for s in ld.power.values()], dtype=complex)
 
-    values = np.empty((profile.samples, len(template)))
-    variances = np.empty((profile.samples, len(template)))
-    v_true = np.empty((profile.samples, model.n_slots))
-    resampled = 0
-    for i in range(profile.samples):
-        attempt = 0
-        while True:
-            rng = np.random.default_rng([seed, i, attempt])
-            mult = sample_multipliers(profile, rng, len(base_loads))
-            loads = {
-                ld.bus: {p: s * k for p, s in ld.power.items()}
-                for ld, k in zip(base_loads, mult)
-            }
-            try:
-                pf = solve_power_flow(model, loads)
-                break
-            except NotConvergedError:
-                resampled += 1
-                attempt += 1
-                if attempt > 20:
-                    raise
-        mset = synthesize(template, pf.state, model, rng)
-        values[i] = mset.values()
-        variances[i] = mset.variances()
-        v_true[i] = pf.state.magnitudes() / model.base_voltage
-
+    mult = np.empty((profile.samples, len(base_loads)))
+    normal = np.empty((profile.samples, len(template)))
+    v = np.empty((profile.samples, model.n_slots), complex)
+    attempt = np.zeros(profile.samples, dtype=int)
+    todo = np.arange(profile.samples)
+    while len(todo):
+        for i in todo.tolist():
+            rng = np.random.default_rng([seed, i, int(attempt[i])])
+            mult[i] = sample_multipliers(profile, rng, len(base_loads))
+            normal[i] = rng.normal(0.0, 1.0, len(template))
+        s = np.zeros((len(todo), model.n_slots), complex)
+        s[:, slot] = mult[todo][:, load] * power
+        v[todo], _, converged, mismatch = solve_batch(model, s)
+        attempt[todo[~converged]] += 1
+        if attempt.max() > 20:
+            raise NotConvergedError(DEFAULT_MAX_ITER, float(mismatch[~converged].max()))
+        todo = todo[~converged]
+    h_true = evaluator.h(StateVector(v))
+    sigmas = row_sigmas(model, template, h_true)
+    values = h_true + normal * sigmas
     return Dataset(
         template=template,
         pmu_buses=tuple(sorted(set(pmu_buses))),
         values=values,
-        variances=variances,
+        variances=sigmas**2,
         features=embedding.embed_values(values),
-        v_true_pu=v_true,
+        v_true_pu=np.abs(v) / model.base_voltage,
         seed=seed,
-        resampled=resampled,
+        resampled=int(attempt.sum()),
         meta={"profile": asdict(profile)},
     )
 
@@ -183,18 +174,24 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, model: FeederModel) -> Dataset:
-    """A ``save_dataset`` file; features stored by schema 1 are ignored."""
+    """A ``save_dataset`` file; features stored by schema 1 are ignored, labels
+    of another slot count (another feeder's dataset) are a ``ValueError``."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
-        values = data["values"]
+        values, labels = data["values"], data["v_true_pu"]
+        if labels.shape[1] != model.n_slots:
+            raise ValueError(
+                f"dataset labels have {labels.shape[1]} slots but the feeder has "
+                f"{model.n_slots}; was the dataset generated on another feeder?"
+            )
         return Dataset(
             template=template,
             pmu_buses=tuple(meta["pmu_buses"]),
             values=values,
             variances=data["variances"],
             features=InputEmbedding(model, template).embed_values(values),
-            v_true_pu=data["v_true_pu"],
+            v_true_pu=labels,
             seed=meta["seed"],
             resampled=meta["resampled"],
             meta={k: v for k, v in meta.items() if k not in ("schema_version",)},
@@ -222,12 +219,8 @@ def remove_pseudo_until_unobservable(
 
 
 def scenario_template(model: FeederModel, scenario: Scenario) -> tuple[MeasurementSet, int]:
-    template = plan_measurements(
-        model,
-        scenario.pmu_buses,
-        metered_loads=scenario.metered_loads,
-        pseudo_noise=scenario.pseudo_noise,
-    )
+    template = plan_measurements(model, scenario.pmu_buses, metered_loads=scenario.metered_loads,
+                                 pseudo_noise=scenario.pseudo_noise)
     removed = 0
     if scenario.make_unobservable:
         template, removed = remove_pseudo_until_unobservable(model, template)

@@ -9,6 +9,11 @@ point from the slack state is exactly the classic backward/forward sweep: on
 a shunt-free tree, Zbus @ I sums each branch's impedance times the load
 current downstream of it along every slot's path to the source.
 
+``solve_batch`` iterates that fixed point over an (M, n_slots) load matrix,
+each row until its own convergence; ``solve_power_flow`` is its one-row case.
+Zbus contracts through ``einsum``, which sums a row in the same order for any
+M, so a row's voltages are bit-for-bit independent of its batch.
+
 State ordering is the model's slot list: bus-major, phase-minor. Voltages
 are complex line-to-neutral volts; the source bus is the slack with a
 balanced reference (angles 0, -120, +120 degrees for phases A, B, C).
@@ -81,18 +86,46 @@ class PowerFlowResult:
 
 def slack_state(model: FeederModel) -> StateVector:
     """Balanced nominal voltages at every bus (flat start / slack reference)."""
-    values = np.array(
-        [
-            model.buses[b].base_voltage * np.exp(1j * SLACK_ANGLES[p])
-            for b, p in model.slots
-        ]
-    )
-    return StateVector(values)
+    return StateVector(np.array(
+        [model.buses[b].base_voltage * np.exp(1j * SLACK_ANGLES[p]) for b, p in model.slots]
+    ))
 
 
 def voltage_magnitudes(state: StateVector) -> np.ndarray:
     """Element-wise modulus of the rectangular voltage pairs."""
     return state.magnitudes()
+
+
+def solve_batch(model: FeederModel, s: np.ndarray, tolerance: float | None = None,
+                max_iter: int = DEFAULT_MAX_ITER):
+    """Fixed point V = V0 - Zbus @ conj(S / V) for each row of the (M, n_slots)
+    slot loads ``s`` (W + jvar), iterated from the slack state until the row's
+    largest voltage change is below ``tolerance`` (volts, default 1e-8 of the
+    base voltage) or ``max_iter`` sweeps are spent. Only active rows are
+    updated. Returns (voltages, sweeps, converged, last mismatch) per row.
+    """
+    if tolerance is None:
+        tolerance = DEFAULT_TOL_PU * model.base_voltage
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    slack = slack_state(model).values
+    # each slot's phase of the source voltage
+    v0 = slack[[model.slot_index(model.source, p) for _, p in model.slots]]
+    m = len(s)
+    v = np.tile(slack, (m, 1))
+    iterations = np.zeros(m, dtype=int)
+    mismatch = np.full(m, np.inf)
+    active = np.arange(m)
+    for it in range(1, max_iter + 1):
+        if not len(active):
+            break
+        va = v[active]
+        v_new = v0 - np.einsum("ij,mj->mi", model.zbus, np.conj(s[active] / va))
+        mismatch[active] = np.abs(v_new - va).max(axis=1, initial=0.0)
+        v[active] = v_new
+        iterations[active] = it
+        active = active[~(mismatch[active] < tolerance)]
+    return v, iterations, mismatch < tolerance, mismatch
 
 
 def solve_power_flow(
@@ -101,44 +134,26 @@ def solve_power_flow(
     tolerance: float | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PowerFlowResult:
-    """Fixed point V = V0 - Zbus @ conj(S / V), iterated from the slack state.
-
-    ``loads`` maps bus index -> {phase: complex S in W + jvar}; defaults to
-    the feeder's own loads. ``tolerance`` is in volts and defaults to 1e-8
-    of the base voltage. ``branch_currents`` maps each branch index to its
-    per-phase current from ``from_bus`` to ``to_bus``.
-    """
+    """``solve_batch`` on one sample. ``loads`` maps bus index -> {phase:
+    complex S in W + jvar} and defaults to the feeder's own loads;
+    ``branch_currents`` maps each branch index to its per-phase current from
+    ``from_bus`` to ``to_bus``."""
     if loads is None:
         loads = {ld.bus: ld.power for ld in model.loads}
-    s = np.zeros(model.n_slots, complex)
+    s = np.zeros((1, model.n_slots), complex)
     for bus, power in loads.items():
         for p, value in power.items():
             try:
-                s[model.slot_index(bus, p)] = value
+                s[0, model.slot_index(bus, p)] = value
             except KeyError:
-                raise PowerFlowError(
-                    f"load on bus {bus} phase {p} has no state slot"
-                ) from None
-    if tolerance is None:
-        tolerance = DEFAULT_TOL_PU * model.base_voltage
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-
-    v = slack_state(model).values
-    # each slot's phase of the source voltage
-    v0 = v[[model.slot_index(model.source, p) for _, p in model.slots]]
-    mismatch = np.inf
-    for it in range(1, max_iter + 1):
-        v_new = v0 - model.zbus @ np.conj(s / v)
-        mismatch = float(np.max(np.abs(v_new - v))) if len(v) else 0.0
-        v = v_new
-        if mismatch < tolerance:
-            splits = np.cumsum([len(br.phases) for br in model.branches])[:-1]
-            currents = np.split(model.branch_current @ v, splits)
-            branch_i = {br.index: i for br, i in zip(model.branches, currents)}
-            return PowerFlowResult(StateVector(v), branch_i, it, mismatch)
-
-    raise NotConvergedError(max_iter, mismatch)
+                raise PowerFlowError(f"load on bus {bus} phase {p} has no state slot") from None
+    (v,), (iterations,), (converged,), (mismatch,) = solve_batch(model, s, tolerance, max_iter)
+    if not converged:
+        raise NotConvergedError(max_iter, mismatch)
+    splits = np.cumsum([len(br.phases) for br in model.branches])[:-1]
+    currents = np.split(model.branch_current @ v, splits)
+    branch_i = {br.index: i for br, i in zip(model.branches, currents)}
+    return PowerFlowResult(StateVector(v), branch_i, int(iterations), float(mismatch))
 
 
 def complex_power_balance(model: FeederModel, result: PowerFlowResult, loads=None):

@@ -5,24 +5,31 @@ different libraries than the code under test: the power flow is a dense
 Newton-Raphson solve on the full nodal equations (scipy), graph questions
 go through networkx, derivative checks use central finite differences, and
 and the reference trainer is the network's dense, array-by-array training
-path: ADAM over every entry, masks re-applied after each update.
+path: ADAM over every entry, masks re-applied after each update. The
+reference generator is the per-sample dataset loop that batched generation
+replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
 """
 
 from __future__ import annotations
+
+from dataclasses import asdict
 
 import networkx as nx
 import numpy as np
 import scipy.optimize
 
 from dsse.grid_model import FeederModel
+from dsse.measurements import synthesize
 from dsse.network import (
     LEAKY_SLOPE,
+    InputEmbedding,
     MaskedNetwork,
     TrainConfig,
     TrainingDiverged,
     split_indices,
 )
-from dsse.powerflow import SLACK_ANGLES, StateVector
+from dsse.pipeline import Dataset, sample_multipliers
+from dsse.powerflow import SLACK_ANGLES, NotConvergedError, StateVector, solve_power_flow
 
 
 # -- graph oracles ---------------------------------------------------------
@@ -333,3 +340,54 @@ def reference_train(plan, model, features, targets, config=None):
                 break
     net.set_parameters(best[1])
     return net, curve, val_idx
+
+
+# -- dataset generation ----------------------------------------------------
+
+
+def reference_generate(model, template, profile, pmu_buses, seed=None) -> Dataset:
+    """``dsse.pipeline.generate_dataset`` as a loop over samples: each sample
+    builds a load dict, solves its own power flow (resampling up to 20 times
+    on non-convergence) and synthesizes its measurements from the same
+    generator."""
+    seed = profile.seed if seed is None else seed
+    embedding = InputEmbedding(model, template)
+    base_loads = sorted(model.loads, key=lambda l: l.bus)
+
+    values = np.empty((profile.samples, len(template)))
+    variances = np.empty((profile.samples, len(template)))
+    v_true = np.empty((profile.samples, model.n_slots))
+    resampled = 0
+    for i in range(profile.samples):
+        attempt = 0
+        while True:
+            rng = np.random.default_rng([seed, i, attempt])
+            mult = sample_multipliers(profile, rng, len(base_loads))
+            loads = {
+                ld.bus: {p: s * k for p, s in ld.power.items()}
+                for ld, k in zip(base_loads, mult)
+            }
+            try:
+                pf = solve_power_flow(model, loads)
+                break
+            except NotConvergedError:
+                resampled += 1
+                attempt += 1
+                if attempt > 20:
+                    raise
+        mset = synthesize(template, pf.state, model, rng)
+        values[i] = mset.values()
+        variances[i] = mset.variances()
+        v_true[i] = pf.state.magnitudes() / model.base_voltage
+
+    return Dataset(
+        template=template,
+        pmu_buses=tuple(sorted(set(pmu_buses))),
+        values=values,
+        variances=variances,
+        features=embedding.embed_values(values),
+        v_true_pu=v_true,
+        seed=seed,
+        resampled=resampled,
+        meta={"profile": asdict(profile)},
+    )

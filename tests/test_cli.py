@@ -216,6 +216,34 @@ def test_train_on_another_feeders_dataset_is_validation_error(workdir):
     assert code == EXIT_VALIDATION
 
 
+def test_train_on_a_dataset_of_another_slot_count_names_both(workdir, dataset_path, capsys):
+    # a 6-bus dataset whose loci all exist on the 13-bus feeder
+    code = main(["train", "--feeder", str(fixture_path("thirteen_bus")), "--dataset",
+                 str(dataset_path), "--out", str(workdir / "net6on13.npz"), "--epochs", "1"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "dataset labels have 18 slots but the feeder has 31" in err
+    assert "broadcast" not in err
+
+
+def test_generate_reports_resampled_draws(workdir, six_bus, capsys):
+    from dsse.grid_model import dump_feeder, feeder_from_dict
+    from dsse.pipeline import load_dataset
+
+    doc = six_bus.to_dict()
+    for ld in doc["loads"]:
+        ld["power"] = {p: [12.0 * s for s in pq] for p, pq in ld["power"].items()}
+    heavy = workdir / "six_bus_x12.yaml"
+    dump_feeder(feeder_from_dict(doc), heavy)
+    out = workdir / "ds_heavy.npz"
+    capsys.readouterr()
+    assert main(["generate", "--feeder", str(heavy), "--pmu", "4", "--out", str(out),
+                 "--samples", "60", "--seed", "4"]) == EXIT_OK
+    resampled = load_dataset(out, feeder_from_dict(doc)).resampled
+    assert resampled > 0
+    assert f"{resampled} load draws resampled" in capsys.readouterr().out
+
+
 def test_bad_feeder_is_validation_error(workdir):
     bad = workdir / "bad.yaml"
     bad.write_text("buses: [{id: 1, phases: Q, kind: source, base_voltage_v: 1.0}]\n")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dsse import partitioning
 from dsse.grid_model import feeder_from_dict
 from dsse.partitioning import (
     MaskPlan,
@@ -174,6 +175,43 @@ class TestMaskPlan:
         for a, b in zip(back.masks, six_plan.masks):
             assert np.array_equal(a, b)
         assert back.signature() == six_plan.signature()
+
+    @pytest.mark.parametrize("feeder,pmu_labels", [
+        ("six_bus", (4,)), ("six_bus", (2, 5)), ("six_bus", (1, 2, 3, 4, 5, 6)),
+        ("thirteen_bus", (1, 12)), ("thirteen_bus", (3, 7, 10)),
+    ])
+    def test_one_hop_diameter_per_partition(self, request, monkeypatch, feeder, pmu_labels):
+        model = request.getfixturevalue(feeder)
+        parts = partition_at_pmus(model, [model.bus_by_label(b) for b in pmu_labels])
+        self._check_hop_calls(monkeypatch, model, parts)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 25), st.data())
+    def test_one_hop_diameter_per_partition_random_trees(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        m = oracles.random_tree_model(rng, n)
+        k = data.draw(st.integers(1, n))
+        pmus = sorted(rng.choice(n, size=k, replace=False).tolist())
+        with pytest.MonkeyPatch.context() as mp:
+            self._check_hop_calls(mp, m, partition_at_pmus(m, pmus))
+
+    @staticmethod
+    def _check_hop_calls(monkeypatch, model, parts):
+        # one hop diameter per partition, and the plan built from the
+        # brute-force diameters is the plan built from the package's own
+        plans = [build_mask_plan(model, parts, block_width=2, prune=p) for p in (True, False)]
+        calls = []
+
+        def oracle_hop(m, buses):
+            calls.append(buses)
+            return oracles.subgraph_diameter(m, buses)
+
+        monkeypatch.setattr(partitioning, "_hop_diameter", oracle_hop)
+        for plan in plans:
+            calls.clear()
+            again = build_mask_plan(model, parts, block_width=2, prune=plan.pruned)
+            assert len(calls) == len(parts)
+            assert again.signature() == plan.signature()
 
     def test_rejects_bad_block_width(self, six_bus):
         parts = partition_at_pmus(six_bus, [3])

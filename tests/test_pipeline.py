@@ -5,6 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import oracles
+from conftest import two_bus_doc
+from dsse import pipeline
+from dsse.grid_model import feeder_from_dict
 from dsse.measurements import measurement_function, plan_measurements
 from dsse.network import InputEmbedding, TrainConfig
 from dsse.pipeline import (
@@ -24,7 +28,7 @@ from dsse.pipeline import (
     scenario_template,
     standard_scenarios,
 )
-from dsse.powerflow import StateVector, solve_power_flow
+from dsse.powerflow import NotConvergedError, StateVector, solve_batch, solve_power_flow
 from dsse.wls import UnobservableError, WlsConfig, estimate
 
 
@@ -139,6 +143,89 @@ class TestGenerateDataset:
         b = config_hash(SMALL_PROFILE, [1, 2])
         c = config_hash(SMALL_PROFILE, [1, 3])
         assert a == b != c
+
+
+def _scaled(model, factor):
+    """The feeder with every load multiplied by ``factor``."""
+    doc = model.to_dict()
+    for ld in doc["loads"]:
+        ld["power"] = {p: [s * factor for s in pq] for p, pq in ld["power"].items()}
+    return feeder_from_dict(doc)
+
+
+def _fixture_case(request, feeder):
+    model = request.getfixturevalue(feeder)
+    pmu = [model.bus_by_label(label) for label in {"six_bus": (4,), "thirteen_bus": (1, 12)}[feeder]]
+    return model, plan_measurements(model, pmu), pmu
+
+
+class TestBatchedGeneration:
+    """``generate_dataset`` against the per-sample loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "feeder,factor", [("six_bus", 1.0), ("six_bus", 12.0),
+                          ("thirteen_bus", 1.0), ("thirteen_bus", 1.5)]
+    )
+    def test_matches_reference_loop(self, request, feeder, factor):
+        model, template, pmu = _fixture_case(request, feeder)
+        model = _scaled(model, factor)
+        profile = LoadProfileConfig(samples=300, seed=4)
+        got = generate_dataset(model, template, profile, pmu)
+        ref = oracles.reference_generate(model, template, profile, pmu)
+        assert got.resampled == ref.resampled
+        if factor > 1.0:
+            assert got.resampled > 0  # heavy loading takes the resample path
+        assert np.max(np.abs(got.v_true_pu - ref.v_true_pu)) <= 1e-12
+        assert np.max(np.abs(got.values - ref.values) / np.sqrt(ref.variances)) <= 1e-7
+        assert np.max(np.abs(got.variances - ref.variances) / ref.variances) <= 1e-10
+        assert got.meta == ref.meta and got.pmu_buses == ref.pmu_buses
+
+    @pytest.mark.parametrize("feeder", ["six_bus", "thirteen_bus"])
+    def test_sample_independent_of_dataset_size(self, request, feeder):
+        model, template, pmu = _fixture_case(request, feeder)
+        big = generate_dataset(model, template, LoadProfileConfig(samples=600, seed=7), pmu)
+        for n in (1, 7, 50):
+            ds = generate_dataset(model, template, LoadProfileConfig(samples=n, seed=7), pmu)
+            for name in ("values", "variances", "v_true_pu", "features"):
+                assert getattr(ds, name).tobytes() == getattr(big, name)[:n].tobytes(), (n, name)
+
+    @pytest.mark.parametrize("feeder", ["six_bus", "thirteen_bus"])
+    def test_batch_rows_equal_single_solves(self, request, feeder):
+        model, template, pmu = _fixture_case(request, feeder)
+        profile = LoadProfileConfig(samples=40, seed=2)
+        ds = generate_dataset(model, template, profile, pmu)
+        assert ds.resampled == 0  # every sample's load draw is its (2, i, 0) stream
+        base = sorted(model.loads, key=lambda ld: ld.bus)
+        loads, s = [], np.zeros((40, model.n_slots), complex)
+        for i in range(40):
+            mult = sample_multipliers(profile, np.random.default_rng([2, i, 0]), len(base))
+            loads.append({ld.bus: {p: v * k for p, v in ld.power.items()}
+                          for ld, k in zip(base, mult)})
+            for bus, power in loads[-1].items():
+                for p, v in power.items():
+                    s[i, model.slot_index(bus, p)] = v
+        v, iterations, converged, _ = solve_batch(model, s)
+        assert converged.all()
+        for i in range(40):
+            pf = solve_power_flow(model, loads[i])
+            assert np.array_equal(v[i], pf.state.values)
+            assert iterations[i] == pf.iterations
+            assert np.array_equal(ds.v_true_pu[i], pf.state.magnitudes() / model.base_voltage)
+
+    def test_never_converging_load_raises_after_21_attempts(self, monkeypatch):
+        # beyond the line's maximum power transfer even at the 0.2 floor multiplier
+        model = feeder_from_dict(two_bus_doc(p=1e7))
+        draws = []
+
+        def counting(cfg, rng, n_loads):
+            draws.append(n_loads)
+            return sample_multipliers(cfg, rng, n_loads)
+
+        monkeypatch.setattr(pipeline, "sample_multipliers", counting)
+        with pytest.raises(NotConvergedError):
+            generate_dataset(model, plan_measurements(model, [0]),
+                             LoadProfileConfig(samples=1, seed=0), [0])
+        assert len(draws) == 21
 
 
 class TestScenarios:

@@ -10,6 +10,7 @@ from dsse.powerflow import (
     StateVector,
     complex_power_balance,
     slack_state,
+    solve_batch,
     solve_power_flow,
     voltage_magnitudes,
 )
@@ -102,3 +103,38 @@ class TestSolvePowerFlow:
         assert a == pytest.approx(2400.0)
         assert b == pytest.approx(a * rot)
         assert c == pytest.approx(b * rot)
+
+
+class TestSolveBatch:
+    def test_rows_stop_at_their_own_iteration(self, six_bus):
+        factors = [0.0, 0.5, 1.0, 1.5]
+        s = np.zeros((len(factors), six_bus.n_slots), complex)
+        for ld in six_bus.loads:
+            for p, value in ld.power.items():
+                s[:, six_bus.slot_index(ld.bus, p)] = np.array(factors) * value
+        v, iterations, converged, mismatch = solve_batch(six_bus, s)
+        assert converged.all() and (mismatch < 1e-8 * six_bus.base_voltage).all()
+        assert len(set(iterations.tolist())) > 1
+        for row, k in enumerate(factors):
+            single = solve_power_flow(
+                six_bus, {ld.bus: {p: k * x for p, x in ld.power.items()} for ld in six_bus.loads}
+            )
+            assert iterations[row] == single.iterations
+            assert np.array_equal(v[row], single.state.values)
+
+    def test_nonconverged_row_leaves_the_others_alone(self):
+        m = feeder_from_dict(two_bus_doc())
+        slot = m.slot_index(1, "A")
+        s = np.zeros((3, m.n_slots), complex)
+        s[:, slot] = [1e5, 2e6, 5e4]  # the middle row is beyond maximum power transfer
+        v, iterations, converged, _ = solve_batch(m, s, max_iter=50)
+        assert converged.tolist() == [True, False, True]
+        assert iterations[1] == 50
+        for row in (0, 2):
+            single = solve_power_flow(m, {1: {"A": s[row, slot]}}, max_iter=50)
+            assert iterations[row] == single.iterations
+            assert np.array_equal(v[row], single.state.values)
+
+    def test_empty_batch(self, six_bus):
+        v, iterations, converged, _ = solve_batch(six_bus, np.zeros((0, six_bus.n_slots), complex))
+        assert v.shape == (0, six_bus.n_slots) and len(iterations) == len(converged) == 0
