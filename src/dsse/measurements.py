@@ -85,8 +85,8 @@ class MeasurementSet:
 
     The rows are stored as read-only columns, built once: ``code`` (kind
     code), ``locus``, ``phase``, ``noise_kind`` and ``max_error``, plus the
-    ``values()`` and ``variances()`` arrays, NaN where unset. Realized sets
-    from ``with_values`` share the template's columns and its digest.
+    ``values()`` and ``variances()`` arrays, NaN where unset. Realized sets from
+    ``with_values`` share the template's columns, digest and ``compiled`` record.
     """
 
     def __init__(self, rows):
@@ -104,6 +104,7 @@ class MeasurementSet:
             [np.nan if m.variance is None else m.variance for m in rows], float
         )
         self._digest = None
+        self._compiled = []  # [model, record]; with_values sets share it
 
     def __len__(self):
         return len(self.code)
@@ -141,6 +142,13 @@ class MeasurementSet:
             self._digest = hashlib.sha256(json.dumps(list(self._keys())).encode()).hexdigest()
         return self._digest
 
+    def compiled(self, model, build):
+        """``build(model, self)``, kept for the last model asked (compared by ``is``)."""
+        c = self._compiled
+        if not (c and c[0] is model):
+            c[:] = [model, build(model, self)]
+        return c[1]
+
     def _replace(self, **columns) -> "MeasurementSet":
         new = copy.copy(self)
         new.__dict__.update(columns)
@@ -158,8 +166,9 @@ class MeasurementSet:
 
     def select(self, keep) -> "MeasurementSet":
         """The rows where the boolean mask ``keep`` is true, in order."""
-        cols = {k: _column(c[keep], c.dtype) for k, c in vars(self).items() if k != "_digest"}
-        return self._replace(**cols, _digest=None)
+        cols = {k: _column(c[keep], c.dtype) for k, c in vars(self).items()
+                if k not in ("_digest", "_compiled")}
+        return self._replace(**cols, _digest=None, _compiled=[])
 
     def save(self, path):
         with open(path, "w", newline="") as fh:
@@ -307,16 +316,13 @@ class RowEvaluator:
         return H
 
 
-def measurement_function(
-    model: FeederModel, x: StateVector, template: MeasurementSet
-) -> np.ndarray:
+def measurement_function(model: FeederModel, x: StateVector,
+                         template: MeasurementSet) -> np.ndarray:
     """h(x) aligned with the template's row order."""
     return RowEvaluator(model, template).h(x)
 
 
-def jacobian_rows(
-    model: FeederModel, x: StateVector, template: MeasurementSet
-) -> np.ndarray:
+def jacobian_rows(model: FeederModel, x: StateVector, template: MeasurementSet) -> np.ndarray:
     """Analytic partial derivatives of every row w.r.t. the rectangular state."""
     return RowEvaluator(model, template).jacobian(x)
 

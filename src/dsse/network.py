@@ -232,6 +232,14 @@ class TrainConfig:
     train_fraction: float = 0.9
     patience: int = 20
 
+    def __post_init__(self):
+        for name, ok, rule in (("epochs", self.epochs >= 1, ">= 1"),
+                               ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("learning_rate", self.learning_rate >= 0, ">= 0"),
+                               ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class EvalReport:

@@ -1,13 +1,13 @@
 """Weighted-least-squares state estimation via Gauss-Newton iterations.
 
-Minimizes J(x) = [z - h(x)]^T R^-1 [z - h(x)] over the rectangular
-voltage state. Before iterating, ``check_observable`` tests the template
-once: the flat-start Jacobian, each row made per-unit by its unit base,
-must have full column rank. Otherwise the measurement set does not pin
-down the state, and the estimator raises ``UnobservableError`` instead of
-returning garbage. Scenario 3 of the pipeline uses the same test. Each
-iteration solves the sigma-whitened least-squares step by QR; a
-step-halving guard keeps the objective monotone non-increasing.
+Minimizes J(x) = [z - h(x)]^T R^-1 [z - h(x)] over the rectangular voltage
+state. ``check_observable`` tests each template once per model: the
+flat-start Jacobian, each row made per-unit by its unit base, must have full
+column rank, or the estimator raises ``UnobservableError`` (scenario 3 uses
+the same test). The evaluator, flat start, its Jacobian and that outcome are
+shared by every set ``with_values`` realizes from the template. Each step is
+one R-only QR of the sigma-whitened augmented system [H | r], whose last
+column holds Q^T r; a step-halving guard keeps the objective non-increasing.
 """
 
 from __future__ import annotations
@@ -29,10 +29,8 @@ class UnobservableError(RuntimeError):
 
 class NonConvergedError(RuntimeError):
     def __init__(self, report):
-        super().__init__(
-            f"Gauss-Newton did not converge in {report.iterations} iterations "
-            f"(objective {report.objective:.4e})"
-        )
+        super().__init__(f"Gauss-Newton did not converge in {report.iterations} iterations "
+                         f"(objective {report.objective:.4e})")
         self.report = report
 
 
@@ -44,6 +42,8 @@ class WlsConfig:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -55,12 +55,9 @@ class WlsReport:
     observability_margin: float
 
 
-def objective(
-    model: FeederModel, z: MeasurementSet, x: StateVector, evaluator=None
-) -> float:
+def objective(model: FeederModel, z: MeasurementSet, x: StateVector) -> float:
     """[z - h(x)]^T R^-1 [z - h(x)]."""
-    ev = evaluator or RowEvaluator(model, z)
-    r = z.values() - ev.h(x)
+    r = z.values() - RowEvaluator(model, z).h(x)
     return float(np.sum(r * r / z.variances()))
 
 
@@ -77,53 +74,57 @@ def check_observable(model: FeederModel, template: MeasurementSet, H: np.ndarray
     return margin
 
 
-def estimate(
-    model: FeederModel,
-    z: MeasurementSet,
-    config: WlsConfig | None = None,
-    x0: StateVector | None = None,
-) -> WlsReport:
+def _compile(model: FeederModel, template: MeasurementSet) -> tuple:
+    """(evaluator, flat state, flat-start Jacobian, margin or UnobservableError)."""
+    ev, flat = RowEvaluator(model, template), slack_state(model)
+    H = ev.jacobian(flat)
+    try:
+        return ev, flat, H, check_observable(model, template, H)
+    except UnobservableError as exc:
+        return ev, flat, H, exc
+
+
+def estimate(model: FeederModel, z: MeasurementSet, config: WlsConfig | None = None,
+             x0: StateVector | None = None) -> WlsReport:
     config = config or WlsConfig()
-    ev = RowEvaluator(model, z)
+    ev, flat, H, margin = z.compiled(model, _compile)
     zv, variances = z.values(), z.variances()
     if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
         raise ValueError("measurement values must be finite, variances finite and positive")
+    if x0 is not None and len(x0.values) != model.n_slots:
+        raise ValueError(f"x0 has {len(x0.values)} slots, the feeder has {model.n_slots}")
+    if isinstance(margin, UnobservableError):
+        raise UnobservableError(*margin.args)
     sigma = np.sqrt(variances)
-
-    flat = slack_state(model)
-    H = ev.jacobian(flat)
-    margin = check_observable(model, z, H)
-    x = x0.copy() if x0 is not None else flat
-    j_cur = objective(model, z, x, ev)
-    base = model.base_voltage
+    x = (flat if x0 is None else x0).copy()
+    r = zv - ev.h(x)
+    j_cur = float(np.sum(r * r / variances))
+    base, n = model.base_voltage, H.shape[1]
 
     for it in range(1, config.max_iter + 1):
-        if x is not flat:  # a cold start's first step reuses the flat-start H
+        if it > 1 or x0 is not None:  # a cold start's first step reuses the flat-start H
             H = ev.jacobian(x)
-        # Gauss-Newton step: least squares on the sigma-whitened rows
-        # (H / sigma) delta = r / sigma by QR, without the normal equations
-        q, R = np.linalg.qr(H / sigma[:, None])
-        delta = np.linalg.solve(R, q.T @ ((zv - ev.h(x)) / sigma))
+        # Gauss-Newton step (H / sigma) delta = r / sigma by least squares: the
+        # R factor of [H | r] / sigma holds R_H and Q^T r, so Q is never formed
+        R = np.linalg.qr(np.column_stack([H, r]) / sigma[:, None], mode="r")
+        delta = np.linalg.solve(R[:n, :n], R[:n, n])
 
-        # step-halving guard: never accept an objective increase beyond
-        # floating-point slack
+        # step-halving guard: accept no objective increase beyond rounding slack
         alpha = 1.0
-        accepted = None
         for _ in range(MAX_STEP_HALVINGS + 1):
             x_try = StateVector.from_rect(x.rect + alpha * delta)
-            j_try = objective(model, z, x_try, ev)
+            r_try = zv - ev.h(x_try)
+            j_try = float(np.sum(r_try * r_try / variances))
             if j_try <= j_cur * (1.0 + 1e-9) + 1e-12:
-                accepted = (x_try, min(j_try, j_cur), alpha)
                 break
             alpha *= 0.5
-        if accepted is None:
+        else:
             # no productive step left; converged if the full step was already
             # below tolerance, otherwise report the stall
             if float(np.max(np.abs(delta))) / base < config.tolerance:
                 return WlsReport(x, j_cur, it, True, margin)
             raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
-        x, j_cur, alpha = accepted
-
+        x, r, j_cur = x_try, r_try, min(j_try, j_cur)
         if float(np.max(np.abs(alpha * delta))) / base < config.tolerance:
             return WlsReport(x, j_cur, it, True, margin)
 

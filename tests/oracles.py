@@ -8,6 +8,9 @@ and the reference trainer is the network's dense, array-by-array training
 path: ADAM over every entry, masks re-applied after each update. The
 reference generator is the per-sample dataset loop that batched generation
 replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
+The reference estimator is WLS as it was before templates were compiled: it
+rebuilds the evaluator and reruns the observability test on every call, and
+solves each Gauss-Newton step through an explicit Q.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.optimize
 
 from dsse.grid_model import FeederModel
-from dsse.measurements import synthesize
+from dsse.measurements import MeasurementSet, RowEvaluator, synthesize
 from dsse.network import (
     LEAKY_SLOPE,
     InputEmbedding,
@@ -29,7 +32,10 @@ from dsse.network import (
     split_indices,
 )
 from dsse.pipeline import Dataset, sample_multipliers
-from dsse.powerflow import SLACK_ANGLES, NotConvergedError, StateVector, solve_power_flow
+from dsse.powerflow import (SLACK_ANGLES, NotConvergedError, StateVector, slack_state,
+                            solve_power_flow)
+from dsse.wls import (MAX_STEP_HALVINGS, NonConvergedError, WlsConfig, WlsReport,
+                      check_observable)
 
 
 # -- graph oracles ---------------------------------------------------------
@@ -391,3 +397,71 @@ def reference_generate(model, template, profile, pmu_buses, seed=None) -> Datase
         resampled=resampled,
         meta={"profile": asdict(profile)},
     )
+
+
+# -- WLS ------------------------------------------------------------------
+
+
+def reference_objective(
+    model: FeederModel, z: MeasurementSet, x: StateVector, evaluator=None
+) -> float:
+    """[z - h(x)]^T R^-1 [z - h(x)], optionally through a prebuilt evaluator."""
+    ev = evaluator or RowEvaluator(model, z)
+    r = z.values() - ev.h(x)
+    return float(np.sum(r * r / z.variances()))
+
+
+def reference_estimate(
+    model: FeederModel,
+    z: MeasurementSet,
+    config: WlsConfig | None = None,
+    x0: StateVector | None = None,
+) -> WlsReport:
+    """``dsse.wls.estimate`` before compiled templates: a new evaluator, flat
+    Jacobian and observability test per call, a full QR and two h(x)
+    evaluations per step."""
+    config = config or WlsConfig()
+    ev = RowEvaluator(model, z)
+    zv, variances = z.values(), z.variances()
+    if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
+        raise ValueError("measurement values must be finite, variances finite and positive")
+    sigma = np.sqrt(variances)
+
+    flat = slack_state(model)
+    H = ev.jacobian(flat)
+    margin = check_observable(model, z, H)
+    x = x0.copy() if x0 is not None else flat
+    j_cur = reference_objective(model, z, x, ev)
+    base = model.base_voltage
+
+    for it in range(1, config.max_iter + 1):
+        if x is not flat:  # a cold start's first step reuses the flat-start H
+            H = ev.jacobian(x)
+        # Gauss-Newton step: least squares on the sigma-whitened rows
+        # (H / sigma) delta = r / sigma by QR, without the normal equations
+        q, R = np.linalg.qr(H / sigma[:, None])
+        delta = np.linalg.solve(R, q.T @ ((zv - ev.h(x)) / sigma))
+
+        # step-halving guard: never accept an objective increase beyond
+        # floating-point slack
+        alpha = 1.0
+        accepted = None
+        for _ in range(MAX_STEP_HALVINGS + 1):
+            x_try = StateVector.from_rect(x.rect + alpha * delta)
+            j_try = reference_objective(model, z, x_try, ev)
+            if j_try <= j_cur * (1.0 + 1e-9) + 1e-12:
+                accepted = (x_try, min(j_try, j_cur), alpha)
+                break
+            alpha *= 0.5
+        if accepted is None:
+            # no productive step left; converged if the full step was already
+            # below tolerance, otherwise report the stall
+            if float(np.max(np.abs(delta))) / base < config.tolerance:
+                return WlsReport(x, j_cur, it, True, margin)
+            raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
+        x, j_cur, alpha = accepted
+
+        if float(np.max(np.abs(alpha * delta))) / base < config.tolerance:
+            return WlsReport(x, j_cur, it, True, margin)
+
+    raise NonConvergedError(WlsReport(x, j_cur, config.max_iter, False, margin))

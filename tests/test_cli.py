@@ -272,3 +272,28 @@ def test_bench_writes_report(workdir, capsys):
     assert (out / "trace_scenario1.csv").exists()
     text = capsys.readouterr().out
     assert "scenario3" in text and "unobservable" in text
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--epochs", "0", "epochs"), ("--batch-size", "0", "batch_size"),
+     ("--learning-rate", "-0.001", "learning_rate"), ("--train-fraction", "1.0", "train_fraction")],
+)
+def test_train_with_an_invalid_setting_is_validation_error(
+    workdir, dataset_path, capsys, flag, value, field
+):
+    code = main(["train", "--feeder", SIX, "--dataset", str(dataset_path),
+                 "--out", str(workdir / "net_bad.npz"), flag, value])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be")
+    assert "Traceback" not in err and not (workdir / "net_bad.npz").exists()
+
+
+def test_bench_with_zero_epochs_is_validation_error(workdir, capsys):
+    out = workdir / "bench_zero"
+    code = main(["bench", "--feeder", SIX, "--pmu", "4", "--out", str(out),
+                 "--samples", "20", "--epochs", "0"])
+    assert code == EXIT_VALIDATION
+    assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

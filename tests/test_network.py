@@ -379,6 +379,16 @@ class TestTraining:
         init = MaskedNetwork(plan, six_bus, seed=2)
         assert not np.array_equal(net.theta[net.live], init.theta[net.live])
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("epochs", 0), ("epochs", -1), ("batch_size", 0), ("learning_rate", -1e-3),
+         ("learning_rate", float("nan")), ("train_fraction", 0.0), ("train_fraction", 1.0),
+         ("train_fraction", 1.5)],
+    )
+    def test_config_rejects_out_of_range_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
+
     def test_too_small_dataset_rejected(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
         with pytest.raises(ValueError):

@@ -1,14 +1,24 @@
 import numpy as np
 import pytest
 
+import oracles
+from dsse import load_feeder, wls
+from dsse.fixtures import fixture_path
 from dsse.measurements import (
     Measurement,
     MeasurementSet,
     NoiseClass,
+    RowEvaluator,
     plan_measurements,
     synthesize,
 )
-from dsse.pipeline import remove_pseudo_until_unobservable
+from dsse.pipeline import (
+    LoadProfileConfig,
+    generate_dataset,
+    remove_pseudo_until_unobservable,
+    scenario_template,
+    standard_scenarios,
+)
 from dsse.powerflow import StateVector, slack_state
 from dsse.wls import (
     NonConvergedError,
@@ -132,9 +142,17 @@ class TestEstimate:
         assert isinstance(exc.value.report, WlsReport)
         assert not exc.value.report.converged
 
-    def test_config_validation(self):
+    def test_config_validation(self, six_bus, six_plan, six_bus_pf):
         with pytest.raises(ValueError):
             WlsConfig(tolerance=0.0)
+        for max_iter in (0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                WlsConfig(max_iter=max_iter)
+        z = synthesize(six_plan, six_bus_pf.state, six_bus, 0)
+        short = StateVector(slack_state(six_bus).values[:-1])
+        n = six_bus.n_slots
+        with pytest.raises(ValueError, match=f"x0 has {n - 1} slots, the feeder has {n}"):
+            estimate(six_bus, z, x0=short)
 
     def test_warm_start_converges_faster(self, six_bus, six_plan, six_bus_pf):
         z = synthesize(six_plan, six_bus_pf.state, six_bus, 2)
@@ -148,3 +166,141 @@ class TestEstimate:
         report = estimate(six_bus, z)
         flat = slack_state(six_bus)
         assert report.objective <= objective(six_bus, z, flat) * (1 + 1e-9)
+
+
+# -- compiled templates ----------------------------------------------------
+
+PMU_LABELS = {"six_bus": (4,), "thirteen_bus": (1, 12)}
+
+
+def scenario_sets(model, labels, scenario_index, samples=30, seed=7):
+    """``samples`` realized sets of one standard scenario's template."""
+    pmu = [model.bus_by_label(label) for label in labels]
+    template, _ = scenario_template(model, standard_scenarios(pmu)[scenario_index])
+    ds = generate_dataset(model, template, LoadProfileConfig(samples=samples, seed=seed), pmu)
+    return [template.with_values(ds.values[i], ds.variances[i]) for i in range(len(ds))]
+
+
+def outcome(fn, *args, **kwargs):
+    """(exception type or None, report) of one estimate."""
+    try:
+        return None, fn(*args, **kwargs)
+    except NonConvergedError as exc:
+        return NonConvergedError, exc.report
+
+
+class CountCalls:
+    """Wraps ``fn`` and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Counters of evaluator builds and observability tests inside WLS."""
+    init = CountCalls(RowEvaluator.__init__)
+    check = CountCalls(wls.check_observable)
+    monkeypatch.setattr(RowEvaluator, "__init__", lambda *a: init(*a))
+    monkeypatch.setattr(wls, "check_observable", check)
+    return init, check
+
+
+class TestCompiledTemplate:
+    @pytest.mark.parametrize("fixture", ["six_bus", "thirteen_bus"])
+    @pytest.mark.parametrize("scenario_index", [0, 1], ids=["scenario1", "scenario2"])
+    @pytest.mark.parametrize("start", ["cold", "warm", "max_iter_1"])
+    def test_matches_reference_estimate(self, request, fixture, scenario_index, start):
+        model = request.getfixturevalue(fixture)
+        sets = scenario_sets(model, PMU_LABELS[fixture], scenario_index)
+        config = WlsConfig(max_iter=1) if start == "max_iter_1" else None
+        for i, z in enumerate(sets):
+            x0 = None
+            if start == "warm":  # the previous sample's estimate, as in a time series
+                x0 = oracles.reference_estimate(model, sets[i - 1]).x_hat
+            kind, report = outcome(estimate, model, z, config, x0=x0)
+            ref_kind, ref = outcome(oracles.reference_estimate, model, z, config, x0=x0)
+            assert kind is ref_kind
+            assert (report.iterations, report.converged) == (ref.iterations, ref.converged)
+            assert report.observability_margin == ref.observability_margin
+            dx = np.max(np.abs(report.x_hat.values - ref.x_hat.values)) / model.base_voltage
+            assert dx <= 1e-10
+            assert report.objective == pytest.approx(ref.objective, rel=1e-9)
+        if start == "max_iter_1":
+            assert kind is NonConvergedError
+
+    def test_one_compile_per_template(self, thirteen_bus, counts):
+        init, check = counts
+        sets = scenario_sets(thirteen_bus, PMU_LABELS["thirteen_bus"], 0, samples=8)
+        built = init.calls  # generate_dataset builds its own evaluators
+        for z in sets:
+            assert estimate(thirteen_bus, z).converged
+        assert (init.calls - built, check.calls) == (1, 1)
+
+    def test_select_and_another_model_recompile(self, six_bus, six_plan, six_bus_pf, counts):
+        init, check = counts
+        template = plan_measurements(six_bus, [six_bus.bus_by_label(4)])
+        z = synthesize(template, six_bus_pf.state, six_bus, 0)
+        estimate(six_bus, z)
+        estimate(six_bus, z.with_values(z.values(), z.variances()))
+        assert check.calls == 1
+        selected = z.select(np.ones(len(z), dtype=bool))
+        estimate(six_bus, selected)
+        assert check.calls == 2
+        estimate(six_bus, z)  # the template keeps its own record
+        assert check.calls == 2
+        twin = load_feeder(fixture_path("six_bus"))
+        twin_report = estimate(twin, z)
+        assert check.calls == 3
+        assert np.array_equal(twin_report.x_hat.values, estimate(six_bus, z).x_hat.values)
+        assert check.calls == 4  # switching back rebuilds too: one model per record
+        assert init.calls == 4 + 1  # one evaluator per compile, one in synthesize
+
+    def test_unobservable_template_raises_same_message_every_call(
+        self, six_bus, six_plan, six_bus_pf, counts
+    ):
+        _, check = counts
+        reduced, _ = remove_pseudo_until_unobservable(six_bus, six_plan)
+        calls = check.calls
+        messages = []
+        for seed in range(4):
+            z = synthesize(reduced, six_bus_pf.state, six_bus, seed)
+            with pytest.raises(UnobservableError) as exc:
+                estimate(six_bus, z)
+            messages.append(str(exc.value))
+        with pytest.raises(UnobservableError) as ref:
+            oracles.reference_estimate(six_bus, z)
+        assert messages == [str(ref.value)] * 4
+        assert check.calls - calls == 1
+
+    def test_mutating_x_hat_leaves_next_estimate(self, six_bus, six_plan, six_bus_pf):
+        template = plan_measurements(six_bus, [six_bus.bus_by_label(4)])
+        z = synthesize(template, six_bus_pf.state, six_bus, 3)
+        first = estimate(six_bus, z)
+        kept = first.x_hat.values.copy()
+        first.x_hat.values[:] = 0.0
+        with pytest.raises(NonConvergedError) as exc:
+            estimate(six_bus, z, WlsConfig(max_iter=1))
+        exc.value.report.x_hat.values[:] = 0.0
+        assert np.array_equal(estimate(six_bus, z).x_hat.values, kept)
+        x0 = slack_state(six_bus)
+        estimate(six_bus, z, x0=x0)
+        assert np.array_equal(x0.values, slack_state(six_bus).values)
+
+    def test_stalled_cold_start_returns_a_copy_of_the_flat_state(self, six_bus):
+        # a huge, exact P row: no step from flat lowers J, so x_hat is the start
+        flat = slack_state(six_bus)
+        rows = direct_voltage_rows(six_bus, flat, sigma=100.0).rows
+        rows.append(Measurement("p_injection", 3, "A",
+                                NoiseClass("smart_meter_power", 0.02), 1e10, 1.0))
+        z = MeasurementSet(rows)
+        for _ in range(2):
+            with pytest.raises(NonConvergedError) as exc:
+                estimate(six_bus, z, WlsConfig(max_iter=1))
+            x_hat = exc.value.report.x_hat
+            assert np.array_equal(x_hat.values, flat.values)
+            x_hat.values[:] = 0.0
