@@ -22,6 +22,7 @@ from dsse.partitioning import build_mask_plan, export_mask_plan, partition_at_pm
 from dsse.pipeline import (
     LoadProfileConfig,
     Scenario,
+    format_report,
     generate_dataset,
     load_dataset,
     report,
@@ -150,8 +151,7 @@ def cmd_bench(args):
         rows.extend(scen_rows)
         traces[scenario.name] = artifacts["traces"]
     report(rows, args.out, traces)
-    with open(f"{args.out}/summary.txt") as fh:
-        print(fh.read(), end="")
+    print(format_report(rows), end="")
     return EXIT_OK
 
 

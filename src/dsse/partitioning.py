@@ -8,9 +8,9 @@ least one partition.
 
 Depth bookkeeping:
 
-* ``hop_diameter`` -- max pairwise hop distance inside the partition's
-  induced subgraph. It bounds how many weight layers information needs to
-  cross the partition, so it drives the off-diagonal mask lifetime.
+* ``hop_diameter`` -- max hop distance inside the partition. It bounds how
+  many weight layers information needs to cross the partition, so it
+  drives the off-diagonal mask lifetime.
 * ``diameter`` -- the partition's resolution depth: equal to hop_diameter,
   except that a multi-bus partition containing a non-PMU bus gets a floor
   of 2 (one layer to reach the PMU-anchored information, one to refine the
@@ -19,6 +19,12 @@ Depth bookkeeping:
   bus this yields depths [3, 2, 2], a three-layer network, and masks whose
   second layer drops exactly the four PMU-to-leaf connections while the
   leaves keep their diagonal refinement entries.
+
+A plan is one integer matrix ``life``: ``life[i, j]`` is the last layer at
+which bus j feeds bus i (the largest hop diameter of a partition holding
+both; a bus's exit layer on the diagonal; zero where no branch joins i and
+j), and layer t's mask is ``life >= t``. The unpruned plan sets every live
+entry and every exit layer to the network depth.
 """
 
 from __future__ import annotations
@@ -124,11 +130,12 @@ def partition_at_pmus(model: FeederModel, pmu_buses) -> list:
 
 
 def _hop_diameter(model: FeederModel, buses: frozenset) -> int:
-    """All-pairs max hop distance on the induced subgraph (tree-exact)."""
-    if len(buses) <= 1:
-        return 0
-    best = 0
-    for a in buses:
+    """Max hop distance inside ``buses``, which must induce a subtree of the
+    feeder (every partition does). Two sweeps: the bus farthest from any
+    start ends a longest path, and the farthest distance from it is the
+    diameter."""
+
+    def farthest(a):
         dist = {a: 0}
         stack = [a]
         while stack:
@@ -137,8 +144,10 @@ def _hop_diameter(model: FeederModel, buses: frozenset) -> int:
                 if v in buses and v not in dist:
                     dist[v] = dist[u] + 1
                     stack.append(v)
-        best = max(best, max(dist.values()))
-    return best
+        return max(dist.items(), key=lambda item: item[1])
+
+    end, _ = farthest(next(iter(buses)))
+    return farthest(end)[1]
 
 
 def resolution_depth(model: FeederModel, part: Partition, hop: int | None = None) -> int:
@@ -163,11 +172,8 @@ def build_mask_plan(
     block_width: int = 8,
     prune: bool = True,
 ) -> MaskPlan:
-    """Masks and output routing for a pruned (or unpruned) network.
-
-    With ``prune=False`` every layer keeps the full adjacency pattern and
-    all buses exit at the last layer (the unpruned physics-aware variant).
-    """
+    """Masks and output routing built from the lifetime matrix ``life``
+    (module docstring); ``prune=False`` gives the unpruned variant."""
     if block_width < 1:
         raise ValueError("block_width must be >= 1")
     n = model.n_buses
@@ -176,42 +182,25 @@ def build_mask_plan(
     depths = [resolution_depth(model, p, hop) for p, hop in zip(partitions, hops)]
     depth = max(1, max(depths, default=1))
 
-    exit_layer = np.zeros(n, dtype=int)
-    for part, d in zip(partitions, depths):
-        for b in part.buses:
-            exit_layer[b] = max(exit_layer[b], d)
-    exit_layer = np.maximum(exit_layer, 1)
-
+    life = np.zeros((n, n), dtype=int)
+    exit_layer = np.ones(n, dtype=int)
+    for part, hop, d in zip(partitions, hops, depths):
+        idx = list(part.buses)
+        block = np.ix_(idx, idx)
+        life[block] = np.maximum(life[block], hop)
+        exit_layer[idx] = np.maximum(exit_layer[idx], d)
+    np.fill_diagonal(life, exit_layer)
     if not prune:
-        return MaskPlan(
-            adjacency=adjacency,
-            depth=depth,
-            masks=[adjacency.copy() for _ in range(depth)],
-            exit_layer=np.full(n, depth, dtype=int),
-            block_width=block_width,
-            pruned=False,
-        )
-
-    masks = []
-    for t in range(1, depth + 1):
-        mask = np.zeros((n, n), dtype=bool)
-        for part, hop in zip(partitions, hops):
-            if t <= hop:
-                for i in part.buses:
-                    for j in part.buses:
-                        if i != j and adjacency[i, j]:
-                            mask[i, j] = True
-        for b in range(n):
-            if t <= exit_layer[b]:
-                mask[b, b] = True
-        masks.append(mask)
+        life[:] = depth
+        exit_layer[:] = depth
+    life *= adjacency
     return MaskPlan(
         adjacency=adjacency,
         depth=depth,
-        masks=masks,
+        masks=[life >= t for t in range(1, depth + 1)],
         exit_layer=exit_layer,
         block_width=block_width,
-        pruned=True,
+        pruned=bool(prune),
     )
 
 
@@ -219,7 +208,12 @@ def count_params(plan: MaskPlan) -> ParamCount:
     """Unmasked weight + bias counts for the pruned plan and its unpruned twin.
 
     Each allowed bus pair contributes an F x F block; each bus with any
-    allowed incoming entry at a layer contributes F biases.
+    allowed incoming entry at a layer contributes F biases. This is a plan
+    size, not the network's trainable count: the input layer really has
+    F x 18 weights per pair, and the readout is left out. At F = 8 the
+    13-bus p2n2 plan (PMUs at buses 1 and 12) reads 14,832 where the network
+    trains 18,071 live parameters (``len(net.live)``), and the 6-bus plan
+    (PMU at bus 4) 2,560 against 4,002.
     """
     f = plan.block_width
 

@@ -10,7 +10,10 @@ reference generator is the per-sample dataset loop that batched generation
 replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
 The reference estimator is WLS as it was before templates were compiled: it
 rebuilds the evaluator and reruns the observability test on every call, and
-solves each Gauss-Newton step through an explicit Q.
+solves each Gauss-Newton step through an explicit Q. The reference mask plan
+is plan construction before the lifetime matrix: an all-pairs BFS per
+partition, a separate unpruned return, and a loop over layers, partitions
+and bus pairs.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dsse.network import (
     TrainingDiverged,
     split_indices,
 )
+from dsse.partitioning import MaskPlan, resolution_depth
 from dsse.pipeline import Dataset, sample_multipliers
 from dsse.powerflow import (SLACK_ANGLES, NotConvergedError, StateVector, slack_state,
                             solve_power_flow)
@@ -82,6 +86,82 @@ def subgraph_diameter(model: FeederModel, buses) -> int:
     if len(buses) <= 1:
         return 0
     return nx.diameter(sub)
+
+
+def _reference_hop_diameter(model: FeederModel, buses: frozenset) -> int:
+    """All-pairs max hop distance on the induced subgraph (tree-exact)."""
+    if len(buses) <= 1:
+        return 0
+    best = 0
+    for a in buses:
+        dist = {a: 0}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for v in model.neighbors(u):
+                if v in buses and v not in dist:
+                    dist[v] = dist[u] + 1
+                    stack.append(v)
+        best = max(best, max(dist.values()))
+    return best
+
+
+def reference_mask_plan(
+    model: FeederModel,
+    partitions,
+    block_width: int = 8,
+    prune: bool = True,
+) -> MaskPlan:
+    """Masks and output routing for a pruned (or unpruned) network.
+
+    With ``prune=False`` every layer keeps the full adjacency pattern and
+    all buses exit at the last layer (the unpruned physics-aware variant).
+    """
+    if block_width < 1:
+        raise ValueError("block_width must be >= 1")
+    n = model.n_buses
+    adjacency = model.adjacency_pattern()
+    hops = [_reference_hop_diameter(model, p.buses) for p in partitions]
+    depths = [resolution_depth(model, p, hop) for p, hop in zip(partitions, hops)]
+    depth = max(1, max(depths, default=1))
+
+    exit_layer = np.zeros(n, dtype=int)
+    for part, d in zip(partitions, depths):
+        for b in part.buses:
+            exit_layer[b] = max(exit_layer[b], d)
+    exit_layer = np.maximum(exit_layer, 1)
+
+    if not prune:
+        return MaskPlan(
+            adjacency=adjacency,
+            depth=depth,
+            masks=[adjacency.copy() for _ in range(depth)],
+            exit_layer=np.full(n, depth, dtype=int),
+            block_width=block_width,
+            pruned=False,
+        )
+
+    masks = []
+    for t in range(1, depth + 1):
+        mask = np.zeros((n, n), dtype=bool)
+        for part, hop in zip(partitions, hops):
+            if t <= hop:
+                for i in part.buses:
+                    for j in part.buses:
+                        if i != j and adjacency[i, j]:
+                            mask[i, j] = True
+        for b in range(n):
+            if t <= exit_layer[b]:
+                mask[b, b] = True
+        masks.append(mask)
+    return MaskPlan(
+        adjacency=adjacency,
+        depth=depth,
+        masks=masks,
+        exit_layer=exit_layer,
+        block_width=block_width,
+        pruned=True,
+    )
 
 
 def random_tree_model(rng: np.random.Generator, n: int) -> FeederModel:

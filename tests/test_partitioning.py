@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,16 +167,20 @@ class TestMaskPlan:
         other = build_mask_plan(six_bus, parts, block_width=1)
         assert other.signature() != six_plan.signature()
 
-    def test_export_roundtrip(self, six_plan, tmp_path):
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    def test_export_roundtrip(self, six_bus, prune, tmp_path):
+        parts = partition_at_pmus(six_bus, [six_bus.bus_by_label(4)])
+        plan = build_mask_plan(six_bus, parts, block_width=1, prune=prune)
         path = tmp_path / "plan.json"
-        export_mask_plan(six_plan, path)
+        export_mask_plan(plan, path)
         back = load_mask_plan(path)
-        assert back.depth == six_plan.depth
-        assert back.block_width == six_plan.block_width
-        assert np.array_equal(back.exit_layer, six_plan.exit_layer)
-        for a, b in zip(back.masks, six_plan.masks):
+        assert back.depth == plan.depth
+        assert back.block_width == plan.block_width
+        assert back.pruned == plan.pruned
+        assert np.array_equal(back.exit_layer, plan.exit_layer)
+        for a, b in zip(back.masks, plan.masks):
             assert np.array_equal(a, b)
-        assert back.signature() == six_plan.signature()
+        assert back.signature() == plan.signature()
 
     @pytest.mark.parametrize("feeder,pmu_labels", [
         ("six_bus", (4,)), ("six_bus", (2, 5)), ("six_bus", (1, 2, 3, 4, 5, 6)),
@@ -217,6 +223,49 @@ class TestMaskPlan:
         parts = partition_at_pmus(six_bus, [3])
         with pytest.raises(ValueError):
             build_mask_plan(six_bus, parts, block_width=0)
+
+
+def assert_same_plan(got, want):
+    assert got.signature() == want.signature()
+    assert got.depth == want.depth and got.pruned == want.pruned
+    assert got.exit_layer.dtype == want.exit_layer.dtype
+    assert np.array_equal(got.exit_layer, want.exit_layer)
+    assert len(got.masks) == len(want.masks)
+    for a, b in zip(got.masks, want.masks):
+        assert a.dtype == b.dtype == bool
+        assert np.array_equal(a, b)
+    # every mask is its own array, never a view of a shared one
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(got.masks, 2))
+
+
+class TestReferencePlan:
+    """The lifetime-matrix plan equals the pair-loop plan it replaced."""
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+    @pytest.mark.parametrize("feeder", ["six_bus", "thirteen_bus"])
+    def test_every_small_pmu_set(self, request, feeder, prune):
+        model = request.getfixturevalue(feeder)
+        for k in (1, 2, 3):
+            for pmus in itertools.combinations(range(model.n_buses), k):
+                parts = partition_at_pmus(model, pmus)
+                assert_same_plan(
+                    build_mask_plan(model, parts, block_width=2, prune=prune),
+                    oracles.reference_mask_plan(model, parts, block_width=2, prune=prune),
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.data(), st.booleans())
+    def test_random_trees(self, n, data, prune):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        m = oracles.random_tree_model(rng, n)
+        k = data.draw(st.integers(1, n))
+        parts = partition_at_pmus(m, sorted(rng.choice(n, size=k, replace=False).tolist()))
+        assert_same_plan(
+            build_mask_plan(m, parts, block_width=3, prune=prune),
+            oracles.reference_mask_plan(m, parts, block_width=3, prune=prune),
+        )
+        for p in parts:
+            assert partitioning._hop_diameter(m, p.buses) == oracles.subgraph_diameter(m, p.buses)
 
 
 class TestParamCount:
