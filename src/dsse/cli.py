@@ -4,7 +4,8 @@ Subcommands: ``generate`` (Monte Carlo dataset), ``train`` (fit a masked
 network), ``estimate`` (run WLS or a checkpoint on a measurement file),
 ``bench`` (three-scenario benchmark suite), ``masks`` (export a mask plan).
 
-Exit codes: 0 success, 2 validation error, 3 unobservable, 4 non-convergence.
+Exit codes: 0 success, 2 validation error, 3 unobservable, 4 non-convergence
+(a power flow, a WLS estimate or a training run that diverged).
 """
 
 from __future__ import annotations
@@ -103,7 +104,9 @@ def cmd_train(args):
             "template_signature": ds.template.signature(),
         },
     )
-    print(f"trained {args.kind}: final held-out loss {curve[-1][2]:.6e}, checkpoint {args.out}")
+    kept = 0 if net.best_epoch is None else net.best_epoch + 1
+    print(f"trained {args.kind} for {len(curve)} epochs; checkpoint {args.out} holds epoch "
+          f"{kept} (0 is the initialisation), held-out loss {net.best_loss:.6e}")
     return EXIT_OK
 
 
@@ -227,6 +230,9 @@ def main(argv=None):
         return EXIT_VALIDATION
     except NotConvergedError as exc:
         print(f"NON_CONVERGED: {exc}", file=sys.stderr)
+        return EXIT_NON_CONVERGED
+    except network.TrainingDiverged as exc:
+        print(f"NON_CONVERGED: training diverged: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGED
 
 

@@ -10,6 +10,14 @@ live ones. A per-slot linear head reads bus b from layer ``exit_layer[b]``.
 Gradients are hand-rolled reverse mode into one array laid out like
 ``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
 voltage magnitudes.
+
+Every pass writes its intermediates into a ``Workspace`` with ``out=``,
+keeping the operands and order of the plain expressions, so results are
+bit-for-bit those of freshly allocated arrays. ``train`` allocates its
+workspaces, ADAM's vectors and the best-epoch snapshot once per call; a
+caller of ``forward`` or ``loss_and_gradients`` that passes no workspace
+gets one for that call. Returned arrays are fresh, except gradients
+written into a caller's ``out``.
 """
 
 from __future__ import annotations
@@ -72,10 +80,6 @@ def embed_input(z: MeasurementSet, embedding: InputEmbedding) -> np.ndarray:
     return embedding.embed_values(z.values())
 
 
-def _leaky(x):
-    return np.maximum(x, LEAKY_SLOPE * x)  # exact for 0 < slope < 1
-
-
 class MaskedNetwork:
     """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts,
     as views of one vector ``theta``; ``live`` indexes its unmasked entries."""
@@ -85,17 +89,21 @@ class MaskedNetwork:
         self.n_buses = model.n_buses
         self.f = plan.block_width
         self.slots = list(model.slots)
+        # set by ``train``: the curve index of the epoch whose parameters it
+        # kept (None for the initialisation) and their held-out loss
+        self.best_epoch = self.best_loss = None
         self.slot_bus = np.array([b for b, _ in self.slots])
         # per exit layer: the slots it feeds, in slot order, their buses, and
-        # per phase rank (place among its bus's slots) their positions and buses
+        # their cells in a (bus, rank) grid, a slot's rank being its place
+        # among its bus's slots (slots are bus-major)
+        rank = np.arange(len(self.slots)) - np.searchsorted(self.slot_bus, self.slot_bus)
+        self.ranks = int(rank.max()) + 1
         slot_exit = plan.exit_layer[self.slot_bus]
         self.exits = []
         for e in np.unique(slot_exit).tolist():
             sel = np.flatnonzero(slot_exit == e)
             bus = self.slot_bus[sel]
-            rank = np.arange(len(bus)) - np.searchsorted(bus, bus)
-            ranks = [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
-            self.exits.append((e, sel, bus, [(i, bus[i]) for i in ranks]))
+            self.exits.append((e, sel, bus, bus * self.ranks + rank[sel]))
 
         f, c = self.f, INPUT_CHANNELS
         self.weight_masks = []
@@ -161,63 +169,131 @@ class MaskedNetwork:
 
     # -- evaluation --------------------------------------------------------
 
-    def _forward_cached(self, x):
-        x = np.atleast_2d(x)
-        pre = []
-        acts = [x]
+    def _forward(self, x, ws):
+        """Outputs for the rows of ``x``, a fresh array. Leaves each layer's
+        pre-activation and activation, and each exit's gathered block, in
+        ``ws``, which has exactly ``len(x)`` rows."""
+        n = len(x)
         k = x
-        for w, b in zip(self.weights, self.biases):
-            z = k @ w.T + b
-            pre.append(z)
-            k = _leaky(z)
-            acts.append(k)
-        out = np.empty((x.shape[0], len(self.slots)))
-        for e, sel, bus, _ in self.exits:
-            block = acts[e].reshape(len(x), self.n_buses, self.f)[:, bus]
-            out[:, sel] = np.einsum("bsf,sf->bs", block, self.readout_w[sel]) + self.readout_b[sel]
-        return out, pre, acts
+        for t, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = np.matmul(k, w.T, out=ws.pre[t])
+            z += b
+            k = ws.act[t]
+            np.multiply(z, LEAKY_SLOPE, out=k)
+            np.maximum(z, k, out=k)  # leaky ReLU, exact for 0 < slope < 1
+        out = np.empty((n, len(self.slots)))
+        for (e, sel, bus, _), block, head in zip(self.exits, ws.blocks, ws.heads):
+            k = ws.act[e - 1].reshape(n, self.n_buses, self.f)
+            # "clip" writes straight into out, where "raise" stages a copy;
+            # bus holds valid indices either way
+            np.take(k, bus, axis=1, out=block, mode="clip")
+            np.einsum("bsf,sf->bs", block, self.readout_w[sel], out=head)
+            head += self.readout_b[sel]
+            out[:, sel] = head
+        return out
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Per (bus, phase) voltage magnitudes (p.u.) for feature vector(s)."""
+    def forward(self, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
+        """Per (bus, phase) voltage magnitudes (p.u.) for feature vector(s), a
+        fresh array. Scratch arrays come from ``workspace`` (either kind), or
+        from one made for this call."""
         single = np.asarray(x).ndim == 1
-        out, _, _ = self._forward_cached(x)
+        x = np.atleast_2d(x)
+        ws = Workspace(self, len(x), backward=False) if workspace is None else workspace
+        out = self._forward(x, ws.fit(len(x)))
         return out[0] if single else out
 
-    def loss_and_gradients(self, x, targets, out=None):
+    def loss_and_gradients(self, x, targets, out=None, workspace: Workspace | None = None):
         """Summed squared L2 magnitude error over the batch, plus gradients
         aligned with ``parameters()``: views of one array laid out like
-        ``theta`` (``out`` if given). Masked entries get exactly 0."""
+        ``theta`` (``out`` if given). Masked entries get exactly 0. Scratch
+        arrays come from ``workspace`` (a backward one), or from one made
+        for this call."""
         x = np.atleast_2d(x)
         targets = np.atleast_2d(targets)
-        if x.shape[0] == 0:
+        n = len(x)
+        if n == 0:
             raise ValueError("empty batch")
-        y, pre, acts = self._forward_cached(x)
+        ws = Workspace(self, n) if workspace is None else workspace
+        if not ws.backward:
+            raise ValueError("a forward-only workspace cannot hold a backward pass")
+        ws = ws.fit(n)
+        y = self._forward(x, ws)
         diff = y - targets
         loss = float(np.sum(diff * diff))
 
         grad = np.empty_like(self.theta) if out is None else out
         g_w, g_b, g_rw, g_rb = self._views(grad)
         d_out = 2.0 * diff
-        d_acts = [None] + [np.zeros_like(a) for a in acts[1:]]
+        d_act = ws.d_act  # d_act[t]: gradient w.r.t. ws.act[t]
+        for d in d_act:
+            d.fill(0.0)
         np.sum(d_out, axis=0, out=g_rb)
-        for e, sel, bus, passes in self.exits:
-            block = acts[e].reshape(len(x), self.n_buses, self.f)[:, bus]
+        for (e, sel, bus, cell), block, grid in zip(self.exits, ws.blocks, ws.grids):
             g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
-            # the phases of one bus share its block: accumulate in slot order
-            d_slot = d_out[:, sel, None] * self.readout_w[sel]
-            d_block = d_acts[e].reshape(len(x), self.n_buses, self.f)
-            for idx, rank_bus in passes:
-                d_block[:, rank_bus] += d_slot[:, idx]
+            # the gathered block is spent: hold the slots' gradients in its place
+            grid[:, cell] = np.multiply(d_out[:, sel, None], self.readout_w[sel], out=block)
+            # the slots of one bus share its block: add them in rank order;
+            # the grid's empty cells hold +0, which adds nothing to a sum from 0
+            d_block = d_act[e - 1].reshape(n, self.n_buses, self.f)
+            for r in range(self.ranks):
+                d_block += grid.reshape(n, self.n_buses, self.ranks, self.f)[:, :, r]
 
         for t in range(self.plan.depth - 1, -1, -1):
-            d = d_acts[t + 1]
-            d_pre = np.where(pre[t] >= 0, d, LEAKY_SLOPE * d)
-            np.matmul(d_pre.T, acts[t], out=g_w[t])
-            np.sum(d_pre, axis=0, out=g_b[t])
+            d, pre = d_act[t], ws.pre[t]
+            # pre[t] is spent: it takes the leaky ReLU's slope (1 or LEAKY_SLOPE),
+            # then the product that carries the gradient down a layer
+            slope = np.greater_equal(pre, 0, out=pre, casting="unsafe")
+            d *= np.maximum(slope, LEAKY_SLOPE, out=slope)  # now w.r.t. pre[t]
+            np.matmul(d.T, ws.act[t - 1] if t else x, out=g_w[t])
+            np.sum(d, axis=0, out=g_b[t])
             if t:  # nothing reads the input's gradient
-                d_acts[t] += d_pre @ self.weights[t]
+                d_act[t - 1] += np.matmul(d, self.weights[t], out=pre)
         np.multiply(grad, self._mask, out=grad)
         return loss, g_w + g_b + [g_rw, g_rb]
+
+
+class Workspace:
+    """Scratch arrays for passes of ``net`` over up to ``rows`` samples; a
+    pass over n rows works in ``fit(n)``. A ``backward`` workspace keeps a
+    pre-activation, activation and gradient buffer per layer, as
+    ``loss_and_gradients`` needs. A forward-only one, all ``forward``
+    needs, gives its own activation buffer only to layers that feed a
+    readout; the other layers share one, and every layer shares one
+    pre-activation buffer."""
+
+    def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
+        shape = (rows, net.n_buses * net.f)
+        depth = net.plan.depth
+        self.rows = rows
+        self.backward = backward
+        if backward:
+            self.pre, self.act, self.d_act = (
+                [np.empty(shape) for _ in range(depth)] for _ in range(3)
+            )
+            # readout gradients on a (bus, rank) grid whose empty cells stay 0
+            self.grids = [np.zeros((rows, net.n_buses * net.ranks, net.f)) for _ in net.exits]
+        else:
+            self.pre = [np.empty(shape)] * depth
+            self.act = [np.empty(shape)] * depth
+        self.blocks, self.heads = [], []
+        for e, sel, _, _ in net.exits:
+            if not backward:  # a readout's layer keeps its own activation
+                self.act[e - 1] = np.empty(shape)
+            self.blocks.append(np.empty((rows, len(sel), net.f)))
+            self.heads.append(np.empty((rows, len(sel))))
+
+    def fit(self, n: int) -> Workspace:
+        """This workspace for a pass over n rows: itself, or for fewer rows
+        a copy holding the leading-row views ``[:n]``, which are contiguous."""
+        if n > self.rows:
+            raise ValueError(f"{n} rows exceed the workspace's {self.rows}")
+        if n == self.rows:
+            return self
+        cut = object.__new__(Workspace)
+        cut.__dict__ = {name: [a[:n] for a in value] if isinstance(value, list) else value
+                        for name, value in vars(self).items()}
+        cut.rows = n
+        return cut
 
 
 @dataclass
@@ -235,7 +311,8 @@ class TrainConfig:
     def __post_init__(self):
         for name, ok, rule in (("epochs", self.epochs >= 1, ">= 1"),
                                ("batch_size", self.batch_size >= 1, ">= 1"),
-                               ("learning_rate", self.learning_rate >= 0, ">= 0"),
+                               ("learning_rate", 0 <= self.learning_rate < np.inf,
+                                "finite and >= 0"),
                                ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -271,7 +348,11 @@ def train(
     Splits ``features``/``targets`` per ``train_fraction`` with a seeded
     shuffle, trains on the first part, tracks loss on the held-out part,
     and returns the parameters at the best held-out loss. Deterministic
-    per seed. Returns (network, curve, heldout_indices).
+    per seed. Returns (network, curve, heldout_indices). Raises
+    TrainingDiverged once a minibatch loss is not finite.
+
+    All scratch arrays -- the minibatch and held-out workspaces, ADAM's
+    vectors and the best-epoch snapshot -- are allocated once per call.
     """
     config = config or TrainConfig()
     net = MaskedNetwork(plan, model, seed=config.seed)
@@ -281,49 +362,73 @@ def train(
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 
-    # ADAM runs on the live entries of theta only; masked ones stay zero
+    # one workspace for the call: minibatch and held-out passes, and ADAM on
+    # the live entries of theta only (masked ones stay zero), all in place
     live = net.live
     m = np.zeros(len(live))
     v = np.zeros(len(live))
+    g = np.empty(len(live))
+    s = np.empty(len(live))
     grad = np.empty_like(net.theta)
+    rows = min(config.batch_size, len(x_tr))
+    x_batch = np.empty_like(x_tr, shape=(rows,) + x_tr.shape[1:])
+    y_batch = np.empty_like(y_tr, shape=(rows,) + y_tr.shape[1:])
+    step_ws = Workspace(net, rows)
+    val_ws = Workspace(net, len(x_val), backward=False)
     rng = np.random.default_rng(config.seed + 1)
 
     def val_loss():
-        out = net.forward(x_val)
+        out = net.forward(x_val, val_ws)
         return float(np.mean(np.sum((out - y_val) ** 2, axis=1)))
 
-    best = (val_loss(), net.theta.copy())
+    best_loss, best_theta, best_epoch = val_loss(), net.theta.copy(), None
     curve = []
     step = 0
     stale = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(x_tr))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            loss, _ = net.loss_and_gradients(x_tr[batch], y_tr[batch], out=grad)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
-            epoch_loss += loss
-            step += 1
-            g = grad[live] * (1.0 / len(batch))  # per-sample scale so lr is batch-size free
-            m *= config.beta1
-            m += (1 - config.beta1) * g
-            v *= config.beta2
-            v += (1 - config.beta2) * g * g
-            m_hat = m / (1 - config.beta1**step)
-            v_hat = v / (1 - config.beta2**step)
-            net.theta[live] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-        vl = val_loss()
-        curve.append((epoch, epoch_loss / max(len(x_tr), 1), vl))
-        if vl < best[0] - 1e-12:
-            best = (vl, net.theta.copy())
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-    net.theta[:] = best[1]
+    # a diverging run overflows on its way to the non-finite loss that stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(x_tr))
+            epoch_loss = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                xb = np.take(x_tr, batch, axis=0, out=x_batch[: len(batch)], mode="clip")
+                yb = np.take(y_tr, batch, axis=0, out=y_batch[: len(batch)], mode="clip")
+                loss, _ = net.loss_and_gradients(xb, yb, out=grad, workspace=step_ws)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
+                epoch_loss += loss
+                step += 1
+                # ADAM in two scratch vectors, each reused once spent
+                np.take(grad, live, out=g, mode="clip")
+                g *= 1.0 / len(batch)  # per-sample scale so lr is batch-size free
+                m *= config.beta1
+                m += np.multiply(g, 1 - config.beta1, out=s)
+                v *= config.beta2
+                np.multiply(g, 1 - config.beta2, out=s)
+                s *= g
+                v += s
+                m_hat = np.divide(m, 1 - config.beta1**step, out=s)
+                v_hat = np.divide(v, 1 - config.beta2**step, out=g)
+                denom = np.sqrt(v_hat, out=v_hat)
+                denom += config.eps
+                update = np.multiply(m_hat, config.learning_rate, out=m_hat)
+                update /= denom
+                theta_live = np.take(net.theta, live, out=g, mode="clip")
+                theta_live -= update
+                net.theta[live] = theta_live
+            vl = val_loss()
+            curve.append((epoch, epoch_loss / max(len(x_tr), 1), vl))
+            if vl < best_loss - 1e-12:
+                best_loss, best_epoch = vl, epoch
+                np.copyto(best_theta, net.theta)
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+    net.theta[:] = best_theta
+    net.best_epoch, net.best_loss = best_epoch, best_loss
     return net, curve, val_idx
 
 

@@ -34,7 +34,7 @@ from dsse.grid_model import FeederModel
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
 from dsse.measurements import (MeasurementSet, RowEvaluator, jacobian_rows, plan_measurements,
                                row_sigmas, synthesize)  # noqa: F401
-from dsse.network import InputEmbedding, TrainConfig, split_indices, train
+from dsse.network import InputEmbedding, TrainConfig, Workspace, split_indices, train
 from dsse.partitioning import build_mask_plan, count_params, partition_at_pmus
 from dsse.powerflow import (DEFAULT_MAX_ITER, NotConvergedError, StateVector, slack_state,
                             solve_batch, solve_power_flow)  # noqa: F401
@@ -264,13 +264,15 @@ def wls_test_run(model, template, dataset, test_idx, wls_config=None):
 
 
 def nn_test_run(net, dataset, test_idx):
-    """Per-sample forward passes on the test split, individually timed."""
+    """Per-sample forward passes on the test split, individually timed. One
+    workspace serves every sample, as it would a stream of estimates."""
     outs = []
     times = []
+    ws = Workspace(net, 1, backward=False)
     for i in test_idx:
         x = dataset.features[i]
         t0 = time.perf_counter()
-        out = net.forward(x)
+        out = net.forward(x, ws)
         times.append(time.perf_counter() - t0)
         outs.append(out)
     return outs, times

@@ -1,10 +1,12 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from dsse.cli import (
+    EXIT_NON_CONVERGED,
     EXIT_OK,
     EXIT_UNOBSERVABLE,
     EXIT_VALIDATION,
@@ -12,9 +14,9 @@ from dsse.cli import (
 )
 from dsse.fixtures import fixture_path
 from dsse.measurements import plan_measurements, synthesize
-from dsse.network import MaskedNetwork, save_checkpoint
+from dsse.network import MaskedNetwork, evaluate, load_checkpoint, save_checkpoint, split_indices
 from dsse.partitioning import build_mask_plan, partition_at_pmus
-from dsse.pipeline import remove_pseudo_until_unobservable
+from dsse.pipeline import load_dataset, remove_pseudo_until_unobservable
 
 SIX = str(fixture_path("six_bus"))
 
@@ -252,6 +254,16 @@ def test_bad_feeder_is_validation_error(workdir):
     assert code == EXIT_VALIDATION
 
 
+def test_feeder_yaml_syntax_error_is_validation_error(workdir, capsys):
+    bad = workdir / "broken.yaml"
+    bad.write_text("buses: [\n")
+    code = main(["generate", "--feeder", str(bad), "--pmu", "1",
+                 "--out", str(workdir / "x.npz")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot parse") and "Traceback" not in err
+
+
 def test_missing_file_is_validation_error(workdir):
     code = main(["estimate", "--feeder", SIX,
                  "--measurements", str(workdir / "nope.csv"), "--wls"])
@@ -277,7 +289,8 @@ def test_bench_writes_report(workdir, capsys):
 @pytest.mark.parametrize(
     "flag, value, field",
     [("--epochs", "0", "epochs"), ("--batch-size", "0", "batch_size"),
-     ("--learning-rate", "-0.001", "learning_rate"), ("--train-fraction", "1.0", "train_fraction")],
+     ("--learning-rate", "-0.001", "learning_rate"), ("--learning-rate", "inf", "learning_rate"),
+     ("--train-fraction", "1.0", "train_fraction")],
 )
 def test_train_with_an_invalid_setting_is_validation_error(
     workdir, dataset_path, capsys, flag, value, field
@@ -297,3 +310,44 @@ def test_bench_with_zero_epochs_is_validation_error(workdir, capsys):
     assert code == EXIT_VALIDATION
     assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_divergence_is_non_convergence(workdir, dataset_path, capsys):
+    out = workdir / "net_diverged.npz"
+    code = main(["train", "--feeder", SIX, "--dataset", str(dataset_path), "--out", str(out),
+                 "--learning-rate", "1e300", "--epochs", "5"])
+    assert code == EXIT_NON_CONVERGED
+    err = capsys.readouterr().err
+    assert err.startswith("NON_CONVERGED: training diverged: loss became")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("rate, code", [("1e300", EXIT_NON_CONVERGED), ("inf", EXIT_VALIDATION)])
+def test_bench_with_a_diverging_learning_rate(workdir, capsys, rate, code):
+    out = workdir / f"bench_lr_{rate}"
+    assert main(["bench", "--feeder", SIX, "--pmu", "4", "--out", str(out), "--samples", "40",
+                 "--epochs", "5", "--learning-rate", rate]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("NON_CONVERGED: training diverged" if code == EXIT_NON_CONVERGED
+                          else "error: learning_rate must be finite")
+    assert not out.exists()
+
+
+def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
+    out = workdir / "net_early.npz"
+    patience = 3
+    code = main(["train", "--feeder", SIX, "--dataset", str(dataset_path), "--out", str(out),
+                 "--epochs", "200", "--patience", str(patience), "--learning-rate", "1e-2",
+                 "--batch-size", "32", "--seed", "1"])
+    assert code == EXIT_OK
+    found = re.fullmatch(r"trained p2n2 for (\d+) epochs; checkpoint .+ holds epoch (\d+) "
+                         r"\(0 is the initialisation\), held-out loss (\S+)\n",
+                         capsys.readouterr().out)
+    ran, kept, loss = int(found[1]), int(found[2]), found[3]
+    assert ran < 200 and kept == ran - patience  # early stopping fired; the best came earlier
+    # the printed loss is the checkpoint's held-out loss, not the last epoch's
+    ds = load_dataset(dataset_path, six_bus)
+    _, val_idx = split_indices(len(ds), 0.9, 1)
+    plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, list(ds.pmu_buses)), block_width=8)
+    net = load_checkpoint(out, plan, six_bus)
+    assert loss == f"{evaluate(net, ds.features[val_idx], ds.v_true_pu[val_idx]).nu:.6e}"

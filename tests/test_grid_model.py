@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dsse.fixtures import fixture_path
 from dsse.grid_model import (
+    SAFE_LOADER,
     FeederParseError,
     FeederValidationError,
     PhaseSet,
@@ -193,6 +196,21 @@ class TestIngestion:
         path = tmp_path / "copy.yaml"
         dump_feeder(six_bus, path)
         assert load_feeder(path) == six_bus
+
+    @pytest.mark.parametrize("name", ["six_bus", "thirteen_bus"])
+    def test_libyaml_loader_matches_python_loader(self, name, tmp_path):
+        if yaml.__with_libyaml__:
+            assert SAFE_LOADER is yaml.CSafeLoader
+        dumped = tmp_path / "dumped.yaml"
+        dump_feeder(load_feeder(fixture_path(name)), dumped)
+        for text in (fixture_path(name).read_text(), dumped.read_text()):
+            assert yaml.load(text, Loader=SAFE_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_yaml_syntax_error_is_parse_error(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("buses: [\n")
+        with pytest.raises(FeederParseError, match="cannot parse"):
+            load_feeder(bad)
 
 
 class TestDerivedStructure:

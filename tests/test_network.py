@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import resource
+import statistics
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from dsse.network import (
     MaskedNetwork,
     TemplateMismatchError,
     TrainConfig,
+    TrainingDiverged,
+    Workspace,
     embed_input,
     evaluate,
     load_checkpoint,
@@ -382,7 +386,8 @@ class TestTraining:
     @pytest.mark.parametrize(
         "field, value",
         [("epochs", 0), ("epochs", -1), ("batch_size", 0), ("learning_rate", -1e-3),
-         ("learning_rate", float("nan")), ("train_fraction", 0.0), ("train_fraction", 1.0),
+         ("learning_rate", float("nan")), ("learning_rate", float("inf")),
+         ("train_fraction", 0.0), ("train_fraction", 1.0),
          ("train_fraction", 1.5)],
     )
     def test_config_rejects_out_of_range_field(self, field, value):
@@ -394,6 +399,139 @@ class TestTraining:
         with pytest.raises(ValueError):
             train(plan, six_bus, np.zeros((1, 6 * INPUT_CHANNELS)),
                   np.zeros((1, six_bus.n_slots)), TrainConfig(epochs=1))
+
+    def test_kept_parameters_are_the_best_epochs(self, six_bus):
+        model = six_bus
+        pmu = [model.bus_by_label(4)]
+        ds = generate_dataset(model, plan_measurements(model, pmu),
+                              LoadProfileConfig(samples=200, seed=5), pmu)
+        config = TrainConfig(epochs=200, patience=3, learning_rate=1e-2, batch_size=32, seed=1)
+        net, curve, val_idx = train(make_plan(model, pmu, 8), model, ds.features, ds.v_true_pu,
+                                    config)
+        assert len(curve) < config.epochs  # early stopping fired
+        # the last `patience` epochs did not improve, so the last one is not kept
+        assert net.best_epoch == len(curve) - 1 - config.patience
+        assert net.best_loss == curve[net.best_epoch][2]
+        assert all(vl >= net.best_loss - 1e-12 for _, _, vl in curve[net.best_epoch + 1 :])
+        held_out = evaluate(net, ds.features[val_idx], ds.v_true_pu[val_idx])
+        assert held_out.nu == net.best_loss
+
+    def test_untrained_keeps_initialisation_as_best(self, six_bus):
+        plan = make_plan(six_bus, [3], 2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (30, 6 * INPUT_CHANNELS))
+        y = rng.normal(1, 0.05, (30, six_bus.n_slots))
+        net, curve, _ = train(plan, six_bus, x, y, TrainConfig(learning_rate=0.0, epochs=3))
+        assert net.best_epoch is None
+        assert net.best_loss == curve[0][2]  # unchanged parameters, unchanged loss
+
+    def test_divergence_raises_training_diverged(self, six_bus):
+        # pytest turns RuntimeWarning into an error: the overflow on the way
+        # must not surface before the trainer's own finite-loss check
+        plan = make_plan(six_bus, [3], 2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (60, 6 * INPUT_CHANNELS))
+        y = rng.normal(1, 0.05, (60, six_bus.n_slots))
+        config = TrainConfig(learning_rate=1e300, epochs=20, batch_size=16)
+        with pytest.raises(TrainingDiverged, match="loss became"):
+            train(plan, six_bus, x, y, config)
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class TestWorkspace:
+    """One set of scratch arrays serves every pass over up to its row count."""
+
+    @pytest.fixture
+    def net13(self, thirteen_bus):
+        return MaskedNetwork(make_plan(thirteen_bus, [0, 11], 8), thirteen_bus, seed=6)
+
+    def data(self, net, rows, seed=4):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(0, 1, (rows, net.weights[0].shape[1])),
+                rng.normal(1, 0.1, (rows, len(net.slots))))
+
+    def test_interleaved_batch_sizes_match_reference_bytewise(self, net13):
+        ws = Workspace(net13, 300)
+        forward_ws = Workspace(net13, 300, backward=False)
+        grad = np.empty_like(net13.theta)
+        for rows in (64, 44, 300, 44, 64):
+            x, y = self.data(net13, rows, seed=rows)
+            loss, grads = net13.loss_and_gradients(x, y, out=grad, workspace=ws)
+            ref_loss, ref_grads = oracles.reference_loss_and_gradients(net13, x, y)
+            assert loss == ref_loss
+            for g, ref in zip(grads, ref_grads, strict=True):
+                assert g.tobytes() == ref.tobytes()
+            ref_out = oracles.reference_forward(net13, x)[0].tobytes()
+            assert net13.forward(x, forward_ws).tobytes() == ref_out
+            assert net13.forward(x, ws).tobytes() == ref_out
+
+    def test_held_outputs_survive_later_calls(self, net13):
+        ws = Workspace(net13, 64)
+        x, y = self.data(net13, 64)
+        out = net13.forward(x, ws)
+        loss, grads = net13.loss_and_gradients(x, y, workspace=ws)
+        held = [out.copy()] + [g.copy() for g in grads]
+        x2, y2 = self.data(net13, 64, seed=9)
+        net13.forward(x2, ws)
+        net13.loss_and_gradients(x2, y2, workspace=ws)
+        net13.loss_and_gradients(x2[:10], y2[:10], out=np.empty_like(net13.theta), workspace=ws)
+        for now, then in zip([out] + grads, held, strict=True):
+            assert now.tobytes() == then.tobytes()
+        assert not np.shares_memory(out, net13.forward(x, ws))
+
+    def test_misfit_workspace_rejected(self, net13):
+        x, y = self.data(net13, 10)
+        with pytest.raises(ValueError, match="10 rows exceed the workspace's 8"):
+            net13.forward(x, Workspace(net13, 8))
+        with pytest.raises(ValueError, match="forward-only workspace"):
+            net13.loss_and_gradients(x, y, workspace=Workspace(net13, 10, backward=False))
+
+    # An array of 128 KiB or more comes from a fresh mmap, whose pages fault in
+    # one by one as they are first written (a 300-row, 104-wide layer is 61
+    # pages), so a pass that allocated one per layer would fault hundreds of
+    # times. A warmed-up workspace pass allocates none and faults (almost) never.
+
+    def test_warm_passes_fault_in_no_pages(self, net13):
+        ws = Workspace(net13, 64)
+        forward_ws = Workspace(net13, 300, backward=False)
+        grad = np.empty_like(net13.theta)
+        x, y = self.data(net13, 300)
+
+        def passes():
+            for rows in (64, 44):
+                net13.loss_and_gradients(x[:rows], y[:rows], out=grad, workspace=ws)
+            net13.forward(x, forward_ws)
+
+        passes()
+        before = minor_faults()
+        for _ in range(20):
+            passes()
+        assert minor_faults() - before < 20
+
+    def test_warm_training_epochs_fault_in_few_pages(self, thirteen_bus):
+        # the workload shape: 600 samples, half held out, 64-row minibatches.
+        # The difference of two run lengths leaves out the per-call set-up,
+        # whose faults vary by a few hundred; medians of three and a 40-epoch
+        # difference keep that variation under 10 per epoch
+        plan = make_plan(thirteen_bus, [0, 11], 8)
+        rng = np.random.default_rng(5)
+        x = rng.normal(0, 1, (600, 13 * INPUT_CHANNELS))
+        y = rng.normal(1, 0.05, (600, thirteen_bus.n_slots))
+
+        def faults(epochs):
+            config = TrainConfig(epochs=epochs, patience=epochs + 1, train_fraction=0.5,
+                                 learning_rate=3e-3)
+            before = minor_faults()
+            train(plan, thirteen_bus, x, y, config)
+            return minor_faults() - before
+
+        faults(2)
+        short = statistics.median(faults(2) for _ in range(3))
+        long = statistics.median(faults(42) for _ in range(3))
+        assert (long - short) / 40 < 20
 
 
 class TestEvaluate:
