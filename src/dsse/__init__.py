@@ -17,7 +17,6 @@ from dsse.grid_model import (
 )
 from dsse.powerflow import PowerFlowResult, StateVector, solve_power_flow, voltage_magnitudes
 from dsse.measurements import (
-    Measurement,
     MeasurementSet,
     jacobian_rows,
     measurement_function,

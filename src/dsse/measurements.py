@@ -15,6 +15,10 @@ Measurement taxonomy and default accuracy classes:
 "Maximum error" converts to a Gaussian sigma as max/3 (3-sigma coverage).
 Injection rows use the load convention: positive value = power consumed at
 the bus, so a load bus's P row equals its active demand.
+
+A template is a ``MeasurementSet``: read-only columns, one entry per row,
+which ``plan_measurements`` and ``read_csv`` build directly; there are no
+per-row objects. A realized set shares its template's columns.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,31 +52,6 @@ ZERO_INJECTION_MAX_ERROR = 1e-5
 SIGMA_FLOOR_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class NoiseClass:
-    kind: str  # pmu_voltage | pmu_current | smart_meter_power | pseudo_power | zero_injection
-    max_error: float
-
-    def __post_init__(self):
-        if self.max_error <= 0:
-            raise ValueError("max_error must be positive")
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One row: built to construct a set, or read back from one."""
-
-    kind: str  # v_real | v_imag | i_real | i_imag | p_injection | q_injection
-    locus: int  # bus index, or branch index for current kinds
-    phase: str
-    noise: NoiseClass
-    value: float | None = None
-    variance: float | None = None
-
-    def key(self):
-        return (self.kind, self.locus, self.phase, self.noise.kind, self.noise.max_error)
-
-
 def _column(data, dtype) -> np.ndarray:
     col = np.array(data, dtype=dtype)
     col.flags.writeable = False
@@ -83,26 +61,28 @@ def _column(data, dtype) -> np.ndarray:
 class MeasurementSet:
     """Ordered measurement rows plus the diagonal covariance they induce.
 
-    The rows are stored as read-only columns, built once: ``code`` (kind
-    code), ``locus``, ``phase``, ``noise_kind`` and ``max_error``, plus the
-    ``values()`` and ``variances()`` arrays, NaN where unset. Realized sets from
-    ``with_values`` share the template's columns, digest and ``compiled`` record.
+    The rows are read-only columns: ``code`` (kind code), ``locus`` (bus, or
+    branch for current rows), ``phase``, ``noise_kind`` and ``max_error``, plus
+    the ``values()`` and ``variances()`` arrays, NaN where unset. Realized sets
+    from ``with_values`` share the template's columns, digest and ``compiled`` record.
     """
 
-    def __init__(self, rows):
-        rows = list(rows)
-        unknown = {m.kind for m in rows} - KIND_CODE.keys()
+    def __init__(self, kind, locus, phase, noise_kind, max_error, values=None, variances=None):
+        unknown = set(kind) - KIND_CODE.keys()
         if unknown:
             raise ValueError(f"unknown measurement kind {min(unknown)!r}")
-        self.code = _column([KIND_CODE[m.kind] for m in rows], int)
-        self.locus = _column([m.locus for m in rows], int)
-        self.phase = _column([m.phase for m in rows], str)
-        self.noise_kind = _column([m.noise.kind for m in rows], str)
-        self.max_error = _column([m.noise.max_error for m in rows], float)
-        self._values = _column([np.nan if m.value is None else m.value for m in rows], float)
-        self._variances = _column(
-            [np.nan if m.variance is None else m.variance for m in rows], float
-        )
+        self.code = _column([KIND_CODE[k] for k in kind], int)
+        self.locus = _column(locus, int)
+        self.phase = _column(phase, str)
+        self.noise_kind = _column(noise_kind, str)
+        self.max_error = _column(max_error, float)
+        nan = np.full(len(self.code), np.nan)
+        self._values = _column(nan if values is None else values, float)
+        self._variances = _column(nan if variances is None else variances, float)
+        if {c.shape for c in vars(self).values()} != {self.code.shape}:
+            raise ValueError("measurement columns differ in length")
+        if not (self.max_error > 0).all():
+            raise ValueError("max_error must be positive")
         self._digest = None
         self._compiled = []  # [model, record]; with_values sets share it
 
@@ -115,20 +95,6 @@ class MeasurementSet:
             [_KINDS[c] for c in self.code.tolist()], self.locus.tolist(), self.phase.tolist(),
             self.noise_kind.tolist(), self.max_error.tolist(),
         )
-
-    def __iter__(self):
-        """Frozen row views, rebuilt from the columns."""
-        for (kind, locus, phase, noise, max_error), v, s2 in zip(
-            self._keys(), self._values.tolist(), self._variances.tolist()
-        ):
-            yield Measurement(
-                kind, locus, phase, NoiseClass(noise, max_error),
-                None if math.isnan(v) else v, None if math.isnan(s2) else s2,
-            )
-
-    @property
-    def rows(self) -> list:
-        return list(self)
 
     def values(self) -> np.ndarray:
         return self._values
@@ -165,7 +131,8 @@ class MeasurementSet:
         return self._replace(_values=values, _variances=variances, _digest=self.signature())
 
     def select(self, keep) -> "MeasurementSet":
-        """The rows where the boolean mask ``keep`` is true, in order."""
+        """The rows ``keep`` picks, a boolean mask or an index array (which
+        may repeat or reorder rows), in its order."""
         cols = {k: _column(c[keep], c.dtype) for k, c in vars(self).items()
                 if k not in ("_digest", "_compiled")}
         return self._replace(**cols, _digest=None, _compiled=[])
@@ -177,12 +144,11 @@ class MeasurementSet:
     def write_csv(self, fh):
         w = csv.writer(fh)
         w.writerow(["kind", "locus", "phase", "noise_class", "max_error", "value", "variance"])
-        for m in self:
-            w.writerow(
-                [m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error),
-                 "" if m.value is None else repr(m.value),
-                 "" if m.variance is None else repr(m.variance)]
-            )
+        for (kind, locus, phase, noise, max_error), v, s2 in zip(
+            self._keys(), self._values.tolist(), self._variances.tolist()
+        ):
+            w.writerow([kind, locus, phase, noise, repr(max_error),
+                        "" if math.isnan(v) else repr(v), "" if math.isnan(s2) else repr(s2)])
 
     @staticmethod
     def load(path) -> "MeasurementSet":
@@ -191,15 +157,20 @@ class MeasurementSet:
 
     @staticmethod
     def read_csv(fh) -> "MeasurementSet":
-        """Rows from ``write_csv`` text; the value and variance columns may be absent."""
+        """Rows from ``write_csv`` text. Only the value and variance cells may
+        be blank or absent; any other blank or absent cell is a ValueError."""
+        recs = list(csv.DictReader(fh))
+
+        def column(name, cast=str, blank=None):
+            cells = [rec.get(name) or blank for rec in recs]
+            if None in cells:
+                raise ValueError(f"measurement row {cells.index(None)} has no {name!r} cell")
+            return [cast(c) for c in cells]
+
         return MeasurementSet(
-            Measurement(
-                rec["kind"], int(rec["locus"]), rec["phase"],
-                NoiseClass(rec["noise_class"], float(rec["max_error"])),
-                float(rec["value"]) if rec.get("value") else None,
-                float(rec["variance"]) if rec.get("variance") else None,
-            )
-            for rec in csv.DictReader(fh)
+            column("kind"), column("locus", int), column("phase"), column("noise_class"),
+            column("max_error", float), column("value", float, "nan"),
+            column("variance", float, "nan"),
         )
 
 
@@ -227,31 +198,28 @@ def plan_measurements(
     if not metered <= load_buses:
         raise ValueError(f"metered buses {sorted(metered - load_buses)} carry no load")
 
-    rows = []
+    cols = kind, locus, phase, noise_kind, max_error = [], [], [], [], []
 
-    def add(kinds, locus, phases, noise):
-        rows.extend(Measurement(k, locus, p, noise) for p in phases for k in kinds)
+    def add(kinds, at, phases, noise, error):
+        kind.extend(kinds * len(phases))
+        phase.extend(p for p in phases for _ in kinds)
+        for col, x in ((locus, at), (noise_kind, noise), (max_error, error)):
+            col.extend([x] * len(kinds) * len(phases))
 
-    pmu_v = NoiseClass("pmu_voltage", PMU_MAG_MAX_ERROR)
-    pmu_i = NoiseClass("pmu_current", PMU_MAG_MAX_ERROR)
     for b in pmu_buses:
-        add((V_REAL, V_IMAG), b, model.buses[b].phases, pmu_v)
+        add((V_REAL, V_IMAG), b, model.buses[b].phases, "pmu_voltage", PMU_MAG_MAX_ERROR)
     # every branch incident to a PMU bus, once, in first-seen order
     branches = {br.index: br for b in pmu_buses for br in model.branches_at(b)}
     for br in branches.values():
-        add((I_REAL, I_IMAG), br.index, br.phases, pmu_i)
+        add((I_REAL, I_IMAG), br.index, br.phases, "pmu_current", PMU_MAG_MAX_ERROR)
     for ld in sorted(model.loads, key=lambda l: l.bus):
-        noise = (
-            NoiseClass("smart_meter_power", SMART_METER_MAX_ERROR)
-            if ld.bus in metered
-            else NoiseClass("pseudo_power", pseudo_noise)
-        )
-        add((P_INJ, Q_INJ), ld.bus, sorted(ld.power), noise)
-    zi = NoiseClass("zero_injection", ZERO_INJECTION_MAX_ERROR)
+        noise = (("smart_meter_power", SMART_METER_MAX_ERROR) if ld.bus in metered
+                 else ("pseudo_power", pseudo_noise))
+        add((P_INJ, Q_INJ), ld.bus, sorted(ld.power), *noise)
     for bus in model.buses:
         if bus.kind == "zero_injection":
-            add((P_INJ, Q_INJ), bus.index, bus.phases, zi)
-    return MeasurementSet(rows)
+            add((P_INJ, Q_INJ), bus.index, bus.phases, "zero_injection", ZERO_INJECTION_MAX_ERROR)
+    return MeasurementSet(*cols)
 
 
 # -- h(x) and its Jacobian -------------------------------------------------
@@ -281,14 +249,22 @@ class RowEvaluator:
         branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
         self.power = code >= KIND_CODE[P_INJ]
         self.imag = code % 2 == 1
+        # each row's slot, or branch-phase index for a branch row
+        index = []
+        for r, (n, p, b) in enumerate(
+            zip(template.locus.tolist(), template.phase.tolist(), branch.tolist())
+        ):
+            try:
+                index.append(model.branch_phase_index(n, p) if b else model.slot_index(n, p))
+            except KeyError:
+                raise ValueError(f"measurement row {r} ({_KINDS[code[r]]}, locus {n}, "
+                                 f"phase {p}) is not on the feeder") from None
+        index = np.array(index, dtype=int)
         # the row's own bus slot (0, unused, for branch rows)
-        loci = list(zip(template.locus.tolist(), template.phase.tolist(), branch.tolist()))
-        self.slot = np.array([0 if b else model.slot_index(n, p) for n, p, b in loci], dtype=int)
+        self.slot = np.where(branch, 0, index)
         self.own_slot = (self.slot[:, None] == np.arange(model.n_slots)).astype(float)
         self.C = np.where(self.power[:, None], model.ybus[self.slot], self.own_slot)
-        self.C[branch] = model.branch_current[
-            [model.branch_phase_index(n, p) for n, p, b in loci if b]
-        ]
+        self.C[branch] = model.branch_current[index[branch]]
 
     def h(self, state: StateVector) -> np.ndarray:
         """h at one state (BLAS product), or per row of states with (M, n_slots)

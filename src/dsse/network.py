@@ -131,7 +131,8 @@ class MaskedNetwork:
         self._spans = [(end - p.size, end, p.shape) for p, end in zip(params, ends)]
         self.theta = np.concatenate([p.ravel() for p in params])
         self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
-        self._mask = np.concatenate([m.ravel() for m in self.parameter_masks()])
+        # float, so that masking a gradient casts nothing
+        self._mask = np.concatenate([m.ravel() for m in self.parameter_masks()]).astype(float)
         self.live = np.flatnonzero(self._mask)
 
     # -- parameter plumbing ------------------------------------------------

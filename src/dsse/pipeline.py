@@ -203,7 +203,8 @@ def remove_pseudo_until_unobservable(
 ) -> tuple[MeasurementSet, int]:
     """Drop pseudo P/Q rows (highest bus first) until ``check_observable``,
     the test WLS applies, rejects the template; returns the reduced template
-    and the removal count."""
+    and the removal count. A template that stays observable without any
+    pseudo row (none to remove, say) is a ``ValueError``."""
     x0 = slack_state(model)
     pseudo = template.noise_kind == "pseudo_power"
     loci = set(zip(template.locus[pseudo].tolist(), template.phase[pseudo].tolist()))
@@ -215,7 +216,10 @@ def remove_pseudo_until_unobservable(
             check_observable(model, reduced, jacobian_rows(model, x0, reduced))
         except UnobservableError:
             return reduced, len(template) - len(reduced)
-    raise RuntimeError("removing every pseudo row did not break observability")
+    cause = (f"it stays observable with all {int(pseudo.sum())} pseudo rows removed"
+             if pseudo.any() else "it has no pseudo rows")
+    raise ValueError(f"cannot make the template unobservable: {cause}; "
+                     "meter fewer loads or place fewer PMUs")
 
 
 def scenario_template(model: FeederModel, scenario: Scenario) -> tuple[MeasurementSet, int]:

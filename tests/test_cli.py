@@ -108,6 +108,30 @@ def test_estimate_unobservable_exit_code(workdir, six_bus, six_bus_pf):
     assert code == EXIT_UNOBSERVABLE
 
 
+def test_generate_unobservable_without_pseudo_rows_is_validation_error(workdir, capsys):
+    # every load metered: there is no pseudo row to remove
+    code = main(["generate", "--feeder", SIX, "--pmu", "4", "--metered", "2", "3", "5", "6",
+                 "--unobservable", "--samples", "5", "--out", str(workdir / "x.npz")])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "cannot make the template unobservable: it has no pseudo rows" in err
+
+
+def test_estimate_row_off_the_feeder_is_validation_error(workdir, six_bus, six_bus_pf, capsys):
+    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
+    zpath = workdir / "z_bus99.csv"
+    z.save(zpath)
+    lines = zpath.read_text().splitlines()
+    cells = lines[1].split(",")
+    assert cells[:3] == ["v_real", "3", "A"]
+    lines[1] = ",".join(["v_real", "99", *cells[2:]])
+    zpath.write_text("\n".join(lines) + "\n")
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath), "--wls"])
+    assert code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "measurement row 0 (v_real, locus 99, phase A) is not on the feeder" in err
+
+
 def test_estimate_template_mismatch_is_validation_error(
     workdir, checkpoint_path, six_bus, six_bus_pf
 ):

@@ -1,4 +1,4 @@
-import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -12,8 +12,8 @@ from dsse.measurements import (
     Q_INJ,
     V_IMAG,
     V_REAL,
+    KIND_CODE,
     MeasurementSet,
-    NoiseClass,
     RowEvaluator,
     ZERO_INJECTION_MAX_ERROR,
     jacobian_rows,
@@ -47,18 +47,18 @@ def feeder_case(request):
 class TestPlan:
     def test_six_bus_pmu_rows(self, six_bus, six_plan):
         pmu = six_bus.bus_by_label(4)
-        v_rows = [m for m in six_plan if m.kind in (V_REAL, V_IMAG)]
-        assert {m.locus for m in v_rows} == {pmu}
-        assert len(v_rows) == 6  # three phases, real+imag
-        i_rows = [m for m in six_plan if m.kind in (I_REAL, I_IMAG)]
+        v_rows = np.isin(six_plan.code, [KIND_CODE[V_REAL], KIND_CODE[V_IMAG]])
+        assert set(six_plan.locus[v_rows].tolist()) == {pmu}
+        assert v_rows.sum() == 6  # three phases, real+imag
+        i_rows = np.isin(six_plan.code, [KIND_CODE[I_REAL], KIND_CODE[I_IMAG]])
         touched = {
             frozenset(
                 {
-                    six_bus.branches[m.locus].from_bus,
-                    six_bus.branches[m.locus].to_bus,
+                    six_bus.branches[locus].from_bus,
+                    six_bus.branches[locus].to_bus,
                 }
             )
-            for m in i_rows
+            for locus in six_plan.locus[i_rows].tolist()
         }
         assert touched == {
             frozenset({six_bus.bus_by_label(3), pmu}),
@@ -67,12 +67,12 @@ class TestPlan:
         }
 
     def test_six_bus_row_classes(self, six_bus, six_plan):
-        pseudo = [m for m in six_plan if m.noise.kind == "pseudo_power"]
-        zero = [m for m in six_plan if m.noise.kind == "zero_injection"]
+        pseudo = six_plan.noise_kind == "pseudo_power"
+        zero = six_plan.noise_kind == "zero_injection"
         # four three-phase load buses, P+Q each phase
-        assert len(pseudo) == 4 * 3 * 2
+        assert pseudo.sum() == 4 * 3 * 2
         # one three-phase zero-injection bus
-        assert len(zero) == 6
+        assert zero.sum() == 6
         assert len(six_plan) == 6 + 18 + 24 + 6
 
     def test_thirteen_bus_row_count_oracle(self, thirteen_bus):
@@ -91,8 +91,8 @@ class TestPlan:
             if bus.kind == "zero_injection":
                 expected += 2 * len(bus.phases)
         assert len(plan) == expected
-        smart = [r for r in plan if r.noise.kind == "smart_meter_power"]
-        assert {r.locus for r in smart} == set(metered)
+        smart = plan.noise_kind == "smart_meter_power"
+        assert set(plan.locus[smart].tolist()) == set(metered)
 
     def test_minimal_plan(self):
         m = feeder_from_dict(
@@ -109,7 +109,7 @@ class TestPlan:
         )
         plan = plan_measurements(m, [0])
         # only bus 1's PMU voltage rows and the incident branch current rows
-        assert [r.kind for r in plan] == [V_REAL, V_IMAG, I_REAL, I_IMAG]
+        assert [key[0] for key in plan._keys()] == [V_REAL, V_IMAG, I_REAL, I_IMAG]
 
     def test_rejects_bad_inputs(self, six_bus):
         with pytest.raises(ValueError):
@@ -152,8 +152,8 @@ class TestPlan:
         assert template.select(np.ones(len(template), bool)).signature() == digest
 
     def test_rows_read_only(self, six_plan):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            six_plan.rows[0].variance = 0.0
+        with pytest.raises(ValueError):
+            six_plan.max_error[0] = 0.0
         with pytest.raises(ValueError):
             six_plan.values()[0] = 1.0
         with pytest.raises(ValueError, match="expected 54"):
@@ -169,56 +169,105 @@ class TestPlan:
         assert np.array_equal(back.variances(), realized.variances())
 
 
+class TestColumns:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown measurement kind 'v_abs'"):
+            MeasurementSet([V_REAL, "v_abs"], [0, 0], ["A", "A"], ["pmu_voltage"] * 2, [0.01] * 2)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            MeasurementSet([V_REAL], [0, 0], ["A"], ["pmu_voltage"], [0.01])
+        with pytest.raises(ValueError, match="differ in length"):
+            MeasurementSet([V_REAL], [0], ["A"], ["pmu_voltage"], [0.01], values=[1.0, 2.0])
+
+    @pytest.mark.parametrize("column", ["kind", "locus", "phase", "noise_class", "max_error"])
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_read_csv_requires_every_structure_cell(self, six_plan, column, absent):
+        buf = io.StringIO()
+        six_plan.write_csv(buf)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()]
+        at = rows[0].index(column)
+        if absent:  # no such column
+            rows = [cells[:at] + cells[at + 1:] for cells in rows]
+        else:
+            rows[3][at] = ""
+        text = "\n".join(",".join(cells) for cells in rows)
+        with pytest.raises(ValueError, match=f"row {0 if absent else 2} has no '{column}' cell"):
+            MeasurementSet.read_csv(io.StringIO(text))
+
+    def test_read_csv_value_cells_may_be_blank_or_absent(self, six_bus, six_plan, six_bus_pf):
+        realized = synthesize(six_plan, six_bus_pf.state, six_bus, 3)
+        buf = io.StringIO()
+        realized.write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:5])  # no value or variance cell
+        lines[2] = ",".join(lines[2].split(",")[:5] + ["", ""])
+        back = MeasurementSet.read_csv(io.StringIO("\n".join(lines)))
+        assert back.signature() == six_plan.signature()
+        assert np.isnan(back.values()[:2]).all() and np.isnan(back.variances()[:2]).all()
+        assert np.array_equal(back.values()[2:], realized.values()[2:])
+
+    @pytest.mark.parametrize(
+        "kind, locus, phase", [(V_REAL, 99, "A"), (V_IMAG, 0, "D"), (I_REAL, 99, "B")]
+    )
+    def test_row_off_the_feeder_named(self, six_bus, kind, locus, phase):
+        z = MeasurementSet([V_REAL, V_IMAG, kind], [0, 0, locus], ["A", "A", phase],
+                           ["pmu_voltage"] * 3, [0.01] * 3)
+        named = rf"row 2 \({kind}, locus {locus}, phase {phase}\) is not on the feeder"
+        with pytest.raises(ValueError, match=named):
+            RowEvaluator(six_bus, z)
+
+
 class TestMeasurementFunction:
     def test_voltage_rows_project_state(self, six_bus, six_plan, six_bus_pf):
         h = measurement_function(six_bus, six_bus_pf.state, six_plan)
-        for r, m in enumerate(six_plan):
-            if m.kind == V_REAL:
+        for r, (kind, locus, phase, _, _) in enumerate(six_plan._keys()):
+            if kind == V_REAL:
                 assert h[r] == six_bus_pf.state.values[
-                    six_bus.slot_index(m.locus, m.phase)
+                    six_bus.slot_index(locus, phase)
                 ].real
-            elif m.kind == V_IMAG:
+            elif kind == V_IMAG:
                 assert h[r] == six_bus_pf.state.values[
-                    six_bus.slot_index(m.locus, m.phase)
+                    six_bus.slot_index(locus, phase)
                 ].imag
 
     def test_injection_rows_zero_on_flat_zero_load_state(self, six_bus, six_plan):
         h = measurement_function(six_bus, slack_state(six_bus), six_plan)
-        for r, m in enumerate(six_plan):
-            if m.kind in (P_INJ, Q_INJ):
+        for r, (kind, *_) in enumerate(six_plan._keys()):
+            if kind in (P_INJ, Q_INJ):
                 assert abs(h[r]) < 1e-6
 
     def test_injection_rows_equal_loads_consumption_positive(self, feeder_case):
         model, plan, pf = feeder_case
         h = measurement_function(model, pf.state, plan)
-        for r, m in enumerate(plan):
-            if m.kind not in (P_INJ, Q_INJ):
+        for r, (kind, locus, phase, _, _) in enumerate(plan._keys()):
+            if kind not in (P_INJ, Q_INJ):
                 continue
-            load = model.loads_by_bus.get(m.locus)
-            s = load.power.get(m.phase, 0.0) if load else 0.0
-            want = s.real if m.kind == P_INJ else s.imag
+            load = model.loads_by_bus.get(locus)
+            s = load.power.get(phase, 0.0) if load else 0.0
+            want = s.real if kind == P_INJ else s.imag
             assert h[r] == pytest.approx(want, abs=1e-2)
 
     def test_current_rows_match_power_flow(self, feeder_case):
         model, plan, pf = feeder_case
         h = measurement_function(model, pf.state, plan)
-        for r, m in enumerate(plan):
-            if m.kind not in (I_REAL, I_IMAG):
+        for r, (kind, locus, phase, _, _) in enumerate(plan._keys()):
+            if kind not in (I_REAL, I_IMAG):
                 continue
-            br = model.branches[m.locus]
-            i_true = pf.branch_currents[br.index][br.phases.index(m.phase)]
-            want = i_true.real if m.kind == I_REAL else i_true.imag
+            br = model.branches[locus]
+            i_true = pf.branch_currents[br.index][br.phases.index(phase)]
+            want = i_true.real if kind == I_REAL else i_true.imag
             assert h[r] == pytest.approx(want, abs=1e-6)
 
 
 class TestJacobian:
     def test_voltage_rows_are_unit_vectors(self, six_bus, six_plan, six_bus_pf):
         H = jacobian_rows(six_bus, six_bus_pf.state, six_plan)
-        for r, m in enumerate(six_plan):
-            if m.kind in (V_REAL, V_IMAG):
-                s = six_bus.slot_index(m.locus, m.phase)
+        for r, (kind, locus, phase, _, _) in enumerate(six_plan._keys()):
+            if kind in (V_REAL, V_IMAG):
+                s = six_bus.slot_index(locus, phase)
                 want = np.zeros(H.shape[1])
-                want[2 * s + (m.kind == V_IMAG)] = 1.0
+                want[2 * s + (kind == V_IMAG)] = 1.0
                 assert np.array_equal(H[r], want)
 
     def test_current_rows_are_state_independent(self, six_bus, six_plan):
@@ -227,8 +276,8 @@ class TestJacobian:
         x2 = StateVector.from_rect(rng.normal(0, 2400, 36))
         H1 = jacobian_rows(six_bus, x1, six_plan)
         H2 = jacobian_rows(six_bus, x2, six_plan)
-        for r, m in enumerate(six_plan):
-            if m.kind in (I_REAL, I_IMAG):
+        for r, (kind, *_) in enumerate(six_plan._keys()):
+            if kind in (I_REAL, I_IMAG):
                 assert np.array_equal(H1[r], H2[r])
 
     def test_matches_finite_differences(self, feeder_case):
@@ -265,7 +314,8 @@ class TestSynthesis:
         h = measurement_function(six_bus, six_bus_pf.state, six_plan)
         sig = row_sigmas(six_bus, six_plan, h)
         r = next(
-            i for i, m in enumerate(six_plan) if m.kind == V_REAL and m.phase == "A"
+            i for i, (kind, _, phase, _, _) in enumerate(six_plan._keys())
+            if kind == V_REAL and phase == "A"
         )
         mag = abs(complex(h[r], h[r + 1]))
         assert sig[r] == pytest.approx(0.01 * mag / 3.0, rel=0.05)
@@ -276,7 +326,8 @@ class TestSynthesis:
         h = measurement_function(six_bus, six_bus_pf.state, six_plan)
         sig = row_sigmas(six_bus, six_plan, h)
         r = next(
-            i for i, m in enumerate(six_plan) if m.kind == V_REAL and m.phase == "A"
+            i for i, (kind, _, phase, _, _) in enumerate(six_plan._keys())
+            if kind == V_REAL and phase == "A"
         )
         draws = h[r] + rng.normal(0.0, sig[r], 100_000)
         frac = np.mean(np.abs(draws - h[r]) <= 0.01 * abs(h[r]))
@@ -285,8 +336,8 @@ class TestSynthesis:
     def test_zero_injection_sigma(self, six_bus, six_plan, six_bus_pf):
         h = measurement_function(six_bus, six_bus_pf.state, six_plan)
         sig = row_sigmas(six_bus, six_plan, h)
-        for r, m in enumerate(six_plan):
-            if m.noise.kind == "zero_injection":
+        for r, noise in enumerate(six_plan.noise_kind.tolist()):
+            if noise == "zero_injection":
                 assert sig[r] == pytest.approx(
                     ZERO_INJECTION_MAX_ERROR * six_bus.power_base / 3.0
                 )
@@ -300,22 +351,22 @@ class TestSynthesis:
             plan_measurements(six_bus, [3], pseudo_noise=0.5),
             six_bus_pf.state, six_bus, 0, noiseless=True,
         )
-        for m30, m50 in zip(h30, h50):
-            if m30.noise.kind == "pseudo_power":
-                assert np.sqrt(m50.variance / m30.variance) == pytest.approx(
+        for noise, s30, s50 in zip(h30.noise_kind, h30.variances(), h50.variances()):
+            if noise == "pseudo_power":
+                assert np.sqrt(s50 / s30) == pytest.approx(
                     0.5 / 0.3, rel=1e-9
                 )
 
     def test_unpaired_pmu_rows_rejected(self, six_bus, six_plan, six_bus_pf):
         h = measurement_function(six_bus, six_bus_pf.state, six_plan)
-        lone_real = MeasurementSet([six_plan.rows[0]])
-        assert lone_real.rows[0].kind == V_REAL
+        lone_real = six_plan.select([0])
+        assert lone_real.code[0] == KIND_CODE[V_REAL]
         with pytest.raises(ValueError, match="unpaired"):
             row_sigmas(six_bus, lone_real, h[:1])
-        lone_imag = MeasurementSet(six_plan.rows[1:])
+        lone_imag = six_plan.select(np.arange(1, len(six_plan)))
         with pytest.raises(ValueError, match="unpaired"):
             row_sigmas(six_bus, lone_imag, h[1:])
 
     def test_noise_class_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            NoiseClass("pseudo_power", 0.0)
+        with pytest.raises(ValueError, match="max_error must be positive"):
+            MeasurementSet([P_INJ], [3], ["A"], ["pseudo_power"], [0.0])

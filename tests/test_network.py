@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import resource
 import statistics
@@ -122,14 +121,14 @@ class TestInputEmbedding:
             feat = embed_input(z, InputEmbedding(model, template))
             # oracle cell: a branch row sits at the end farther from the source
             cells = []
-            for m in z:
-                bus = m.locus
-                if m.kind in (I_REAL, I_IMAG):
-                    br = model.branches[m.locus]
+            for kind, locus, phase, _, _ in z._keys():
+                bus = locus
+                if kind in (I_REAL, I_IMAG):
+                    br = model.branches[locus]
                     bus = max((br.from_bus, br.to_bus),
                               key=lambda b: model.graph_distance(model.source, b))
-                phase = "ABC".index(m.phase)
-                cells.append(bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + KIND_CODE[m.kind])
+                phase = "ABC".index(phase)
+                cells.append(bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + KIND_CODE[kind])
             assert len(set(cells)) == len(cells), scenario.name
             expected = np.zeros(model.n_buses * INPUT_CHANNELS)
             expected[cells] = z.values() / unit_bases(model, template)
@@ -137,17 +136,17 @@ class TestInputEmbedding:
 
     def test_shared_cell_rejected(self, six_bus):
         template = plan_measurements(six_bus, [3])
-        doubled = MeasurementSet(template.rows + template.rows[5:6])
+        doubled = template.select(np.r_[np.arange(len(template)), 5])
         with pytest.raises(ValueError, match="row 54 shares an earlier row's input cell"):
             InputEmbedding(six_bus, doubled)
 
     @pytest.mark.parametrize("kind, locus", [(V_REAL, 6), (V_REAL, -1), (I_REAL, 5), (I_IMAG, -2)])
     def test_locus_off_the_feeder_rejected(self, six_bus, kind, locus):
         # a negative locus would otherwise wrap into another bus's cell
-        rows = plan_measurements(six_bus, [3]).rows
-        rows[0] = dataclasses.replace(rows[0], kind=kind, locus=locus)
+        rows = list(plan_measurements(six_bus, [3])._keys())
+        rows[0] = (kind, locus, *rows[0][2:])
         with pytest.raises(ValueError, match="not a bus or branch"):
-            InputEmbedding(six_bus, MeasurementSet(rows))
+            InputEmbedding(six_bus, MeasurementSet(*zip(*rows)))
 
     def test_template_mismatch_rejected(self, six_bus, six_bus_pf):
         t1 = plan_measurements(six_bus, [3])

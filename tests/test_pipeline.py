@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -108,8 +109,8 @@ class TestGenerateDataset:
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["kind", "locus", "phase", "noise_class", "max_error"])
-        for m in six_ds.template:
-            w.writerow([m.kind, m.locus, m.phase, m.noise.kind, repr(m.noise.max_error)])
+        for kind, locus, phase, noise, max_error in six_ds.template._keys():
+            w.writerow([kind, locus, phase, noise, repr(max_error)])
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
         with np.load(path) as data:
@@ -118,7 +119,8 @@ class TestGenerateDataset:
         np.savez(path, **arrays)
         back = load_dataset(path, six_bus)
         assert back.template.signature() == six_ds.template.signature()
-        assert all(m.value is None and m.variance is None for m in back.template)
+        assert np.isnan(back.template.values()).all()
+        assert np.isnan(back.template.variances()).all()
         assert np.array_equal(back.values, six_ds.values)
 
     def test_features_are_derived_not_stored(self, six_bus, six_ds, tmp_path):
@@ -246,8 +248,21 @@ class TestScenarios:
         with pytest.raises(UnobservableError):
             estimate(six_bus, z)
 
+    @pytest.mark.parametrize(
+        "pmu_labels, metered_labels, cause",
+        [((4,), (2, 3, 5, 6), "it has no pseudo rows"),
+         ((1, 2, 3, 4, 5, 6), (), "it stays observable with all 24 pseudo rows removed")],
+    )
+    def test_removal_that_cannot_break_observability_names_the_cause(
+        self, six_bus, pmu_labels, metered_labels, cause
+    ):
+        template = plan_measurements(six_bus, [six_bus.bus_by_label(b) for b in pmu_labels],
+                                     [six_bus.bus_by_label(b) for b in metered_labels])
+        with pytest.raises(ValueError, match=f"unobservable: {cause};"):
+            remove_pseudo_until_unobservable(six_bus, template)
+
     def test_removal_is_minimal_under_its_order(self, six_bus):
-        from dsse.measurements import MeasurementSet, jacobian_rows
+        from dsse.measurements import jacobian_rows
         from dsse.powerflow import slack_state
 
         template = plan_measurements(six_bus, [3])
@@ -255,13 +270,14 @@ class TestScenarios:
         # restoring the last removed pseudo pair restores full rank; the
         # removal loop walks (bus, phase) pairs highest-first, so the last
         # pair dropped is the lowest-ordered one among the missing rows
-        kept = {m.key() for m in reduced}
-        dropped = [m for m in template if m.key() not in kept]
-        last_key = min((m.locus, m.phase) for m in dropped)
-        last_pair = [m for m in dropped if (m.locus, m.phase) == last_key]
+        kept = set(reduced._keys())
+        keys = list(template._keys())
+        dropped = [r for r, key in enumerate(keys) if key not in kept]
+        last_key = min(keys[r][1:3] for r in dropped)
+        last_pair = [r for r in dropped if keys[r][1:3] == last_key]
         assert len(last_pair) == 2
-        rows = reduced.rows + last_pair
-        H = jacobian_rows(six_bus, slack_state(six_bus), MeasurementSet(rows))
+        rows = [r for r, key in enumerate(keys) if key in kept] + last_pair
+        H = jacobian_rows(six_bus, slack_state(six_bus), template.select(rows))
         assert np.linalg.matrix_rank(H) == 2 * six_bus.n_slots
 
     def test_scenario_template_row_classes(self, six_bus):
@@ -269,8 +285,32 @@ class TestScenarios:
             six_bus, Scenario("s", (3,), pseudo_noise=0.5)
         )
         assert removed == 0
-        pseudo = {m.noise.max_error for m in template if m.noise.kind == "pseudo_power"}
+        pseudo = set(template.max_error[template.noise_kind == "pseudo_power"].tolist())
         assert pseudo == {0.5}
+
+    @pytest.mark.parametrize(
+        "feeder, scenario, bare, realized",
+        [
+            ("six_bus", 0, "b8aad72e77501c425e471a8b66127f6b15d8b601d981fb046dcbd7588ebbb66c",
+             "ddedd928dc93dbe1d3b8ea7cb677b0f461b487a7211dd5c85ddf44c15283ab7e"),
+            ("six_bus", 2, "14071c7ddf22c316ef9dbdf48c7582007b8ec6dc244109a4cb777b22d724c8c3",
+             "5acc559dff4894e5fab0142fc2b6babc73ee502cd14e5b01b820af2554289475"),
+            ("thirteen_bus", 0, "2272e4ec4063df7a9b4860d02069c10718a54be0642a61a23fa2728d5f599e9d",
+             "a5904e95a5de234123f04071f516efa144e076adab2aacda43881d1165bec407"),
+            ("thirteen_bus", 2, "9aaed0defcbc1db3de25383299f0d5487abb31cf85942f909d74ef68d3bbec77",
+             "49bc9f5b8d89bad9823f4efd0ce0884f42824980ddab1b973f60c042fab9c54d"),
+        ],
+    )
+    def test_template_csv_bytes_pinned(self, request, feeder, scenario, bare, realized):
+        # datasets embed this text as their template, so its bytes must not drift
+        model, _, pmu = _fixture_case(request, feeder)
+        template, _ = scenario_template(model, standard_scenarios(pmu)[scenario])
+        ds = generate_dataset(model, template, LoadProfileConfig(samples=1, seed=0), pmu)
+        for mset, digest in ((template, bare),
+                             (template.with_values(ds.values[0], ds.variances[0]), realized)):
+            buf = io.StringIO()
+            mset.write_csv(buf)
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -289,7 +329,7 @@ def test_tight_zero_injection_keeps_observability(
     pf = request.getfixturevalue(f"{feeder}_pf")
     s1, _, s3 = standard_scenarios([model.bus_by_label(b) for b in pmu_labels])
     template, _ = scenario_template(model, s1)
-    assert {m.noise.max_error for m in template if m.noise.kind == "zero_injection"} == {1e-7}
+    assert set(template.max_error[template.noise_kind == "zero_injection"].tolist()) == {1e-7}
     for seed in range(5):
         report = estimate(model, synthesize(template, pf.state, model, seed))
         assert report.converged

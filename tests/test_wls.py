@@ -5,9 +5,7 @@ import oracles
 from dsse import load_feeder, wls
 from dsse.fixtures import fixture_path
 from dsse.measurements import (
-    Measurement,
     MeasurementSet,
-    NoiseClass,
     RowEvaluator,
     plan_measurements,
     synthesize,
@@ -35,15 +33,21 @@ def six_plan(six_bus):
     return plan_measurements(six_bus, [six_bus.bus_by_label(4)])
 
 
-def direct_voltage_rows(model, state, sigma=1.0):
-    """One exact v_real/v_imag row per state component."""
-    rows = []
-    cls = NoiseClass("pmu_voltage", 0.01)
+def voltage_columns(model, state, sigma=1.0):
+    """``MeasurementSet`` columns of one exact v_real/v_imag row per state component."""
+    cols = {k: [] for k in ("kind", "locus", "phase", "noise_kind", "max_error", "values",
+                            "variances")}
     for b, p in model.slots:
         v = state.values[model.slot_index(b, p)]
-        rows.append(Measurement("v_real", b, p, cls, v.real, sigma**2))
-        rows.append(Measurement("v_imag", b, p, cls, v.imag, sigma**2))
-    return MeasurementSet(rows)
+        for kind, value in (("v_real", v.real), ("v_imag", v.imag)):
+            for name, x in zip(cols, (kind, b, p, "pmu_voltage", 0.01, value, sigma**2)):
+                cols[name].append(x)
+    return cols
+
+
+def direct_voltage_rows(model, state, sigma=1.0):
+    """One exact v_real/v_imag row per state component."""
+    return MeasurementSet(**voltage_columns(model, state, sigma))
 
 
 class TestObjective:
@@ -53,10 +57,9 @@ class TestObjective:
 
     def test_single_row_formula(self, six_bus):
         state = slack_state(six_bus)
-        cls = NoiseClass("pmu_voltage", 0.01)
         truth = state.values[0].real
         z = MeasurementSet(
-            [Measurement("v_real", 0, "A", cls, truth + 3.0, 4.0)]
+            ["v_real"], [0], ["A"], ["pmu_voltage"], [0.01], [truth + 3.0], [4.0]
         )
         assert objective(six_bus, z, state) == pytest.approx(9.0 / 4.0)
 
@@ -70,8 +73,8 @@ class TestObjective:
         )
         h = measurement_function(six_bus, x, six_plan)
         naive = 0.0
-        for r, m in enumerate(z):
-            naive += (m.value - h[r]) ** 2 / m.variance
+        for r, (value, variance) in enumerate(zip(z.values().tolist(), z.variances().tolist())):
+            naive += (value - h[r]) ** 2 / variance
         assert objective(six_bus, z, x) == pytest.approx(naive, rel=1e-12)
 
 
@@ -122,9 +125,9 @@ class TestEstimate:
 
     def test_untouched_state_component_flagged(self, six_bus):
         state = slack_state(six_bus)
-        rows = direct_voltage_rows(six_bus, state).rows[:4]
+        rows = direct_voltage_rows(six_bus, state).select(np.arange(4))
         with pytest.raises(UnobservableError):
-            estimate(six_bus, MeasurementSet(rows))
+            estimate(six_bus, rows)
 
     def test_nonpositive_variance_rejected(self, six_bus):
         state = slack_state(six_bus)
@@ -294,10 +297,11 @@ class TestCompiledTemplate:
     def test_stalled_cold_start_returns_a_copy_of_the_flat_state(self, six_bus):
         # a huge, exact P row: no step from flat lowers J, so x_hat is the start
         flat = slack_state(six_bus)
-        rows = direct_voltage_rows(six_bus, flat, sigma=100.0).rows
-        rows.append(Measurement("p_injection", 3, "A",
-                                NoiseClass("smart_meter_power", 0.02), 1e10, 1.0))
-        z = MeasurementSet(rows)
+        cols = voltage_columns(six_bus, flat, sigma=100.0)
+        for col, x in zip(cols.values(), ("p_injection", 3, "A", "smart_meter_power", 0.02,
+                                           1e10, 1.0)):
+            col.append(x)
+        z = MeasurementSet(**cols)
         for _ in range(2):
             with pytest.raises(NonConvergedError) as exc:
                 estimate(six_bus, z, WlsConfig(max_iter=1))
