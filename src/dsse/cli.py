@@ -114,14 +114,7 @@ def cmd_estimate(args):
     model = load_feeder(args.feeder)
     mset = MeasurementSet.load(args.measurements)
     if args.wls:
-        try:
-            rep = wls.estimate(model, mset)
-        except wls.UnobservableError as exc:
-            print(f"UNOBSERVABLE: {exc}", file=sys.stderr)
-            return EXIT_UNOBSERVABLE
-        except wls.NonConvergedError as exc:
-            print(f"NON_CONVERGED: {exc}", file=sys.stderr)
-            return EXIT_NON_CONVERGED
+        rep = wls.estimate(model, mset)
         mags = rep.x_hat.magnitudes() / model.base_voltage
         print(f"# converged in {rep.iterations} iterations, J={rep.objective:.6e}")
     else:
@@ -228,7 +221,10 @@ def main(argv=None):
     except (FeederParseError, FeederValidationError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NotConvergedError as exc:
+    except wls.UnobservableError as exc:
+        print(f"UNOBSERVABLE: {exc}", file=sys.stderr)
+        return EXIT_UNOBSERVABLE
+    except (NotConvergedError, wls.NonConvergedError) as exc:
         print(f"NON_CONVERGED: {exc}", file=sys.stderr)
         return EXIT_NON_CONVERGED
     except network.TrainingDiverged as exc:

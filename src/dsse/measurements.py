@@ -81,8 +81,8 @@ class MeasurementSet:
         self._variances = _column(nan if variances is None else variances, float)
         if {c.shape for c in vars(self).values()} != {self.code.shape}:
             raise ValueError("measurement columns differ in length")
-        if not (self.max_error > 0).all():
-            raise ValueError("max_error must be positive")
+        if not ((self.max_error > 0) & (self.max_error < np.inf)).all():
+            raise ValueError("max_error must be positive and finite")
         self._digest = None
         self._compiled = []  # [model, record]; with_values sets share it
 

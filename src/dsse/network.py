@@ -3,9 +3,10 @@
 Layer recursion: k_t = leaky_relu(W_t k_{t-1} + b_t) with k_0 the embedded
 measurement vector, each row's per-unit value in its own (bus, phase, kind)
 cell. W_t is gated by the plan's bus mask expanded to F x F blocks (F x C
-for the input layer). All parameters are views of one flat vector ``theta``;
-masked entries are zero from initialisation on and ADAM updates only the
-live ones. A per-slot linear head reads bus b from layer ``exit_layer[b]``.
+for the input layer). All parameters are views of one flat vector ``theta``,
+gated by one float vector ``mask`` laid out like it; masked entries are zero
+from initialisation on and ADAM updates only the live ones. A per-slot linear
+head reads bus b from layer ``exit_layer[b]``.
 
 Gradients are hand-rolled reverse mode into one array laid out like
 ``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
@@ -32,6 +33,7 @@ from dsse.measurements import I_IMAG, I_REAL, KIND_CODE, MeasurementSet, unit_ba
 from dsse.partitioning import MaskPlan
 
 LEAKY_SLOPE = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # input cells per bus and phase, one per row kind code (``KIND_CODE``)
 CHANNELS_PER_PHASE = 6
@@ -82,7 +84,8 @@ def embed_input(z: MeasurementSet, embedding: InputEmbedding) -> np.ndarray:
 
 class MaskedNetwork:
     """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts,
-    as views of one vector ``theta``; ``live`` indexes its unmasked entries."""
+    as views of one vector ``theta``; ``mask`` is laid out like it, and
+    ``live`` indexes its unmasked entries."""
 
     def __init__(self, plan: MaskPlan, model: FeederModel, seed: int = 0):
         self.plan = plan
@@ -105,35 +108,28 @@ class MaskedNetwork:
             bus = self.slot_bus[sel]
             self.exits.append((e, sel, bus, bus * self.ranks + rank[sel]))
 
-        f, c = self.f, INPUT_CHANNELS
-        self.weight_masks = []
-        for t, mask in enumerate(plan.masks):
-            fin = c if t == 0 else f
-            self.weight_masks.append(np.kron(mask, np.ones((f, fin))).astype(bool))
-        self.bias_masks = [
-            np.kron(mask.any(axis=1), np.ones(f)).astype(bool) for mask in plan.masks
-        ]
-
+        # theta: depth weight matrices (F x C blocks at the input layer, F x F
+        # after), depth biases and the readout; ``mask`` is 1.0 at its live entries
+        n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
+        cells = [INPUT_CHANNELS] + [f] * (depth - 1)  # input cells per bus, layer by layer
+        shapes = [(n * f, n * c) for c in cells] + [(n * f,)] * depth + [(slots, f), (slots,)]
+        ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
+        self._spans = [(end - np.prod(shape), end, shape) for shape, end in zip(shapes, ends)]
+        self.theta, self.mask = np.zeros(ends[-1]), np.ones(ends[-1])
+        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
+        weight_masks, bias_masks, _, _ = self._views(self.mask)
         rng = np.random.default_rng(seed)
-        params = []
-        for wm in self.weight_masks:
-            w = np.zeros(wm.shape)
+        for mask, c, w, wm, bm in zip(plan.masks, cells, self.weights, weight_masks, bias_masks):
+            wm[...] = np.kron(mask, np.ones((f, c)))
             fan_in = wm.sum(axis=1)
-            live = fan_in > 0
-            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), wm.shape[1])) * np.sqrt(
+            live = bm[...] = fan_in > 0  # a row without live weights has no live bias
+            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), w.shape[1])) * np.sqrt(
                 2.0 / fan_in[live]
             )[:, None]
-            params.append(w * wm)
-        params += [np.zeros(wm.shape[0]) for wm in self.weight_masks]
-        params.append(rng.normal(0.0, 1.0, (len(self.slots), self.f)) / np.sqrt(self.f))
-        params.append(np.ones(len(self.slots)))  # magnitudes sit near 1 p.u.
-        ends = np.cumsum([p.size for p in params]).tolist()
-        self._spans = [(end - p.size, end, p.shape) for p, end in zip(params, ends)]
-        self.theta = np.concatenate([p.ravel() for p in params])
-        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
-        # float, so that masking a gradient casts nothing
-        self._mask = np.concatenate([m.ravel() for m in self.parameter_masks()]).astype(float)
-        self.live = np.flatnonzero(self._mask)
+            w *= wm
+        self.readout_w[...] = rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f)
+        self.readout_b[...] = 1.0  # magnitudes sit near 1 p.u.
+        self.live = np.flatnonzero(self.mask)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -151,9 +147,9 @@ class MaskedNetwork:
         return [f"w{i}" for i in t] + [f"b{i}" for i in t] + ["readout_w", "readout_b"]
 
     def parameter_masks(self):
-        return self.weight_masks + self.bias_masks + [
-            np.ones_like(self.readout_w, dtype=bool), np.ones_like(self.readout_b, dtype=bool)
-        ]
+        """Bool copies of ``mask``'s views, in ``parameters()`` order."""
+        w, b, rw, rb = self._views(self.mask)
+        return [m != 0 for m in w + b + [rw, rb]]
 
     def set_parameters(self, params):
         """Copy arrays in ``parameters()`` order, times their masks, into
@@ -166,7 +162,7 @@ class MaskedNetwork:
                 raise ValueError(f"parameter {name} must hold finite real numbers")
         for p, new in zip(self.parameters(), params):
             p[...] = new
-        self.theta *= self._mask
+        self.theta *= self.mask
 
     # -- evaluation --------------------------------------------------------
 
@@ -249,7 +245,7 @@ class MaskedNetwork:
             np.sum(d, axis=0, out=g_b[t])
             if t:  # nothing reads the input's gradient
                 d_act[t - 1] += np.matmul(d, self.weights[t], out=pre)
-        np.multiply(grad, self._mask, out=grad)
+        np.multiply(grad, self.mask, out=grad)
         return loss, g_w + g_b + [g_rw, g_rb]
 
 
@@ -300,9 +296,6 @@ class Workspace:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 64
     epochs: int = 300
     seed: int = 0
@@ -403,16 +396,16 @@ def train(
                 # ADAM in two scratch vectors, each reused once spent
                 np.take(grad, live, out=g, mode="clip")
                 g *= 1.0 / len(batch)  # per-sample scale so lr is batch-size free
-                m *= config.beta1
-                m += np.multiply(g, 1 - config.beta1, out=s)
-                v *= config.beta2
-                np.multiply(g, 1 - config.beta2, out=s)
+                m *= ADAM_BETA1
+                m += np.multiply(g, 1 - ADAM_BETA1, out=s)
+                v *= ADAM_BETA2
+                np.multiply(g, 1 - ADAM_BETA2, out=s)
                 s *= g
                 v += s
-                m_hat = np.divide(m, 1 - config.beta1**step, out=s)
-                v_hat = np.divide(v, 1 - config.beta2**step, out=g)
+                m_hat = np.divide(m, 1 - ADAM_BETA1**step, out=s)
+                v_hat = np.divide(v, 1 - ADAM_BETA2**step, out=g)
                 denom = np.sqrt(v_hat, out=v_hat)
-                denom += config.eps
+                denom += ADAM_EPS
                 update = np.multiply(m_hat, config.learning_rate, out=m_hat)
                 update /= denom
                 theta_live = np.take(net.theta, live, out=g, mode="clip")

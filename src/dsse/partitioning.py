@@ -23,8 +23,9 @@ Depth bookkeeping:
 A plan is one integer matrix ``life``: ``life[i, j]`` is the last layer at
 which bus j feeds bus i (the largest hop diameter of a partition holding
 both; a bus's exit layer on the diagonal; zero where no branch joins i and
-j), and layer t's mask is ``life >= t``. The unpruned plan sets every live
-entry and every exit layer to the network depth.
+j). ``MaskPlan`` derives all else from it once: layer t's mask is
+``life >= t``, the depth its largest entry, the exit layers its diagonal.
+The unpruned plan sets every live entry to the network depth.
 """
 
 from __future__ import annotations
@@ -47,25 +48,32 @@ class Partition:
         return bus in self.buses
 
 
-@dataclass
 class MaskPlan:
-    """Per-layer bus-granularity sparsity masks plus output routing.
+    """Layered bus-granularity sparsity, all of it read from ``life``.
 
-    ``masks[t-1]`` gates the weight matrix feeding layer ``t`` (layer 0 is
-    the input); ``exit_layer[b]`` is the layer whose activations feed bus
-    b's readout; ``block_width`` is the hidden channel count per bus.
+    ``life`` is the lifetime matrix (module docstring), ``block_width`` the
+    hidden channel count per bus. Derived once here: ``adjacency``
+    (``life > 0``), ``depth`` (the largest lifetime), ``masks[t-1]``
+    (``life >= t``, gating the weight matrix feeding layer ``t``; layer 0 is
+    the input) and ``exit_layer`` (the diagonal: the layer whose activations
+    feed bus b's readout).
     """
 
-    adjacency: np.ndarray  # bool (N, N)
-    depth: int
-    masks: list  # depth bool arrays (N, N)
-    exit_layer: np.ndarray  # int (N,)
-    block_width: int
-    pruned: bool
-
-    @property
-    def n_buses(self) -> int:
-        return self.adjacency.shape[0]
+    def __init__(self, life, block_width: int, pruned: bool):
+        life = np.array(life, dtype=int)
+        if life.ndim != 2 or len(life) != len(life.T) or (life < 0).any() or 0 in life.diagonal():
+            raise ValueError("life must be a non-negative square matrix with a positive diagonal")
+        if block_width < 1:
+            raise ValueError("block_width must be >= 1")
+        life.flags.writeable = False
+        self.life = life
+        self.n_buses = len(life)
+        self.block_width = block_width
+        self.pruned = bool(pruned)
+        self.adjacency = life > 0
+        self.depth = int(life.max())
+        self.masks = [life >= t for t in range(1, self.depth + 1)]
+        self.exit_layer = life.diagonal().copy()
 
     def signature(self) -> str:
         payload = json.dumps(
@@ -174,62 +182,41 @@ def build_mask_plan(
 ) -> MaskPlan:
     """Masks and output routing built from the lifetime matrix ``life``
     (module docstring); ``prune=False`` gives the unpruned variant."""
-    if block_width < 1:
-        raise ValueError("block_width must be >= 1")
-    n = model.n_buses
-    adjacency = model.adjacency_pattern()
     hops = [_hop_diameter(model, p.buses) for p in partitions]
-    depths = [resolution_depth(model, p, hop) for p, hop in zip(partitions, hops)]
-    depth = max(1, max(depths, default=1))
-
-    life = np.zeros((n, n), dtype=int)
-    exit_layer = np.ones(n, dtype=int)
-    for part, hop, d in zip(partitions, hops, depths):
+    life = np.eye(model.n_buses, dtype=int)  # every bus exits at layer 1 or later
+    for part, hop in zip(partitions, hops):
         idx = list(part.buses)
         block = np.ix_(idx, idx)
         life[block] = np.maximum(life[block], hop)
-        exit_layer[idx] = np.maximum(exit_layer[idx], d)
-    np.fill_diagonal(life, exit_layer)
+        life[idx, idx] = np.maximum(life[idx, idx], resolution_depth(model, part, hop))
     if not prune:
-        life[:] = depth
-        exit_layer[:] = depth
-    life *= adjacency
-    return MaskPlan(
-        adjacency=adjacency,
-        depth=depth,
-        masks=[life >= t for t in range(1, depth + 1)],
-        exit_layer=exit_layer,
-        block_width=block_width,
-        pruned=bool(prune),
-    )
+        life[:] = life.max()
+    life *= model.adjacency_pattern()
+    return MaskPlan(life, block_width, prune)
 
 
 def count_params(plan: MaskPlan) -> ParamCount:
     """Unmasked weight + bias counts for the pruned plan and its unpruned twin.
 
-    Each allowed bus pair contributes an F x F block; each bus with any
-    allowed incoming entry at a layer contributes F biases. This is a plan
+    Each live bus pair of a layer is an F x F block, each bus with a live
+    pair in its row F biases: p2n2 has F^2 * sum(life) + F * sum_i max_j
+    life[i, j], pawnn depth * (F^2 * nnz(life) + F * N). This is a plan
     size, not the network's trainable count: the input layer really has
-    F x 18 weights per pair, and the readout is left out. At F = 8 the
-    13-bus p2n2 plan (PMUs at buses 1 and 12) reads 14,832 where the network
-    trains 18,071 live parameters (``len(net.live)``), and the 6-bus plan
-    (PMU at bus 4) 2,560 against 4,002.
+    F x 18 weights per pair, and the readout is left out. At F = 8 the 13-bus
+    p2n2 plan (PMUs at buses 1 and 12) reads 14,832 where the network trains
+    18,071 live parameters (``len(net.live)``), and the 6-bus plan (PMU at
+    bus 4) 2,560 against 4,002.
     """
-    f = plan.block_width
-
-    def layer_params(mask):
-        weights = int(mask.sum()) * f * f
-        biases = int(mask.any(axis=1).sum()) * f
-        return weights + biases
-
-    pawnn = plan.depth * layer_params(plan.adjacency)
-    pruned = sum(layer_params(m) for m in plan.masks)
-    return ParamCount(pawnn_params=pawnn, p2n2_params=pruned)
+    f, life = plan.block_width, plan.life
+    pawnn = plan.depth * (f * f * np.count_nonzero(life) + f * plan.n_buses)
+    p2n2 = f * f * life.sum() + f * life.max(axis=1).sum()
+    return ParamCount(pawnn_params=int(pawnn), p2n2_params=int(p2n2))
 
 
-def export_mask_plan(plan: MaskPlan, path) -> None:
-    """Portable sparse export: per-layer (layer, from, to) triplets + routing."""
-    doc = {
+def _plan_doc(plan: MaskPlan) -> dict:
+    """Portable sparse form: per-layer (layer, i, j) triplets of the live mask
+    entries, in sorted order, plus routing."""
+    return {
         "n_buses": plan.n_buses,
         "depth": plan.depth,
         "block_width": plan.block_width,
@@ -241,23 +228,24 @@ def export_mask_plan(plan: MaskPlan, path) -> None:
             for i, j in zip(*np.nonzero(mask))
         ],
     }
+
+
+def export_mask_plan(plan: MaskPlan, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(_plan_doc(plan), fh, indent=1)
 
 
 def load_mask_plan(path) -> MaskPlan:
+    """The plan ``export_mask_plan`` wrote, with each pair's deepest layer as
+    its lifetime. ValueError for a file that no lifetime matrix exports, such
+    as one whose layers are not nested."""
     with open(path) as fh:
         doc = json.load(fh)
     n = doc["n_buses"]
-    masks = [np.zeros((n, n), dtype=bool) for _ in range(doc["depth"])]
+    life = np.zeros((n, n), dtype=int)
     for t, i, j in doc["entries"]:
-        masks[t - 1][i, j] = True
-    adjacency = masks[0].copy()
-    return MaskPlan(
-        adjacency=adjacency,
-        depth=doc["depth"],
-        masks=masks,
-        exit_layer=np.array(doc["exit_layer"], dtype=int),
-        block_width=doc["block_width"],
-        pruned=doc["pruned"],
-    )
+        life[i, j] = max(life[i, j], t)
+    plan = MaskPlan(life, doc["block_width"], doc["pruned"])
+    if _plan_doc(plan) != dict(doc, entries=sorted(doc["entries"])):
+        raise ValueError(f"{path} holds no lifetime matrix's plan: are its layers nested?")
+    return plan

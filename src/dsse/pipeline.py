@@ -41,18 +41,23 @@ from dsse.powerflow import (DEFAULT_MAX_ITER, NotConvergedError, StateVector, sl
 from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, check_observable, estimate
 
 
+PEAK_HOUR = 18.0  # hour of the daily load shape's peak
+MULTIPLIER_FLOOR = 0.2  # minimum load multiplier
+
+
 @dataclass
 class LoadProfileConfig:
     samples: int = 10_000
     seed: int = 0
-    peak_hour: float = 18.0
-    amplitude: float = 0.15  # daily shape swing around 1.0
+    amplitude: float = 0.15  # daily shape swing around 1.0, at most 1 so it stays >= 0
     noise_sigma: float = 0.08  # lognormal sigma of per-load multiplier
-    floor: float = 0.2  # minimum multiplier
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        for name, ok, rule in (("samples", self.samples >= 1, ">= 1"),
+                               ("amplitude", 0 <= self.amplitude <= 1, "in [0, 1]"),
+                               ("noise_sigma", 0 <= self.noise_sigma < np.inf, "finite and >= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -107,9 +112,9 @@ def config_hash(*parts) -> str:
 
 def sample_multipliers(cfg: LoadProfileConfig, rng, n_loads: int) -> np.ndarray:
     hour = rng.uniform(0.0, 24.0)
-    shape = 1.0 + cfg.amplitude * np.cos(2.0 * np.pi * (hour - cfg.peak_hour) / 24.0)
+    shape = 1.0 + cfg.amplitude * np.cos(2.0 * np.pi * (hour - PEAK_HOUR) / 24.0)
     noise = np.exp(rng.normal(0.0, cfg.noise_sigma, n_loads) - cfg.noise_sigma**2 / 2)
-    return np.maximum(shape * noise, cfg.floor)
+    return np.maximum(shape * noise, MULTIPLIER_FLOOR)
 
 
 def generate_dataset(model: FeederModel, template: MeasurementSet, profile: LoadProfileConfig,
@@ -174,22 +179,25 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, model: FeederModel) -> Dataset:
-    """A ``save_dataset`` file; features stored by schema 1 are ignored, labels
-    of another slot count (another feeder's dataset) are a ``ValueError``."""
+    """A ``save_dataset`` file; features stored by schema 1 are ignored. Labels
+    of another slot count (another feeder's dataset), and values, variances
+    or labels that are not finite, are a ``ValueError``."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
-        values, labels = data["values"], data["v_true_pu"]
+        values, variances, labels = data["values"], data["variances"], data["v_true_pu"]
         if labels.shape[1] != model.n_slots:
             raise ValueError(
                 f"dataset labels have {labels.shape[1]} slots but the feeder has "
                 f"{model.n_slots}; was the dataset generated on another feeder?"
             )
+        if not all(np.isfinite(a).all() for a in (values, variances, labels)):
+            raise ValueError("dataset values, variances and labels must be finite")
         return Dataset(
             template=template,
             pmu_buses=tuple(meta["pmu_buses"]),
             values=values,
-            variances=data["variances"],
+            variances=variances,
             features=InputEmbedding(model, template).embed_values(values),
             v_true_pu=labels,
             seed=meta["seed"],

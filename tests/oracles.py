@@ -27,6 +27,9 @@ import scipy.optimize
 from dsse.grid_model import FeederModel
 from dsse.measurements import MeasurementSet, RowEvaluator, synthesize
 from dsse.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     LEAKY_SLOPE,
     InputEmbedding,
     MaskedNetwork,
@@ -117,8 +120,6 @@ def reference_mask_plan(
     With ``prune=False`` every layer keeps the full adjacency pattern and
     all buses exit at the last layer (the unpruned physics-aware variant).
     """
-    if block_width < 1:
-        raise ValueError("block_width must be >= 1")
     n = model.n_buses
     adjacency = model.adjacency_pattern()
     hops = [_reference_hop_diameter(model, p.buses) for p in partitions]
@@ -132,14 +133,7 @@ def reference_mask_plan(
     exit_layer = np.maximum(exit_layer, 1)
 
     if not prune:
-        return MaskPlan(
-            adjacency=adjacency,
-            depth=depth,
-            masks=[adjacency.copy() for _ in range(depth)],
-            exit_layer=np.full(n, depth, dtype=int),
-            block_width=block_width,
-            pruned=False,
-        )
+        return MaskPlan(np.sum([adjacency] * depth, axis=0), block_width, False)
 
     masks = []
     for t in range(1, depth + 1):
@@ -154,14 +148,8 @@ def reference_mask_plan(
             if t <= exit_layer[b]:
                 mask[b, b] = True
         masks.append(mask)
-    return MaskPlan(
-        adjacency=adjacency,
-        depth=depth,
-        masks=masks,
-        exit_layer=exit_layer,
-        block_width=block_width,
-        pruned=True,
-    )
+    # the layers are nested, so a pair's layer count is its lifetime
+    return MaskPlan(np.sum(masks, axis=0), block_width, True)
 
 
 def random_tree_model(rng: np.random.Generator, n: int) -> FeederModel:
@@ -358,10 +346,11 @@ def reference_loss_and_gradients(net: MaskedNetwork, x, targets):
 
     g_w = [np.zeros_like(w) for w in net.weights]
     g_b = [np.zeros_like(b) for b in net.biases]
+    masks = net.parameter_masks()
     for t in range(net.plan.depth - 1, -1, -1):
         d_pre = d_acts[t + 1] * np.where(pre[t] >= 0, 1.0, LEAKY_SLOPE)
-        g_w[t] = (d_pre.T @ acts[t]) * net.weight_masks[t]
-        g_b[t] = d_pre.sum(axis=0) * net.bias_masks[t]
+        g_w[t] = (d_pre.T @ acts[t]) * masks[t]
+        g_b[t] = d_pre.sum(axis=0) * masks[net.plan.depth + t]
         d_acts[t] += d_pre @ net.weights[t]
     return loss, g_w + g_b + [g_rw, g_rb]
 
@@ -407,13 +396,13 @@ def reference_train(plan, model, features, targets, config=None):
             inv_b = 1.0 / len(batch)
             for p, g, mi, vi, mask in zip(params, grads, m, v, masks):
                 g = g * inv_b  # per-sample scale so lr is batch-size free
-                mi *= config.beta1
-                mi += (1 - config.beta1) * g
-                vi *= config.beta2
-                vi += (1 - config.beta2) * g * g
-                m_hat = mi / (1 - config.beta1**step)
-                v_hat = vi / (1 - config.beta2**step)
-                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+                mi *= ADAM_BETA1
+                mi += (1 - ADAM_BETA1) * g
+                vi *= ADAM_BETA2
+                vi += (1 - ADAM_BETA2) * g * g
+                m_hat = mi / (1 - ADAM_BETA1**step)
+                v_hat = vi / (1 - ADAM_BETA2**step)
+                p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
                 p *= mask
         vl = val_loss()
         curve.append((epoch, epoch_loss / max(len(x_tr), 1), vl))

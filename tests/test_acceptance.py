@@ -282,7 +282,7 @@ class TestGradientSuite:
         plan = build_mask_plan(six_bus, parts, block_width=2)
         net = MaskedNetwork(plan, six_bus, seed=0)
         rng = np.random.default_rng(0)
-        x = rng.normal(0, 1, (3, net.weight_masks[0].shape[1]))
+        x = rng.normal(0, 1, (3, net.weights[0].shape[1]))
         y = rng.normal(1, 0.1, (3, six_bus.n_slots))
         _, grads = net.loss_and_gradients(x, y)
 

@@ -375,3 +375,25 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
     plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, list(ds.pmu_buses)), block_width=8)
     net = load_checkpoint(out, plan, six_bus)
     assert loss == f"{evaluate(net, ds.features[val_idx], ds.v_true_pu[val_idx]).nu:.6e}"
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--amplitude", "nan", "amplitude"), ("--amplitude", "-5", "amplitude"),
+    ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
+])
+def test_generate_with_a_bad_load_profile_is_validation_error(workdir, capsys, flag, value, name):
+    out = workdir / "bad_profile.npz"
+    code = main(["generate", "--feeder", SIX, "--pmu", "4", "--samples", "20",
+                 flag, value, "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
+    assert not out.exists()
+
+
+def test_generate_with_infinite_pseudo_noise_is_validation_error(workdir, capsys):
+    out = workdir / "inf_pseudo.npz"
+    code = main(["generate", "--feeder", SIX, "--pmu", "4", "--samples", "20",
+                 "--pseudo-noise", "inf", "--out", str(out)])
+    assert code == EXIT_VALIDATION
+    assert "max_error must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()

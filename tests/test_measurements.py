@@ -370,3 +370,8 @@ class TestSynthesis:
     def test_noise_class_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="max_error must be positive"):
             MeasurementSet([P_INJ], [3], ["A"], ["pseudo_power"], [0.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_noise_class_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="max_error must be positive and finite"):
+            MeasurementSet([P_INJ, P_INJ], [2, 3], ["A", "A"], ["pseudo_power"] * 2, [0.3, bad])

@@ -175,20 +175,20 @@ class TestForward:
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=0)
         net.set_parameters([np.zeros_like(p) for p in net.parameters()])
-        out = net.forward(np.ones(net.weight_masks[0].shape[1]))
+        out = net.forward(np.ones(net.weights[0].shape[1]))
         assert np.array_equal(out, np.zeros(six_bus.n_slots))
 
     def test_masked_weights_are_zero(self, six_bus):
         plan = make_plan(six_bus, [3], 3)
         net = MaskedNetwork(plan, six_bus, seed=1)
-        for w, m in zip(net.weights, net.weight_masks):
+        for w, m in zip(net.weights, net.parameter_masks()):
             assert not np.any(w[~m])
 
     def test_receptive_field_locality(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=2)
         rng = np.random.default_rng(0)
-        x = rng.normal(0, 1, net.weight_masks[0].shape[1])
+        x = rng.normal(0, 1, net.weights[0].shape[1])
         base = net.forward(x)
         # reachability through the mask chain up to each bus's exit layer
         reach = [np.eye(6, dtype=bool)]
@@ -208,7 +208,7 @@ class TestForward:
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=3)
         rng = np.random.default_rng(1)
-        xs = rng.normal(0, 1, (5, net.weight_masks[0].shape[1]))
+        xs = rng.normal(0, 1, (5, net.weights[0].shape[1]))
         batch = net.forward(xs)
         for k in range(5):
             assert np.allclose(batch[k], net.forward(xs[k]))
@@ -220,7 +220,7 @@ class TestGradients:
         plan = make_plan(six_bus, [3], 2, prune=prune)
         net = MaskedNetwork(plan, six_bus, seed=4)
         rng = np.random.default_rng(2)
-        x = rng.normal(0, 1, (3, net.weight_masks[0].shape[1]))
+        x = rng.normal(0, 1, (3, net.weights[0].shape[1]))
         y = rng.normal(1, 0.1, (3, six_bus.n_slots))
         _, grads = net.loss_and_gradients(x, y)
         params = net.parameters()
@@ -246,7 +246,7 @@ class TestGradients:
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=5)
         rng = np.random.default_rng(3)
-        x = rng.normal(0, 1, (4, net.weight_masks[0].shape[1]))
+        x = rng.normal(0, 1, (4, net.weights[0].shape[1]))
         y = rng.normal(1, 0.1, (4, six_bus.n_slots))
         _, grads = net.loss_and_gradients(x, y)
         for g, m in zip(grads, net.parameter_masks()):
@@ -256,7 +256,7 @@ class TestGradients:
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=5)
         rng = np.random.default_rng(3)
-        x = rng.normal(0, 1, (4, net.weight_masks[0].shape[1]))
+        x = rng.normal(0, 1, (4, net.weights[0].shape[1]))
         y = rng.normal(1, 0.1, (4, six_bus.n_slots))
         loss, grads = net.loss_and_gradients(x, y)
         buf = np.full_like(net.theta, np.nan)  # every entry must be overwritten
@@ -272,7 +272,7 @@ class TestGradients:
         plan = make_plan(thirteen_bus, [0, 11], 3, prune=prune)
         net = MaskedNetwork(plan, thirteen_bus, seed=6)
         rng = np.random.default_rng(4)
-        x = rng.normal(0, 1, (7, net.weight_masks[0].shape[1]))
+        x = rng.normal(0, 1, (7, net.weights[0].shape[1]))
         y = rng.normal(1, 0.1, (7, thirteen_bus.n_slots))
         loss, grads = net.loss_and_gradients(x, y)
         ref_loss, ref_grads = oracles.reference_loss_and_gradients(net, x, y)
@@ -284,7 +284,7 @@ class TestGradients:
     def test_perfect_fit_means_zero_gradients(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=6)
-        x = np.zeros((2, net.weight_masks[0].shape[1]))
+        x = np.zeros((2, net.weights[0].shape[1]))
         y = np.tile(net.forward(x[0]), (2, 1))
         loss, grads = net.loss_and_gradients(x, y)
         assert loss == 0.0

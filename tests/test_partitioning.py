@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -181,6 +183,79 @@ class TestMaskPlan:
         for a, b in zip(back.masks, plan.masks):
             assert np.array_equal(a, b)
         assert back.signature() == plan.signature()
+
+    @pytest.mark.parametrize("feeder,pmu_labels,prune,digest", [
+        ("six_bus", (4,), True,
+         "562ef21cdeaf8388b4119a5b1e82858f6d420dd19e44cf37e41a660bff6a647d"),
+        ("six_bus", (4,), False,
+         "6202de257907d64ef0acb40608ea849ccaa7ab3bf374a8c039206dc5b7cdca4d"),
+        ("thirteen_bus", (1, 12), True,
+         "68c38f93b2fad529f7ffd96d3863413878a0a53ff5cbb8cdb38b957cc7094fbd"),
+        ("thirteen_bus", (1, 12), False,
+         "c8fa58416924ad259003e1e3d934e806b884ce1dd5f848790d028b068834ad13"),
+    ])
+    def test_signature_bytes_pinned(self, request, feeder, pmu_labels, prune, digest):
+        # checkpoints store this signature: a plan that hashes otherwise
+        # would refuse every checkpoint trained before it
+        model = request.getfixturevalue(feeder)
+        parts = partition_at_pmus(model, [model.bus_by_label(b) for b in pmu_labels])
+        plan = build_mask_plan(model, parts, block_width=8, prune=prune)
+        assert hashlib.sha256(plan.signature().encode()).hexdigest() == digest
+
+    def test_export_bytes_pinned(self, thirteen_bus, tmp_path):
+        parts = partition_at_pmus(thirteen_bus, [thirteen_bus.bus_by_label(b) for b in (1, 12)])
+        path = tmp_path / "plan.json"
+        export_mask_plan(build_mask_plan(thirteen_bus, parts, block_width=8), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "43ae45a2ef5e66692c688fe982013151423cdef8adc1b0b88bfbc16934a308eb")
+
+    @pytest.mark.parametrize("damage", ["unnested", "exit_layer", "depth", "duplicate"])
+    def test_load_rejects_what_no_lifetime_matrix_exports(self, six_plan, tmp_path, damage):
+        path = tmp_path / "plan.json"
+        export_mask_plan(six_plan, path)
+        doc = json.loads(path.read_text())
+        if damage == "unnested":  # an off-diagonal pair live at layer 2 but not at layer 1
+            doc["entries"].remove([1, *next(e[1:] for e in doc["entries"]
+                                           if e[0] == 2 and e[1] != e[2])])
+        elif damage == "exit_layer":
+            doc["exit_layer"][0] -= 1
+        elif damage == "depth":
+            doc["depth"] += 1
+        else:
+            doc["entries"].append(doc["entries"][0])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="layers nested"):
+            load_mask_plan(path)
+
+    def test_export_order_does_not_matter(self, six_plan, tmp_path):
+        path = tmp_path / "plan.json"
+        export_mask_plan(six_plan, path)
+        doc = json.loads(path.read_text())
+        doc["entries"].reverse()
+        path.write_text(json.dumps(doc))
+        assert load_mask_plan(path).signature() == six_plan.signature()
+
+    def test_parts_derive_from_life(self, six_plan):
+        life = six_plan.life
+        assert not life.flags.writeable
+        assert np.array_equal(six_plan.adjacency, life > 0)
+        assert np.array_equal(six_plan.exit_layer, np.diag(life))
+        assert six_plan.depth == life.max() == len(six_plan.masks)
+        for t, mask in enumerate(six_plan.masks, start=1):
+            assert np.array_equal(mask, life >= t)
+        again = MaskPlan(life, six_plan.block_width, six_plan.pruned)
+        assert again.signature() == six_plan.signature()
+
+    @pytest.mark.parametrize("life, width", [
+        (np.ones((2, 3), dtype=int), 1),  # not square
+        (np.array([[1, -1], [-1, 1]]), 1),  # negative
+        (np.array([[1, 1], [1, 0]]), 1),  # a bus with no exit layer
+        (np.ones(3, dtype=int), 1),  # not a matrix
+        (np.ones((2, 2), dtype=int), 0),  # no channels
+    ])
+    def test_rejects_what_is_not_a_lifetime_matrix(self, life, width):
+        with pytest.raises(ValueError):
+            MaskPlan(life, width, True)
 
     @pytest.mark.parametrize("feeder,pmu_labels", [
         ("six_bus", (4,)), ("six_bus", (2, 5)), ("six_bus", (1, 2, 3, 4, 5, 6)),

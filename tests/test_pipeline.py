@@ -15,6 +15,7 @@ from dsse.network import InputEmbedding, TrainConfig
 from dsse.pipeline import (
     BenchRow,
     Dataset,
+    MULTIPLIER_FLOOR,
     LoadProfileConfig,
     Scenario,
     config_hash,
@@ -45,12 +46,25 @@ class TestLoadProfiles:
         a = sample_multipliers(cfg, rng1, 8)
         b = sample_multipliers(cfg, rng2, 8)
         assert np.array_equal(a, b)
-        assert np.all(a >= cfg.floor)
+        assert np.all(a >= MULTIPLIER_FLOOR)
         assert np.all(a < 2.5)
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
             LoadProfileConfig(samples=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("amplitude", np.nan), ("amplitude", -5.0), ("amplitude", 1.5), ("amplitude", np.inf),
+        ("noise_sigma", np.nan), ("noise_sigma", -0.1), ("noise_sigma", np.inf),
+    ])
+    def test_bad_shape_or_noise_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            LoadProfileConfig(samples=10, **{name: value})
+
+    def test_shape_and_noise_bounds_accepted(self):
+        for amplitude, noise_sigma in ((0.0, 0.0), (1.0, 0.0), (1.0, 3.0)):
+            cfg = LoadProfileConfig(samples=1, amplitude=amplitude, noise_sigma=noise_sigma)
+            assert np.all(sample_multipliers(cfg, np.random.default_rng(0), 4) >= MULTIPLIER_FLOOR)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +116,18 @@ class TestGenerateDataset:
         assert np.array_equal(back.values, six_ds.values)
         assert np.array_equal(back.features, six_ds.features)
         assert np.array_equal(back.v_true_pu, six_ds.v_true_pu)
+
+    @pytest.mark.parametrize("name", ["values", "variances", "v_true_pu"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_arrays_rejected(self, six_bus, six_ds, tmp_path, name, bad):
+        path = tmp_path / "ds.npz"
+        save_dataset(six_ds, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name][3, 1] = bad
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match="values, variances and labels must be finite"):
+            load_dataset(path, six_bus)
 
     def test_loads_five_column_template(self, six_bus, six_ds, tmp_path):
         # files written before the template CSV shared MeasurementSet's
