@@ -241,7 +241,11 @@ def unit_bases(model: FeederModel, template: MeasurementSet) -> np.ndarray:
 
 
 class RowEvaluator:
-    """One template compiled into arrays, reused for every state."""
+    """One template compiled into arrays, reused for every state.
+
+    PMU rows are linear in the rectangular state, so their Jacobian rows are
+    compiled once; ``jacobian`` copies them and computes only the injection
+    rows."""
 
     def __init__(self, model: FeederModel, template: MeasurementSet):
         self.model = model
@@ -262,9 +266,21 @@ class RowEvaluator:
         index = np.array(index, dtype=int)
         # the row's own bus slot (0, unused, for branch rows)
         self.slot = np.where(branch, 0, index)
-        self.own_slot = (self.slot[:, None] == np.arange(model.n_slots)).astype(float)
-        self.C = np.where(self.power[:, None], model.ybus[self.slot], self.own_slot)
+        own_slot = (self.slot[:, None] == np.arange(model.n_slots)).astype(float)
+        self.C = np.where(self.power[:, None], model.ybus[self.slot], own_slot)
         self.C[branch] = model.branch_current[index[branch]]
+
+        # H with each (e, f) column pair read as e + jf: a PMU row's i has
+        # di/de = C, di/df = jC, so its pair is conj(C) for a real part and
+        # j conj(C) for an imaginary part, at every state. An injection row's
+        # s = -V conj(i) gives -(w + own i) for P and j (w - own i) for Q, where
+        # w = V conj(C) and own is the row's slot
+        turn = np.where(self.imag, 1j, np.where(self.power, -1.0, 1.0))[:, None]
+        self._H = (np.conj(self.C) * turn).view(float)
+        self._inj = np.flatnonzero(self.power)
+        self._inj_slot, self._inj_turn = self.slot[self._inj], turn[self._inj]
+        self._inj_conj_C = np.conj(self.C[self._inj])
+        self._inj_sign = np.where(self.imag[self._inj], -1.0, 1.0)
 
     def h(self, state: StateVector) -> np.ndarray:
         """h at one state (BLAS product), or per row of states with (M, n_slots)
@@ -275,20 +291,13 @@ class RowEvaluator:
         return np.where(self.imag, q.imag, q.real)
 
     def jacobian(self, state: StateVector) -> np.ndarray:
-        """Analytic d h / d x_rect, |rows| x (2 * n_slots)."""
+        """Analytic d h / d x_rect, |rows| x (2 * n_slots): the compiled PMU
+        rows plus the injection rows at ``state``."""
         v = state.values
-        power = self.power[:, None]
-        # complex derivatives of each row's i or s w.r.t. e_s and f_s:
-        # di/de = C, di/df = jC; ds/de = -(own conj(i) + V conj(C)),
-        # ds/df = -j (own conj(i) - V conj(C)), own = one-hot at the row's slot
-        own = self.own_slot * np.conj(self.C @ v)[:, None]
-        across = v[self.slot][:, None] * np.conj(self.C)
-        d_e = np.where(power, -(own + across), self.C)
-        d_f = np.where(power, -1j * (own - across), 1j * self.C)
-        imag = self.imag[:, None]
-        H = np.empty((len(self.slot), 2 * self.model.n_slots))
-        H[:, 0::2] = np.where(imag, d_e.imag, d_e.real)
-        H[:, 1::2] = np.where(imag, d_f.imag, d_f.real)
+        w = v[self._inj_slot][:, None] * self._inj_conj_C
+        w[np.arange(len(self._inj)), self._inj_slot] += self._inj_sign * (self.C @ v)[self._inj]
+        H = self._H.copy()
+        H[self._inj] = (w * self._inj_turn).view(float)
         return H
 
 

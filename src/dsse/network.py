@@ -107,6 +107,9 @@ class MaskedNetwork:
             sel = np.flatnonzero(slot_exit == e)
             bus = self.slot_bus[sel]
             self.exits.append((e, sel, bus, bus * self.ranks + rank[sel]))
+        # the readout reads every exit's slots at once, in exit order
+        self.exit_order = np.concatenate([sel for _, sel, _, _ in self.exits])
+        self.exit_rank = np.argsort(self.exit_order)
 
         # theta: depth weight matrices (F x C blocks at the input layer, F x F
         # after), depth biases and the readout; ``mask`` is 1.0 at its live entries
@@ -178,16 +181,16 @@ class MaskedNetwork:
             k = ws.act[t]
             np.multiply(z, LEAKY_SLOPE, out=k)
             np.maximum(z, k, out=k)  # leaky ReLU, exact for 0 < slope < 1
-        out = np.empty((n, len(self.slots)))
-        for (e, sel, bus, _), block, head in zip(self.exits, ws.blocks, ws.heads):
+        for (e, _, bus, _), block in zip(self.exits, ws.blocks):
             k = ws.act[e - 1].reshape(n, self.n_buses, self.f)
-            # "clip" writes straight into out, where "raise" stages a copy;
-            # bus holds valid indices either way
+            # "clip" writes straight into a contiguous out (one row's view),
+            # where "raise" stages a copy; bus holds valid indices either way
             np.take(k, bus, axis=1, out=block, mode="clip")
-            np.einsum("bsf,sf->bs", block, self.readout_w[sel], out=head)
-            head += self.readout_b[sel]
-            out[:, sel] = head
-        return out
+        # one head for all exits: each slot's dot product over its own F cells
+        # is the same whichever other slots share the call
+        head = np.einsum("bsf,sf->bs", ws.block, self.readout_w[self.exit_order], out=ws.head)
+        head += self.readout_b[self.exit_order]
+        return head[:, self.exit_rank]
 
     def forward(self, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
         """Per (bus, phase) voltage magnitudes (p.u.) for feature vector(s), a
@@ -256,7 +259,8 @@ class Workspace:
     ``loss_and_gradients`` needs. A forward-only one, all ``forward``
     needs, gives its own activation buffer only to layers that feed a
     readout; the other layers share one, and every layer shares one
-    pre-activation buffer."""
+    pre-activation buffer. Every exit gathers its slots into its own view of
+    one ``block``, so one readout product serves all exits."""
 
     def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
         shape = (rows, net.n_buses * net.f)
@@ -272,12 +276,15 @@ class Workspace:
         else:
             self.pre = [np.empty(shape)] * depth
             self.act = [np.empty(shape)] * depth
-        self.blocks, self.heads = [], []
+        # every exit's gathered slots, in exit order, and a view per exit
+        self.block = np.empty((rows, len(net.slots), net.f))
+        self.head = np.empty((rows, len(net.slots)))
+        self.blocks, end = [], 0
         for e, sel, _, _ in net.exits:
             if not backward:  # a readout's layer keeps its own activation
                 self.act[e - 1] = np.empty(shape)
-            self.blocks.append(np.empty((rows, len(sel), net.f)))
-            self.heads.append(np.empty((rows, len(sel))))
+            self.blocks.append(self.block[:, end : end + len(sel)])
+            end += len(sel)
 
     def fit(self, n: int) -> Workspace:
         """This workspace for a pass over n rows: itself, or for fewer rows
@@ -287,7 +294,8 @@ class Workspace:
         if n == self.rows:
             return self
         cut = object.__new__(Workspace)
-        cut.__dict__ = {name: [a[:n] for a in value] if isinstance(value, list) else value
+        cut.__dict__ = {name: [a[:n] for a in value] if isinstance(value, list)
+                        else value[:n] if isinstance(value, np.ndarray) else value
                         for name, value in vars(self).items()}
         cut.rows = n
         return cut

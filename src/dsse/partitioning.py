@@ -238,12 +238,15 @@ def export_mask_plan(plan: MaskPlan, path) -> None:
 def load_mask_plan(path) -> MaskPlan:
     """The plan ``export_mask_plan`` wrote, with each pair's deepest layer as
     its lifetime. ValueError for a file that no lifetime matrix exports, such
-    as one whose layers are not nested."""
+    as one whose layers are not nested or whose entries name a bus outside
+    ``n_buses``."""
     with open(path) as fh:
         doc = json.load(fh)
     n = doc["n_buses"]
     life = np.zeros((n, n), dtype=int)
     for t, i, j in doc["entries"]:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{path} entry {[t, i, j]} names a bus outside the plan's {n} buses")
         life[i, j] = max(life[i, j], t)
     plan = MaskPlan(life, doc["block_width"], doc["pruned"])
     if _plan_doc(plan) != dict(doc, entries=sorted(doc["entries"])):

@@ -4,10 +4,14 @@ Minimizes J(x) = [z - h(x)]^T R^-1 [z - h(x)] over the rectangular voltage
 state. ``check_observable`` tests each template once per model: the
 flat-start Jacobian, each row made per-unit by its unit base, must have full
 column rank, or the estimator raises ``UnobservableError`` (scenario 3 uses
-the same test). The evaluator, flat start, its Jacobian and that outcome are
-shared by every set ``with_values`` realizes from the template. Each step is
-one R-only QR of the sigma-whitened augmented system [H | r], whose last
-column holds Q^T r; a step-halving guard keeps the objective non-increasing.
+the same test). The evaluator, flat start, its Jacobian, that outcome and an
+upper-triangular 0/1 mask are compiled once and shared by every set
+``with_values`` realizes from the template. Each step recomputes only what the
+state changes (the evaluator's injection rows of H; its PMU rows are compiled),
+writes the sigma-whitened augmented system [H | r] into one buffer per call
+and factors it with one raw-mode QR, whose R has Q^T r in its last column. The
+accepted trial's residual and rectangular state carry into the next step; a
+step-halving guard keeps the objective non-increasing.
 """
 
 from __future__ import annotations
@@ -40,10 +44,10 @@ class WlsConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for name, ok, rule in (("tolerance", 0 < self.tolerance < np.inf, "finite and > 0"),
+                               ("max_iter", self.max_iter >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -75,19 +79,23 @@ def check_observable(model: FeederModel, template: MeasurementSet, H: np.ndarray
 
 
 def _compile(model: FeederModel, template: MeasurementSet) -> tuple:
-    """(evaluator, flat state, flat-start Jacobian, margin or UnobservableError)."""
+    """(evaluator, flat state, flat-start Jacobian, margin or UnobservableError,
+    read-only upper-triangular 0/1 mask that cuts R out of a raw QR)."""
     ev, flat = RowEvaluator(model, template), slack_state(model)
     H = ev.jacobian(flat)
+    upper = np.triu(np.ones((H.shape[1], H.shape[1])))
+    upper.flags.writeable = False
     try:
-        return ev, flat, H, check_observable(model, template, H)
+        margin = check_observable(model, template, H)
     except UnobservableError as exc:
-        return ev, flat, H, exc
+        margin = exc
+    return ev, flat, H, margin, upper
 
 
 def estimate(model: FeederModel, z: MeasurementSet, config: WlsConfig | None = None,
              x0: StateVector | None = None) -> WlsReport:
     config = config or WlsConfig()
-    ev, flat, H, margin = z.compiled(model, _compile)
+    ev, flat, H, margin, upper = z.compiled(model, _compile)
     zv, variances = z.values(), z.variances()
     if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
         raise ValueError("measurement values must be finite, variances finite and positive")
@@ -95,24 +103,31 @@ def estimate(model: FeederModel, z: MeasurementSet, config: WlsConfig | None = N
         raise ValueError(f"x0 has {len(x0.values)} slots, the feeder has {model.n_slots}")
     if isinstance(margin, UnobservableError):
         raise UnobservableError(*margin.args)
-    sigma = np.sqrt(variances)
+    sigma = np.sqrt(variances)[:, None]
     x = (flat if x0 is None else x0).copy()
+    xr = x.rect
     r = zv - ev.h(x)
     j_cur = float(np.sum(r * r / variances))
     base, n = model.base_voltage, H.shape[1]
+    A = np.empty((len(zv), n + 1))  # [H | r] / sigma, rewritten each step
 
     for it in range(1, config.max_iter + 1):
         if it > 1 or x0 is not None:  # a cold start's first step reuses the flat-start H
             H = ev.jacobian(x)
         # Gauss-Newton step (H / sigma) delta = r / sigma by least squares: the
-        # R factor of [H | r] / sigma holds R_H and Q^T r, so Q is never formed
-        R = np.linalg.qr(np.column_stack([H, r]) / sigma[:, None], mode="r")
-        delta = np.linalg.solve(R[:n, :n], R[:n, n])
+        # R factor of [H | r] / sigma holds R_H and Q^T r, so Q is never formed.
+        # Raw mode returns geqrf's output, R above the diagonal and the
+        # Householder vectors below it
+        np.divide(H, sigma, out=A[:, :n])
+        np.divide(r[:, None], sigma, out=A[:, n:])
+        R = np.linalg.qr(A, mode="raw")[0].T
+        delta = np.linalg.solve(R[:n, :n] * upper, R[:n, n])
 
         # step-halving guard: accept no objective increase beyond rounding slack
         alpha = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
-            x_try = StateVector.from_rect(x.rect + alpha * delta)
+            xr_try = xr + alpha * delta
+            x_try = StateVector.from_rect(xr_try)
             r_try = zv - ev.h(x_try)
             j_try = float(np.sum(r_try * r_try / variances))
             if j_try <= j_cur * (1.0 + 1e-9) + 1e-12:
@@ -124,7 +139,7 @@ def estimate(model: FeederModel, z: MeasurementSet, config: WlsConfig | None = N
             if float(np.max(np.abs(delta))) / base < config.tolerance:
                 return WlsReport(x, j_cur, it, True, margin)
             raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
-        x, r, j_cur = x_try, r_try, min(j_try, j_cur)
+        x, xr, r, j_cur = x_try, xr_try, r_try, min(j_try, j_cur)
         if float(np.max(np.abs(alpha * delta))) / base < config.tolerance:
             return WlsReport(x, j_cur, it, True, margin)
 

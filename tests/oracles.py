@@ -10,7 +10,9 @@ reference generator is the per-sample dataset loop that batched generation
 replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
 The reference estimator is WLS as it was before templates were compiled: it
 rebuilds the evaluator and reruns the observability test on every call, and
-solves each Gauss-Newton step through an explicit Q. The reference mask plan
+solves each Gauss-Newton step through an explicit Q; its Jacobian is the
+evaluator's before constant rows were compiled, every row built from dense
+one-hot own-slot products and full-size selections. The reference mask plan
 is plan construction before the lifetime matrix: an all-pairs BFS per
 partition, a separate unpruned return, and a loop over layers, partitions
 and bus pairs.
@@ -471,6 +473,26 @@ def reference_generate(model, template, profile, pmu_buses, seed=None) -> Datase
 # -- WLS ------------------------------------------------------------------
 
 
+def reference_jacobian(ev: RowEvaluator, state: StateVector) -> np.ndarray:
+    """``RowEvaluator.jacobian`` before constant rows were compiled: every
+    row, PMU or injection, from the compiled ``C`` at each call."""
+    v = state.values
+    power = ev.power[:, None]
+    own_slot = (ev.slot[:, None] == np.arange(ev.model.n_slots)).astype(float)
+    # complex derivatives of each row's i or s w.r.t. e_s and f_s:
+    # di/de = C, di/df = jC; ds/de = -(own conj(i) + V conj(C)),
+    # ds/df = -j (own conj(i) - V conj(C)), own = one-hot at the row's slot
+    own = own_slot * np.conj(ev.C @ v)[:, None]
+    across = v[ev.slot][:, None] * np.conj(ev.C)
+    d_e = np.where(power, -(own + across), ev.C)
+    d_f = np.where(power, -1j * (own - across), 1j * ev.C)
+    imag = ev.imag[:, None]
+    H = np.empty((len(ev.slot), 2 * ev.model.n_slots))
+    H[:, 0::2] = np.where(imag, d_e.imag, d_e.real)
+    H[:, 1::2] = np.where(imag, d_f.imag, d_f.real)
+    return H
+
+
 def reference_objective(
     model: FeederModel, z: MeasurementSet, x: StateVector, evaluator=None
 ) -> float:
@@ -497,7 +519,7 @@ def reference_estimate(
     sigma = np.sqrt(variances)
 
     flat = slack_state(model)
-    H = ev.jacobian(flat)
+    H = reference_jacobian(ev, flat)
     margin = check_observable(model, z, H)
     x = x0.copy() if x0 is not None else flat
     j_cur = reference_objective(model, z, x, ev)
@@ -505,7 +527,7 @@ def reference_estimate(
 
     for it in range(1, config.max_iter + 1):
         if x is not flat:  # a cold start's first step reuses the flat-start H
-            H = ev.jacobian(x)
+            H = reference_jacobian(ev, x)
         # Gauss-Newton step: least squares on the sigma-whitened rows
         # (H / sigma) delta = r / sigma by QR, without the normal equations
         q, R = np.linalg.qr(H / sigma[:, None])

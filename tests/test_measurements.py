@@ -22,7 +22,10 @@ from dsse.measurements import (
     row_sigmas,
     synthesize,
 )
+from dsse.pipeline import (LoadProfileConfig, generate_dataset, scenario_template,
+                           standard_scenarios)
 from dsse.powerflow import StateVector, slack_state
+from dsse.wls import estimate
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +296,32 @@ class TestJacobian:
             )
             scale = np.maximum(np.abs(Hfd).max(axis=1, keepdims=True), 1.0)
             assert np.max(np.abs(H - Hfd) / scale) < 1e-6
+
+    @pytest.mark.parametrize("fixture", sorted(PMU_LABELS))
+    @pytest.mark.parametrize("scenario_index", [0, 1, 2],
+                             ids=["scenario1", "scenario2", "scenario3"])
+    def test_matches_reference_jacobian(self, request, fixture, scenario_index):
+        # compiled PMU rows plus per-state injection rows, entry for entry
+        # the dense one-hot evaluation they replaced
+        model = request.getfixturevalue(fixture)
+        pmu = [model.bus_by_label(label) for label in PMU_LABELS[fixture]]
+        scenarios = standard_scenarios(pmu)
+        template, _ = scenario_template(model, scenarios[scenario_index])
+        flat = slack_state(model)
+        rng = np.random.default_rng(scenario_index)
+        states = [flat] + [StateVector.from_rect(flat.rect + rng.normal(0, 100, flat.rect.shape))
+                           for _ in range(5)]
+        # converged estimates come from scenario 1: scenario 3 is unobservable
+        observable, _ = scenario_template(model, scenarios[0])
+        ds = generate_dataset(model, observable, LoadProfileConfig(samples=5, seed=1), pmu)
+        states += [estimate(model, observable.with_values(ds.values[i], ds.variances[i])).x_hat
+                   for i in range(len(ds))]
+        ev = RowEvaluator(model, template)
+        for x in states:
+            H = ev.jacobian(x)
+            assert np.array_equal(H, oracles.reference_jacobian(ev, x))
+            H[:] = np.nan  # each call returns its own array
+        assert np.array_equal(ev.jacobian(flat), oracles.reference_jacobian(ev, flat))
 
 
 class TestSynthesis:

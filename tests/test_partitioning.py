@@ -209,7 +209,8 @@ class TestMaskPlan:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "43ae45a2ef5e66692c688fe982013151423cdef8adc1b0b88bfbc16934a308eb")
 
-    @pytest.mark.parametrize("damage", ["unnested", "exit_layer", "depth", "duplicate"])
+    @pytest.mark.parametrize("damage",
+                             ["unnested", "exit_layer", "depth", "duplicate", "bus_index"])
     def test_load_rejects_what_no_lifetime_matrix_exports(self, six_plan, tmp_path, damage):
         path = tmp_path / "plan.json"
         export_mask_plan(six_plan, path)
@@ -221,10 +222,13 @@ class TestMaskPlan:
             doc["exit_layer"][0] -= 1
         elif damage == "depth":
             doc["depth"] += 1
-        else:
+        elif damage == "duplicate":
             doc["entries"].append(doc["entries"][0])
+        else:  # bus index n_buses, one past the last row of the lifetime matrix
+            doc["entries"].append([1, doc["n_buses"], 0])
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="layers nested"):
+        match = "outside the plan's" if damage == "bus_index" else "layers nested"
+        with pytest.raises(ValueError, match=match):
             load_mask_plan(path)
 
     def test_export_order_does_not_matter(self, six_plan, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,8 +148,9 @@ class TestEstimate:
         assert not exc.value.report.converged
 
     def test_config_validation(self, six_bus, six_plan, six_bus_pf):
-        with pytest.raises(ValueError):
-            WlsConfig(tolerance=0.0)
+        for tolerance in (0.0, -1e-7, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+                WlsConfig(tolerance=tolerance)
         for max_iter in (0, -1):
             with pytest.raises(ValueError, match="max_iter"):
                 WlsConfig(max_iter=max_iter)
@@ -235,6 +238,24 @@ class TestCompiledTemplate:
             assert report.objective == pytest.approx(ref.objective, rel=1e-9)
         if start == "max_iter_1":
             assert kind is NonConvergedError
+
+    @pytest.mark.parametrize("fixture,digest", [
+        ("six_bus", "63c1048938494cda02ddcea2f04e1436499bf229c6392b003b8559c7a28ff278"),
+        ("thirteen_bus", "80d32e304974fa55ae1111f1b7a6044e56c23968a7d15ecbfc17d8a189f5aec6"),
+    ])
+    def test_estimates_bytes_pinned(self, request, fixture, digest):
+        # a faster Gauss-Newton step must not move one bit of any estimate.
+        # The digests were taken with numpy 2.4 on OpenBLAS 0.3.31; another
+        # BLAS or LAPACK build may round differently and needs new digests
+        model = request.getfixturevalue(fixture)
+        h = hashlib.sha256()
+        for scenario_index in (0, 1):
+            for z in scenario_sets(model, PMU_LABELS[fixture], scenario_index, samples=20):
+                report = estimate(model, z)
+                h.update(report.x_hat.values.tobytes())
+                h.update(np.float64(report.objective).tobytes())
+                h.update(np.int64(report.iterations).tobytes())
+        assert h.hexdigest() == digest
 
     def test_one_compile_per_template(self, thirteen_bus, counts):
         init, check = counts
