@@ -15,7 +15,7 @@ from dsse.grid_model import (
     dump_feeder,
     load_feeder,
 )
-from dsse.powerflow import PowerFlowResult, StateVector, solve_power_flow, voltage_magnitudes
+from dsse.powerflow import PowerFlowResult, StateVector, solve_power_flow
 from dsse.measurements import (
     MeasurementSet,
     jacobian_rows,
@@ -31,8 +31,7 @@ from dsse.partitioning import (
     build_mask_plan,
     count_params,
     partition_at_pmus,
-    partition_diameters,
 )
-from dsse.network import EvalReport, MaskedNetwork, TrainConfig, embed_input, evaluate, train
+from dsse.network import EvalReport, MaskedNetwork, TrainConfig, evaluate, train
 
 __version__ = "0.1.0"

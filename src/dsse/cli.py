@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from dsse import network, wls
 from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
 from dsse.measurements import MeasurementSet
 from dsse.network import TrainConfig, checkpoint_meta, load_checkpoint, save_checkpoint, train
-from dsse.partitioning import build_mask_plan, export_mask_plan, partition_at_pmus
+from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, export_mask_plan, partition_at_pmus
 from dsse.pipeline import (
     LoadProfileConfig,
     Scenario,
@@ -44,31 +45,16 @@ def _pmu_indices(model, labels):
     return [model.bus_by_label(int(l)) for l in labels]
 
 
-def _add_profile_args(p):
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--amplitude", type=float, default=0.15)
-    p.add_argument("--noise-sigma", type=float, default=0.08)
+def _add_config_flags(p, *configs):
+    """One ``--flag`` per field of the ``configs`` dataclasses, typed and defaulted
+    by the field; a field two configs share is one flag."""
+    for f in {f.name: f for config in configs for f in fields(config)}.values():
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
-def _add_train_args(p):
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--patience", type=int, default=20)
-    p.add_argument("--train-fraction", type=float, default=0.9)
-    p.add_argument("--block-width", type=int, default=8)
-
-
-def _profile(args):
-    return LoadProfileConfig(samples=args.samples, seed=args.seed, amplitude=args.amplitude,
-                             noise_sigma=args.noise_sigma)
-
-
-def _train_config(args):
-    return TrainConfig(learning_rate=args.learning_rate, batch_size=args.batch_size,
-                       epochs=args.epochs, patience=args.patience,
-                       train_fraction=args.train_fraction, seed=args.seed)
+def _config(cls, args):
+    """The ``cls`` config holding the parsed value of each of its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def cmd_generate(args):
@@ -78,7 +64,7 @@ def cmd_generate(args):
                         metered_loads=tuple(_pmu_indices(model, args.metered or [])),
                         pseudo_noise=args.pseudo_noise, make_unobservable=args.unobservable)
     template, removed = scenario_template(model, scenario)
-    ds = generate_dataset(model, template, _profile(args), pmu)
+    ds = generate_dataset(model, template, _config(LoadProfileConfig, args), pmu)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples ({len(template)} rows, {removed} pseudo rows removed, "
           f"{ds.resampled} load draws resampled) to {args.out}")
@@ -93,14 +79,13 @@ def cmd_train(args):
     plan = build_mask_plan(
         model, partitions, block_width=args.block_width, prune=args.kind == "p2n2"
     )
-    net, curve, _ = train(plan, model, ds.features, ds.v_true_pu, _train_config(args))
+    net, curve, _ = train(plan, model, ds.features, ds.v_true_pu, _config(TrainConfig, args))
     save_checkpoint(
         net,
         args.out,
         extra_meta={
             "kind": args.kind,
             "pmu_buses": pmu,
-            "block_width": args.block_width,
             "template_signature": ds.template.signature(),
         },
     )
@@ -137,12 +122,12 @@ def cmd_estimate(args):
 def cmd_bench(args):
     model = load_feeder(args.feeder)
     pmu = _pmu_indices(model, args.pmu)
-    profile = _profile(args)
+    profile, train_config = _config(LoadProfileConfig, args), _config(TrainConfig, args)
     rows = []
     traces = {}
     for scenario in standard_scenarios(pmu):
         scen_rows, artifacts = run_scenario(
-            model, scenario, profile, _train_config(args), block_width=args.block_width
+            model, scenario, profile, train_config, block_width=args.block_width
         )
         rows.extend(scen_rows)
         traces[scenario.name] = artifacts["traces"]
@@ -175,7 +160,7 @@ def build_parser():
     p.add_argument("--unobservable", action="store_true",
                    help="remove pseudo rows until WLS rank deficiency")
     p.add_argument("--out", required=True)
-    _add_profile_args(p)
+    _add_config_flags(p, LoadProfileConfig)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a masked network on a dataset")
@@ -183,8 +168,8 @@ def build_parser():
     p.add_argument("--dataset", required=True)
     p.add_argument("--kind", choices=["pawnn", "p2n2"], default="p2n2")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_train_args(p)
+    _add_config_flags(p, TrainConfig)
+    p.add_argument("--block-width", type=int, default=BLOCK_WIDTH)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate", help="estimate from a measurement file")
@@ -199,14 +184,14 @@ def build_parser():
     p.add_argument("--feeder", required=True)
     p.add_argument("--pmu", nargs="+", required=True)
     p.add_argument("--out", required=True)
-    _add_profile_args(p)
-    _add_train_args(p)
+    _add_config_flags(p, LoadProfileConfig, TrainConfig)
+    p.add_argument("--block-width", type=int, default=BLOCK_WIDTH)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("masks", help="export a mask plan")
     p.add_argument("--feeder", required=True)
     p.add_argument("--pmu", nargs="+", required=True)
-    p.add_argument("--block-width", type=int, default=8)
+    p.add_argument("--block-width", type=int, default=BLOCK_WIDTH)
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_masks)

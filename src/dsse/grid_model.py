@@ -112,9 +112,9 @@ class Load:
 class FeederModel:
     """Validated, immutable radial feeder.
 
-    Exposes the adjacency structure, unique tree distances, each branch's
-    ``downstream_bus`` (its end farther from the source), and the fixed
-    state-slot ordering (bus-major, phase-minor) used everywhere else.
+    Exposes the adjacency structure, each branch's ``downstream_bus`` (its
+    end farther from the source), and the fixed state-slot ordering
+    (bus-major, phase-minor) used everywhere else.
     """
 
     def __init__(self, buses, branches, loads):
@@ -140,7 +140,6 @@ class FeederModel:
         ) or 1.0e3
 
         self._label_to_index = {b.label: b.index for b in buses}
-        self.loads_by_bus: dict[int, Load] = {ld.bus: ld for ld in loads}
 
         # linear current operators over the slot phasors, one impedance
         # inversion per branch: row (branch, phase) of ``branch_current`` is
@@ -194,25 +193,6 @@ class FeederModel:
             a[br.from_bus, br.to_bus] = True
             a[br.to_bus, br.from_bus] = True
         return a
-
-    def graph_distance(self, a: int, b: int) -> int:
-        """Hop count along the unique tree path between buses a and b."""
-        for bus in (a, b):
-            if not 0 <= bus < self.n_buses:
-                raise KeyError(f"unknown bus id {bus}")
-        if a == b:
-            return 0
-        dist = {a: 0}
-        queue = deque([a])
-        while queue:
-            u = queue.popleft()
-            for v in self._nbr[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == b:
-                        return dist[v]
-                    queue.append(v)
-        raise KeyError(f"no path between buses {a} and {b}")
 
     # -- validation --------------------------------------------------------
 

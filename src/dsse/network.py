@@ -41,10 +41,6 @@ INPUT_CHANNELS = 3 * CHANNELS_PER_PHASE
 INPUT_LAYOUT = 2  # checkpoint stamp: one cell per row, currents at the downstream bus
 
 
-class TemplateMismatchError(ValueError):
-    """Measurement rows differ from the template the embedding was built on."""
-
-
 class InputEmbedding:
     """Puts each row's per-unit value in its own cell (bus, phase, kind code): a
     branch-current row at the branch's downstream bus, which only that branch
@@ -52,7 +48,6 @@ class InputEmbedding:
     rejected. Layout: bus-major, phase-major (A, B, C), then kind."""
 
     def __init__(self, model: FeederModel, template: MeasurementSet):
-        self.signature = template.signature()
         self.width = model.n_buses * INPUT_CHANNELS
         code, bus = template.code, template.locus.copy()
         branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
@@ -71,15 +66,6 @@ class InputEmbedding:
         out = np.zeros(np.shape(values)[:-1] + (self.width,))
         out[..., self._index] = np.asarray(values) / self._scale
         return out
-
-
-def embed_input(z: MeasurementSet, embedding: InputEmbedding) -> np.ndarray:
-    """Feature vector for one realized measurement set."""
-    if z.signature() != embedding.signature:
-        raise TemplateMismatchError(
-            "measurement rows do not match the embedding's training template"
-        )
-    return embedding.embed_values(z.values())
 
 
 class MaskedNetwork:
@@ -313,6 +299,7 @@ class TrainConfig:
     def __post_init__(self):
         for name, ok, rule in (("epochs", self.epochs >= 1, ">= 1"),
                                ("batch_size", self.batch_size >= 1, ">= 1"),
+                               ("patience", self.patience >= 1, ">= 1"),
                                ("learning_rate", 0 <= self.learning_rate < np.inf,
                                 "finite and >= 0"),
                                ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")):

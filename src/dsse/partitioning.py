@@ -38,6 +38,8 @@ import numpy as np
 
 from dsse.grid_model import FeederModel
 
+BLOCK_WIDTH = 8  # default hidden channels per bus
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -169,15 +171,10 @@ def resolution_depth(model: FeederModel, part: Partition, hop: int | None = None
     return max(hop, 2)
 
 
-def partition_diameters(partitions, model: FeederModel) -> list:
-    """Per-partition resolution depth (hop diameter with the non-PMU floor)."""
-    return [resolution_depth(model, p) for p in partitions]
-
-
 def build_mask_plan(
     model: FeederModel,
     partitions,
-    block_width: int = 8,
+    block_width: int = BLOCK_WIDTH,
     prune: bool = True,
 ) -> MaskPlan:
     """Masks and output routing built from the lifetime matrix ``life``

@@ -35,7 +35,7 @@ from dsse.grid_model import FeederModel
 from dsse.measurements import (MeasurementSet, RowEvaluator, jacobian_rows, plan_measurements,
                                row_sigmas, synthesize)  # noqa: F401
 from dsse.network import InputEmbedding, TrainConfig, Workspace, split_indices, train
-from dsse.partitioning import build_mask_plan, count_params, partition_at_pmus
+from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, count_params, partition_at_pmus
 from dsse.powerflow import (DEFAULT_MAX_ITER, NotConvergedError, StateVector, slack_state,
                             solve_batch, solve_power_flow)  # noqa: F401
 from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, check_observable, estimate
@@ -300,7 +300,7 @@ def run_scenario(
     scenario: Scenario,
     profile: LoadProfileConfig,
     train_config: TrainConfig | None = None,
-    block_width: int = 8,
+    block_width: int = BLOCK_WIDTH,
     wls_config: WlsConfig | None = None,
     estimators=("wls", "pawnn", "p2n2"),
 ):

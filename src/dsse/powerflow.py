@@ -91,11 +91,6 @@ def slack_state(model: FeederModel) -> StateVector:
     ))
 
 
-def voltage_magnitudes(state: StateVector) -> np.ndarray:
-    """Element-wise modulus of the rectangular voltage pairs."""
-    return state.magnitudes()
-
-
 def solve_batch(model: FeederModel, s: np.ndarray, tolerance: float | None = None,
                 max_iter: int = DEFAULT_MAX_ITER):
     """Fixed point V = V0 - Zbus @ conj(S / V) for each row of the (M, n_slots)

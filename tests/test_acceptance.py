@@ -21,7 +21,7 @@ from dsse.partitioning import (
     build_mask_plan,
     count_params,
     partition_at_pmus,
-    partition_diameters,
+    resolution_depth,
 )
 from dsse.pipeline import (
     LoadProfileConfig,
@@ -106,7 +106,7 @@ class TestPartitionOracle:
         )
         got = [{six_bus.buses[b].label for b in p.buses} for p in parts]
         assert got == [{1, 2, 3, 4}, {4, 5}, {4, 6}]
-        assert partition_diameters(parts, six_bus) == [3, 2, 2]
+        assert [resolution_depth(six_bus, p) for p in parts] == [3, 2, 2]
 
     def test_200_random_trees_match_brute_force(self):
         t0 = time.perf_counter()
@@ -118,7 +118,7 @@ class TestPartitionOracle:
             pmus = sorted(rng.choice(n, size=k, replace=False).tolist())
             parts = partition_at_pmus(m, pmus)
             assert {p.buses for p in parts} == oracles.enumerate_partitions(m, pmus)
-            for p, d in zip(parts, partition_diameters(parts, m)):
+            for p, d in zip(parts, [resolution_depth(m, p) for p in parts]):
                 hop = oracles.subgraph_diameter(m, p.buses)
                 if len(p.buses) == 1:
                     assert d == 0

@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import hashlib
 import json
 import re
 
@@ -10,13 +12,16 @@ from dsse.cli import (
     EXIT_OK,
     EXIT_UNOBSERVABLE,
     EXIT_VALIDATION,
+    _config,
+    build_parser,
     main,
 )
 from dsse.fixtures import fixture_path
 from dsse.measurements import plan_measurements, synthesize
-from dsse.network import MaskedNetwork, evaluate, load_checkpoint, save_checkpoint, split_indices
-from dsse.partitioning import build_mask_plan, partition_at_pmus
-from dsse.pipeline import load_dataset, remove_pseudo_until_unobservable
+from dsse.network import (MaskedNetwork, TrainConfig, evaluate, load_checkpoint, save_checkpoint,
+                          split_indices)
+from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, partition_at_pmus
+from dsse.pipeline import LoadProfileConfig, load_dataset, remove_pseudo_until_unobservable
 
 SIX = str(fixture_path("six_bus"))
 
@@ -65,6 +70,36 @@ def test_masks_export(workdir):
     doc = json.loads(out.read_text())
     assert doc["depth"] == 3
     assert doc["pruned"] is True
+
+
+def test_checkpoint_meta_bytes_pinned(workdir, dataset_path):
+    # estimate rebuilds the plan from this metadata, and its block_width is
+    # written once, by save_checkpoint
+    out = workdir / "net_pinned.npz"
+    assert main(["train", "--feeder", SIX, "--dataset", str(dataset_path), "--epochs", "2",
+                 "--out", str(out)]) == EXIT_OK
+    with np.load(out) as data:
+        assert hashlib.sha256(bytes(data["meta"])).hexdigest() == (
+            "8354a2f97034777dba55541b5ee148673b435962e97802ff4005d239633a8cb2")
+
+
+@pytest.mark.parametrize("command, required, configs", [
+    ("generate", ["--pmu", "4"], (LoadProfileConfig,)),
+    ("train", ["--dataset", "ds.npz"], (TrainConfig,)),
+    ("bench", ["--pmu", "4"], (LoadProfileConfig, TrainConfig)),
+    ("masks", ["--pmu", "4"], ()),
+], ids=["generate", "train", "bench", "masks"])
+def test_flags_mirror_config_fields(command, required, configs):
+    parser = build_parser()
+    args = parser.parse_args([command, "--feeder", SIX, "--out", "x", *required])
+    sub = parser._subparsers._group_actions[0].choices[command]
+    options = [o for action in sub._actions for o in action.option_strings]
+    for cls in configs:
+        assert _config(cls, args) == cls()
+        for f in dataclasses.fields(cls):
+            assert options.count("--" + f.name.replace("_", "-")) == 1
+    if command != "generate":
+        assert args.block_width == BLOCK_WIDTH
 
 
 def test_estimate_wls(workdir, six_bus, six_bus_pf, capsys):
@@ -314,7 +349,7 @@ def test_bench_writes_report(workdir, capsys):
     "flag, value, field",
     [("--epochs", "0", "epochs"), ("--batch-size", "0", "batch_size"),
      ("--learning-rate", "-0.001", "learning_rate"), ("--learning-rate", "inf", "learning_rate"),
-     ("--train-fraction", "1.0", "train_fraction")],
+     ("--train-fraction", "1.0", "train_fraction"), ("--patience", "0", "patience")],
 )
 def test_train_with_an_invalid_setting_is_validation_error(
     workdir, dataset_path, capsys, flag, value, field

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from dsse.fixtures import fixture_path
@@ -237,19 +235,6 @@ class TestDerivedStructure:
         # any tree: N diagonal entries + 2 per branch
         assert thirteen_bus.adjacency_pattern().sum() == 13 + 2 * 12
 
-    def test_graph_distance_examples(self, six_bus):
-        assert six_bus.graph_distance(0, 3) == 3  # chain 1-2-3-4
-        assert six_bus.graph_distance(4, 5) == 2  # via bus 4
-        for k in range(6):
-            assert six_bus.graph_distance(k, k) == 0
-
-    def test_graph_distance_matches_bfs_oracle(self, thirteen_bus):
-        for a in range(13):
-            for b in range(13):
-                assert thirteen_bus.graph_distance(a, b) == oracles.bfs_distance(
-                    thirteen_bus, a, b
-                )
-
     @pytest.mark.parametrize("name", ["six_bus", "thirteen_bus"])
     def test_current_operators_match_stamped_admittance(self, name, request):
         model = request.getfixturevalue(name)
@@ -284,18 +269,10 @@ class TestDerivedStructure:
         m = thirteen_bus
         for br, down in zip(m.branches, m.downstream_bus.tolist()):
             up = br.from_bus + br.to_bus - down
-            assert m.graph_distance(m.source, down) == m.graph_distance(m.source, up) + 1
+            assert oracles.bfs_distance(m, m.source, down) == oracles.bfs_distance(
+                m, m.source, up
+            ) + 1
         # a branch written child -> parent feeds its from-bus
         doc = minimal_doc()
         doc["branches"][0]["from"], doc["branches"][0]["to"] = 2, 1
         assert feeder_from_dict(doc).downstream_bus.tolist() == [1]
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(2, 25), st.integers(0, 2**31 - 1))
-    def test_random_tree_distances(self, n, seed):
-        rng = np.random.default_rng(seed)
-        m = oracles.random_tree_model(rng, n)
-        a, b = rng.integers(0, n, 2)
-        assert m.graph_distance(int(a), int(b)) == oracles.bfs_distance(
-            m, int(a), int(b)
-        )

@@ -22,11 +22,9 @@ from dsse.network import (
     INPUT_CHANNELS,
     InputEmbedding,
     MaskedNetwork,
-    TemplateMismatchError,
     TrainConfig,
     TrainingDiverged,
     Workspace,
-    embed_input,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -95,7 +93,7 @@ class TestInputEmbedding:
         template = plan_measurements(six_bus, [six_bus.bus_by_label(4)])
         emb = InputEmbedding(six_bus, template)
         z = synthesize(template, six_bus_pf.state, six_bus, 0)
-        feat = embed_input(z, emb)
+        feat = emb.embed_values(z.values())
         occupancy = {}
         for i in np.nonzero(feat)[0]:
             bus = six_bus.buses[int(i) // INPUT_CHANNELS].label
@@ -118,7 +116,7 @@ class TestInputEmbedding:
         for scenario in standard_scenarios(pmu):
             template, _ = scenario_template(model, scenario)
             z = synthesize(template, state, model, 0)
-            feat = embed_input(z, InputEmbedding(model, template))
+            feat = InputEmbedding(model, template).embed_values(z.values())
             # oracle cell: a branch row sits at the end farther from the source
             cells = []
             for kind, locus, phase, _, _ in z._keys():
@@ -126,7 +124,7 @@ class TestInputEmbedding:
                 if kind in (I_REAL, I_IMAG):
                     br = model.branches[locus]
                     bus = max((br.from_bus, br.to_bus),
-                              key=lambda b: model.graph_distance(model.source, b))
+                              key=lambda b: oracles.bfs_distance(model, model.source, b))
                 phase = "ABC".index(phase)
                 cells.append(bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + KIND_CODE[kind])
             assert len(set(cells)) == len(cells), scenario.name
@@ -147,14 +145,6 @@ class TestInputEmbedding:
         rows[0] = (kind, locus, *rows[0][2:])
         with pytest.raises(ValueError, match="not a bus or branch"):
             InputEmbedding(six_bus, MeasurementSet(*zip(*rows)))
-
-    def test_template_mismatch_rejected(self, six_bus, six_bus_pf):
-        t1 = plan_measurements(six_bus, [3])
-        t2 = plan_measurements(six_bus, [2])
-        emb = InputEmbedding(six_bus, t1)
-        z = synthesize(t2, six_bus_pf.state, six_bus, 0)
-        with pytest.raises(TemplateMismatchError):
-            embed_input(z, emb)
 
     def test_batched_equals_single(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [3])
@@ -387,7 +377,7 @@ class TestTraining:
         [("epochs", 0), ("epochs", -1), ("batch_size", 0), ("learning_rate", -1e-3),
          ("learning_rate", float("nan")), ("learning_rate", float("inf")),
          ("train_fraction", 0.0), ("train_fraction", 1.0),
-         ("train_fraction", 1.5)],
+         ("train_fraction", 1.5), ("patience", 0), ("patience", -3)],
     )
     def test_config_rejects_out_of_range_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):

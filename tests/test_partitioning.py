@@ -18,7 +18,6 @@ from dsse.partitioning import (
     export_mask_plan,
     load_mask_plan,
     partition_at_pmus,
-    partition_diameters,
     resolution_depth,
 )
 
@@ -58,14 +57,14 @@ class TestPartitioning:
             partition_at_pmus(six_bus, [six_bus.bus_by_label(4)]),
             key=lambda p: (-len(p.buses), sorted(p.buses)),
         )
-        assert partition_diameters(parts, six_bus) == [3, 2, 2]
+        assert [resolution_depth(six_bus, p) for p in parts] == [3, 2, 2]
 
     def test_pmu_everywhere(self, six_bus):
         parts = partition_at_pmus(six_bus, list(range(6)))
         # every branch becomes its own two-bus partition
         assert len(parts) == 5
         assert all(len(p.buses) == 2 and p.buses == p.pmus for p in parts)
-        assert all(d <= 1 for d in partition_diameters(parts, six_bus))
+        assert all(resolution_depth(six_bus, p) <= 1 for p in parts)
 
     def test_thirteen_bus_matches_enumeration_oracle(self, thirteen_bus):
         pmus = [thirteen_bus.bus_by_label(1), thirteen_bus.bus_by_label(5)]

@@ -12,7 +12,6 @@ from dsse.powerflow import (
     slack_state,
     solve_batch,
     solve_power_flow,
-    voltage_magnitudes,
 )
 
 
@@ -24,8 +23,8 @@ class TestStateVector:
         assert np.array_equal(StateVector.from_rect(s.rect).values, v)
 
     def test_magnitudes(self):
-        assert voltage_magnitudes(StateVector(np.array([3.0 + 4.0j]))) == [5.0]
-        assert voltage_magnitudes(StateVector(np.array([2400.0 + 0.0j]))) == [2400.0]
+        assert StateVector(np.array([3.0 + 4.0j])).magnitudes() == [5.0]
+        assert StateVector(np.array([2400.0 + 0.0j])).magnitudes() == [2400.0]
 
 
 class TestSolvePowerFlow:
