@@ -23,7 +23,7 @@ from dsse.measurements import (
     plan_measurements,
     synthesize,
 )
-from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, WlsReport, estimate, objective
+from dsse.wls import NonConvergedError, UnobservableError, WlsReport, estimate, objective
 from dsse.partitioning import (
     MaskPlan,
     ParamCount,

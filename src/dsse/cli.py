@@ -18,7 +18,7 @@ import numpy as np
 
 from dsse import network, wls
 from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
-from dsse.measurements import MeasurementSet
+from dsse.measurements import PSEUDO_NOISE, MeasurementSet
 from dsse.network import TrainConfig, checkpoint_meta, load_checkpoint, save_checkpoint, train
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, export_mask_plan, partition_at_pmus
 from dsse.pipeline import (
@@ -156,7 +156,7 @@ def build_parser():
     p.add_argument("--feeder", required=True)
     p.add_argument("--pmu", nargs="+", required=True, help="PMU bus ids (file labels)")
     p.add_argument("--metered", nargs="*", help="smart-metered load bus ids")
-    p.add_argument("--pseudo-noise", type=float, default=0.3)
+    p.add_argument("--pseudo-noise", type=float, default=PSEUDO_NOISE)
     p.add_argument("--unobservable", action="store_true",
                    help="remove pseudo rows until WLS rank deficiency")
     p.add_argument("--out", required=True)

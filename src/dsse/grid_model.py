@@ -328,13 +328,13 @@ class FeederModel:
         return isinstance(other, FeederModel) and self.to_dict() == other.to_dict()
 
 
-def _require_keys(entry: dict, required: set, optional: set, what: str):
+def _require_keys(entry: dict, required: set, what: str):
     if not isinstance(entry, dict):
         raise FeederParseError(f"{what} entry must be a mapping, got {entry!r}")
     keys = set(entry)
     if not required <= keys:
         raise FeederParseError(f"{what} entry missing keys {sorted(required - keys)}")
-    unknown = keys - required - optional
+    unknown = keys - required
     if unknown:
         raise FeederParseError(f"{what} entry has unknown keys {sorted(unknown)}")
 
@@ -351,7 +351,7 @@ def feeder_from_dict(doc: dict) -> FeederModel:
     raw_buses = doc["buses"] or []
     labels = []
     for entry in raw_buses:
-        _require_keys(entry, {"id", "phases", "kind", "base_voltage_v"}, set(), "bus")
+        _require_keys(entry, {"id", "phases", "kind", "base_voltage_v"}, "bus")
         labels.append(int(entry["id"]))
     if len(set(labels)) != len(labels):
         raise FeederParseError("duplicate bus ids")
@@ -373,7 +373,7 @@ def feeder_from_dict(doc: dict) -> FeederModel:
 
     branches = []
     for k, entry in enumerate(doc["branches"] or []):
-        _require_keys(entry, {"from", "to", "phases", "impedance"}, set(), "branch")
+        _require_keys(entry, {"from", "to", "phases", "impedance"}, "branch")
         phases = PhaseSet.parse(entry["phases"])
         try:
             z = np.array(
@@ -396,7 +396,7 @@ def feeder_from_dict(doc: dict) -> FeederModel:
 
     loads = []
     for entry in doc.get("loads") or []:
-        _require_keys(entry, {"bus", "power"}, set(), "load")
+        _require_keys(entry, {"bus", "power"}, "load")
         if int(entry["bus"]) not in index_of:
             raise FeederParseError(f"load references unknown bus {entry['bus']}")
         if not isinstance(entry["power"], dict):

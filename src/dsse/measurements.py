@@ -47,6 +47,7 @@ PMU_MAG_MAX_ERROR = 0.01
 PMU_ANGLE_MAX_ERROR = 1e-2  # rad, absolute
 SMART_METER_MAX_ERROR = 0.02
 ZERO_INJECTION_MAX_ERROR = 1e-5
+PSEUDO_NOISE = 0.3  # max error of a pseudo P/Q row, scenarios 1 and 3
 
 # relative floor keeping every variance strictly positive
 SIGMA_FLOOR_REL = 1e-6
@@ -178,7 +179,7 @@ def plan_measurements(
     model: FeederModel,
     pmu_buses,
     metered_loads=frozenset(),
-    pseudo_noise: float = 0.3,
+    pseudo_noise: float = PSEUDO_NOISE,
 ) -> MeasurementSet:
     """Template (values unset) for a PMU placement and metering choice.
 

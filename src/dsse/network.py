@@ -135,11 +135,6 @@ class MaskedNetwork:
         t = range(self.plan.depth)
         return [f"w{i}" for i in t] + [f"b{i}" for i in t] + ["readout_w", "readout_b"]
 
-    def parameter_masks(self):
-        """Bool copies of ``mask``'s views, in ``parameters()`` order."""
-        w, b, rw, rb = self._views(self.mask)
-        return [m != 0 for m in w + b + [rw, rb]]
-
     def set_parameters(self, params):
         """Copy arrays in ``parameters()`` order, times their masks, into
         ``theta``. Raises ValueError, naming the array, unless every array
@@ -300,6 +295,7 @@ class TrainConfig:
         for name, ok, rule in (("epochs", self.epochs >= 1, ">= 1"),
                                ("batch_size", self.batch_size >= 1, ">= 1"),
                                ("patience", self.patience >= 1, ">= 1"),
+                               ("seed", self.seed >= 0, ">= 0"),
                                ("learning_rate", 0 <= self.learning_rate < np.inf,
                                 "finite and >= 0"),
                                ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")):

@@ -26,6 +26,8 @@ both; a bus's exit layer on the diagonal; zero where no branch joins i and
 j). ``MaskPlan`` derives all else from it once: layer t's mask is
 ``life >= t``, the depth its largest entry, the exit layers its diagonal.
 The unpruned plan sets every live entry to the network depth.
+``export_mask_plan`` writes each layer's live entries as sorted (layer, i, j)
+triplets, so a pair's deepest listed layer is its lifetime.
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ BLOCK_WIDTH = 8  # default hidden channels per bus
 class Partition:
     buses: frozenset
     pmus: frozenset  # boundary PMU buses contained in this partition
-
-    def __contains__(self, bus):
-        return bus in self.buses
 
 
 class MaskPlan:
@@ -231,21 +230,3 @@ def export_mask_plan(plan: MaskPlan, path) -> None:
     with open(path, "w") as fh:
         json.dump(_plan_doc(plan), fh, indent=1)
 
-
-def load_mask_plan(path) -> MaskPlan:
-    """The plan ``export_mask_plan`` wrote, with each pair's deepest layer as
-    its lifetime. ValueError for a file that no lifetime matrix exports, such
-    as one whose layers are not nested or whose entries name a bus outside
-    ``n_buses``."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    n = doc["n_buses"]
-    life = np.zeros((n, n), dtype=int)
-    for t, i, j in doc["entries"]:
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"{path} entry {[t, i, j]} names a bus outside the plan's {n} buses")
-        life[i, j] = max(life[i, j], t)
-    plan = MaskPlan(life, doc["block_width"], doc["pruned"])
-    if _plan_doc(plan) != dict(doc, entries=sorted(doc["entries"])):
-        raise ValueError(f"{path} holds no lifetime matrix's plan: are its layers nested?")
-    return plan

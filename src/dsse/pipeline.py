@@ -32,13 +32,13 @@ import numpy as np
 
 from dsse.grid_model import FeederModel
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
-from dsse.measurements import (MeasurementSet, RowEvaluator, jacobian_rows, plan_measurements,
-                               row_sigmas, synthesize)  # noqa: F401
+from dsse.measurements import (PSEUDO_NOISE, MeasurementSet, RowEvaluator, jacobian_rows,
+                               plan_measurements, row_sigmas, synthesize)  # noqa: F401
 from dsse.network import InputEmbedding, TrainConfig, Workspace, split_indices, train
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, count_params, partition_at_pmus
-from dsse.powerflow import (DEFAULT_MAX_ITER, NotConvergedError, StateVector, slack_state,
-                            solve_batch, solve_power_flow)  # noqa: F401
-from dsse.wls import NonConvergedError, UnobservableError, WlsConfig, check_observable, estimate
+from dsse.powerflow import (NotConvergedError, StateVector, slack_state, solve_batch,
+                            solve_power_flow)  # noqa: F401
+from dsse.wls import NonConvergedError, UnobservableError, check_observable, estimate
 
 
 PEAK_HOUR = 18.0  # hour of the daily load shape's peak
@@ -54,6 +54,7 @@ class LoadProfileConfig:
 
     def __post_init__(self):
         for name, ok, rule in (("samples", self.samples >= 1, ">= 1"),
+                               ("seed", self.seed >= 0, ">= 0"),
                                ("amplitude", 0 <= self.amplitude <= 1, "in [0, 1]"),
                                ("noise_sigma", 0 <= self.noise_sigma < np.inf, "finite and >= 0")):
             if not ok:
@@ -65,8 +66,12 @@ class Scenario:
     name: str
     pmu_buses: tuple
     metered_loads: tuple = ()
-    pseudo_noise: float = 0.3
+    pseudo_noise: float = PSEUDO_NOISE
     make_unobservable: bool = False
+
+    def __post_init__(self):
+        if not 0 < self.pseudo_noise < np.inf:
+            raise ValueError(f"pseudo_noise must be finite and > 0, got {self.pseudo_noise!r}")
 
 
 @dataclass
@@ -118,9 +123,8 @@ def sample_multipliers(cfg: LoadProfileConfig, rng, n_loads: int) -> np.ndarray:
 
 
 def generate_dataset(model: FeederModel, template: MeasurementSet, profile: LoadProfileConfig,
-                     pmu_buses, seed: int | None = None) -> Dataset:
+                     pmu_buses) -> Dataset:
     """M samples of (measurement vector, per-unit magnitude labels)."""
-    seed = profile.seed if seed is None else seed
     embedding = InputEmbedding(model, template)
     evaluator = RowEvaluator(model, template)
     base_loads = sorted(model.loads, key=lambda l: l.bus)
@@ -136,15 +140,15 @@ def generate_dataset(model: FeederModel, template: MeasurementSet, profile: Load
     todo = np.arange(profile.samples)
     while len(todo):
         for i in todo.tolist():
-            rng = np.random.default_rng([seed, i, int(attempt[i])])
+            rng = np.random.default_rng([profile.seed, i, int(attempt[i])])
             mult[i] = sample_multipliers(profile, rng, len(base_loads))
             normal[i] = rng.normal(0.0, 1.0, len(template))
         s = np.zeros((len(todo), model.n_slots), complex)
         s[:, slot] = mult[todo][:, load] * power
-        v[todo], _, converged, mismatch = solve_batch(model, s)
+        v[todo], sweeps, converged, mismatch = solve_batch(model, s)
         attempt[todo[~converged]] += 1
         if attempt.max() > 20:
-            raise NotConvergedError(DEFAULT_MAX_ITER, float(mismatch[~converged].max()))
+            raise NotConvergedError(sweeps.max(), float(mismatch[~converged].max()))
         todo = todo[~converged]
     h_true = evaluator.h(StateVector(v))
     sigmas = row_sigmas(model, template, h_true)
@@ -156,7 +160,7 @@ def generate_dataset(model: FeederModel, template: MeasurementSet, profile: Load
         variances=sigmas**2,
         features=embedding.embed_values(values),
         v_true_pu=np.abs(v) / model.base_voltage,
-        seed=seed,
+        seed=profile.seed,
         resampled=int(attempt.sum()),
         meta={"profile": asdict(profile)},
     )
@@ -213,7 +217,7 @@ def remove_pseudo_until_unobservable(
     the test WLS applies, rejects the template; returns the reduced template
     and the removal count. A template that stays observable without any
     pseudo row (none to remove, say) is a ``ValueError``."""
-    x0 = slack_state(model)
+    flat = slack_state(model)
     pseudo = template.noise_kind == "pseudo_power"
     loci = set(zip(template.locus[pseudo].tolist(), template.phase[pseudo].tolist()))
     keep = np.ones(len(template), dtype=bool)
@@ -221,7 +225,7 @@ def remove_pseudo_until_unobservable(
         keep &= ~(pseudo & (template.locus == locus) & (template.phase == phase))
         reduced = template.select(keep)
         try:
-            check_observable(model, reduced, jacobian_rows(model, x0, reduced))
+            check_observable(model, reduced, jacobian_rows(model, flat, reduced))
         except UnobservableError:
             return reduced, len(template) - len(reduced)
     cause = (f"it stays observable with all {int(pseudo.sum())} pseudo rows removed"
@@ -242,20 +246,19 @@ def scenario_template(model: FeederModel, scenario: Scenario) -> tuple[Measureme
 def standard_scenarios(pmu_buses) -> list:
     pmu = tuple(pmu_buses)
     return [
-        Scenario("scenario1", pmu, pseudo_noise=0.3),
+        Scenario("scenario1", pmu),
         Scenario("scenario2", pmu, pseudo_noise=0.5),
-        Scenario("scenario3", pmu, pseudo_noise=0.3, make_unobservable=True),
+        Scenario("scenario3", pmu, make_unobservable=True),
     ]
 
 
-def wls_test_run(model, template, dataset, test_idx, wls_config=None):
+def wls_test_run(model, template, dataset, test_idx):
     """Per-sample WLS estimates on the test split, individually timed.
 
     Returns (per-sample magnitude estimates p.u. or None, times, status,
     failure count). Timing covers the estimate call only. The status is
     "nonconverged" when no sample converged.
     """
-    ev_cfg = wls_config or WlsConfig()
     estimates = []
     times = []
     failures = 0
@@ -263,7 +266,7 @@ def wls_test_run(model, template, dataset, test_idx, wls_config=None):
         mset = template.with_values(dataset.values[i], dataset.variances[i])
         t0 = time.perf_counter()
         try:
-            report = estimate(model, mset, ev_cfg)
+            report = estimate(model, mset)
         except UnobservableError:
             return None, [], "unobservable", len(test_idx)
         except NonConvergedError:
@@ -301,7 +304,6 @@ def run_scenario(
     profile: LoadProfileConfig,
     train_config: TrainConfig | None = None,
     block_width: int = BLOCK_WIDTH,
-    wls_config: WlsConfig | None = None,
     estimators=("wls", "pawnn", "p2n2"),
 ):
     """Benchmark rows for one scenario; all estimators share the test split."""
@@ -317,9 +319,7 @@ def run_scenario(
                  "test_idx": test_idx, "traces": {"true": truth}}
 
     if "wls" in estimators:
-        estimates, times, status, failures = wls_test_run(
-            model, template, dataset, test_idx, wls_config
-        )
+        estimates, times, status, failures = wls_test_run(model, template, dataset, test_idx)
         ok = status == "ok"
         nu = _nu(estimates, truth) if ok else None
         mean_time = float(np.mean(times)) if times else None

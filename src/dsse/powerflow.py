@@ -10,7 +10,8 @@ a shunt-free tree, Zbus @ I sums each branch's impedance times the load
 current downstream of it along every slot's path to the source.
 
 ``solve_batch`` iterates that fixed point over an (M, n_slots) load matrix,
-each row until its own convergence; ``solve_power_flow`` is its one-row case.
+each row until no voltage moves by ``TOL_PU`` of the base voltage, for at most
+``MAX_ITER`` sweeps; ``solve_power_flow`` is its one-row case.
 Zbus contracts through ``einsum``, which sums a row in the same order for any
 M, so a row's voltages are bit-for-bit independent of its batch.
 
@@ -29,8 +30,8 @@ from dsse.grid_model import FeederModel
 
 SLACK_ANGLES = {"A": 0.0, "B": -2.0 * np.pi / 3.0, "C": 2.0 * np.pi / 3.0}
 
-DEFAULT_TOL_PU = 1e-8
-DEFAULT_MAX_ITER = 100
+TOL_PU = 1e-8
+MAX_ITER = 100
 
 
 class PowerFlowError(RuntimeError):
@@ -81,7 +82,6 @@ class PowerFlowResult:
     state: StateVector
     branch_currents: dict  # branch index -> complex array over branch phases
     iterations: int
-    max_mismatch: float
 
 
 def slack_state(model: FeederModel) -> StateVector:
@@ -91,18 +91,13 @@ def slack_state(model: FeederModel) -> StateVector:
     ))
 
 
-def solve_batch(model: FeederModel, s: np.ndarray, tolerance: float | None = None,
-                max_iter: int = DEFAULT_MAX_ITER):
+def solve_batch(model: FeederModel, s: np.ndarray):
     """Fixed point V = V0 - Zbus @ conj(S / V) for each row of the (M, n_slots)
-    slot loads ``s`` (W + jvar), iterated from the slack state until the row's
-    largest voltage change is below ``tolerance`` (volts, default 1e-8 of the
-    base voltage) or ``max_iter`` sweeps are spent. Only active rows are
-    updated. Returns (voltages, sweeps, converged, last mismatch) per row.
+    slot loads ``s`` (W + jvar), iterated from the slack state as the module
+    docstring says. Only active rows are updated. Returns (voltages, sweeps,
+    converged, last mismatch) per row.
     """
-    if tolerance is None:
-        tolerance = DEFAULT_TOL_PU * model.base_voltage
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = TOL_PU * model.base_voltage
     slack = slack_state(model).values
     # each slot's phase of the source voltage
     v0 = slack[[model.slot_index(model.source, p) for _, p in model.slots]]
@@ -111,7 +106,7 @@ def solve_batch(model: FeederModel, s: np.ndarray, tolerance: float | None = Non
     iterations = np.zeros(m, dtype=int)
     mismatch = np.full(m, np.inf)
     active = np.arange(m)
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not len(active):
             break
         va = v[active]
@@ -119,16 +114,11 @@ def solve_batch(model: FeederModel, s: np.ndarray, tolerance: float | None = Non
         mismatch[active] = np.abs(v_new - va).max(axis=1, initial=0.0)
         v[active] = v_new
         iterations[active] = it
-        active = active[~(mismatch[active] < tolerance)]
-    return v, iterations, mismatch < tolerance, mismatch
+        active = active[~(mismatch[active] < tol)]
+    return v, iterations, mismatch < tol, mismatch
 
 
-def solve_power_flow(
-    model: FeederModel,
-    loads: dict | None = None,
-    tolerance: float | None = None,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> PowerFlowResult:
+def solve_power_flow(model: FeederModel, loads: dict | None = None) -> PowerFlowResult:
     """``solve_batch`` on one sample. ``loads`` maps bus index -> {phase:
     complex S in W + jvar} and defaults to the feeder's own loads;
     ``branch_currents`` maps each branch index to its per-phase current from
@@ -142,13 +132,13 @@ def solve_power_flow(
                 s[0, model.slot_index(bus, p)] = value
             except KeyError:
                 raise PowerFlowError(f"load on bus {bus} phase {p} has no state slot") from None
-    (v,), (iterations,), (converged,), (mismatch,) = solve_batch(model, s, tolerance, max_iter)
+    (v,), (iterations,), (converged,), (mismatch,) = solve_batch(model, s)
     if not converged:
-        raise NotConvergedError(max_iter, mismatch)
+        raise NotConvergedError(MAX_ITER, mismatch)
     splits = np.cumsum([len(br.phases) for br in model.branches])[:-1]
     currents = np.split(model.branch_current @ v, splits)
     branch_i = {br.index: i for br, i in zip(model.branches, currents)}
-    return PowerFlowResult(StateVector(v), branch_i, int(iterations), float(mismatch))
+    return PowerFlowResult(StateVector(v), branch_i, int(iterations))
 
 
 def complex_power_balance(model: FeederModel, result: PowerFlowResult, loads=None):

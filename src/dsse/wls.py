@@ -11,7 +11,9 @@ state changes (the evaluator's injection rows of H; its PMU rows are compiled),
 writes the sigma-whitened augmented system [H | r] into one buffer per call
 and factors it with one raw-mode QR, whose R has Q^T r in its last column. The
 accepted trial's residual and rectangular state carry into the next step; a
-step-halving guard keeps the objective non-increasing.
+step-halving guard keeps the objective non-increasing. Every estimate starts
+from the flat state and stops when a step moves no state entry by
+``TOLERANCE`` per-unit, or after ``MAX_ITER`` steps.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from dsse.measurements import MeasurementSet, RowEvaluator, unit_bases
 from dsse.powerflow import StateVector, slack_state
 
 MAX_STEP_HALVINGS = 4
+MAX_ITER = 50
+TOLERANCE = 1e-7  # max-norm of the state update, in per-unit
 
 
 class UnobservableError(RuntimeError):
@@ -36,18 +40,6 @@ class NonConvergedError(RuntimeError):
         super().__init__(f"Gauss-Newton did not converge in {report.iterations} iterations "
                          f"(objective {report.objective:.4e})")
         self.report = report
-
-
-@dataclass
-class WlsConfig:
-    tolerance: float = 1e-7  # max-norm of the state update, in per-unit
-    max_iter: int = 50
-
-    def __post_init__(self):
-        for name, ok, rule in (("tolerance", 0 < self.tolerance < np.inf, "finite and > 0"),
-                               ("max_iter", self.max_iter >= 1, ">= 1")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -92,27 +84,23 @@ def _compile(model: FeederModel, template: MeasurementSet) -> tuple:
     return ev, flat, H, margin, upper
 
 
-def estimate(model: FeederModel, z: MeasurementSet, config: WlsConfig | None = None,
-             x0: StateVector | None = None) -> WlsReport:
-    config = config or WlsConfig()
+def estimate(model: FeederModel, z: MeasurementSet) -> WlsReport:
     ev, flat, H, margin, upper = z.compiled(model, _compile)
     zv, variances = z.values(), z.variances()
     if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
         raise ValueError("measurement values must be finite, variances finite and positive")
-    if x0 is not None and len(x0.values) != model.n_slots:
-        raise ValueError(f"x0 has {len(x0.values)} slots, the feeder has {model.n_slots}")
     if isinstance(margin, UnobservableError):
         raise UnobservableError(*margin.args)
     sigma = np.sqrt(variances)[:, None]
-    x = (flat if x0 is None else x0).copy()
+    x = flat.copy()
     xr = x.rect
     r = zv - ev.h(x)
     j_cur = float(np.sum(r * r / variances))
     base, n = model.base_voltage, H.shape[1]
     A = np.empty((len(zv), n + 1))  # [H | r] / sigma, rewritten each step
 
-    for it in range(1, config.max_iter + 1):
-        if it > 1 or x0 is not None:  # a cold start's first step reuses the flat-start H
+    for it in range(1, MAX_ITER + 1):
+        if it > 1:  # the first step reuses the flat-start H
             H = ev.jacobian(x)
         # Gauss-Newton step (H / sigma) delta = r / sigma by least squares: the
         # R factor of [H | r] / sigma holds R_H and Q^T r, so Q is never formed.
@@ -136,11 +124,11 @@ def estimate(model: FeederModel, z: MeasurementSet, config: WlsConfig | None = N
         else:
             # no productive step left; converged if the full step was already
             # below tolerance, otherwise report the stall
-            if float(np.max(np.abs(delta))) / base < config.tolerance:
+            if float(np.max(np.abs(delta))) / base < TOLERANCE:
                 return WlsReport(x, j_cur, it, True, margin)
             raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
         x, xr, r, j_cur = x_try, xr_try, r_try, min(j_try, j_cur)
-        if float(np.max(np.abs(alpha * delta))) / base < config.tolerance:
+        if float(np.max(np.abs(alpha * delta))) / base < TOLERANCE:
             return WlsReport(x, j_cur, it, True, margin)
 
-    raise NonConvergedError(WlsReport(x, j_cur, config.max_iter, False, margin))
+    raise NonConvergedError(WlsReport(x, j_cur, MAX_ITER, False, margin))

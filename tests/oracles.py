@@ -26,6 +26,7 @@ import networkx as nx
 import numpy as np
 import scipy.optimize
 
+from dsse import wls
 from dsse.grid_model import FeederModel
 from dsse.measurements import MeasurementSet, RowEvaluator, synthesize
 from dsse.network import (
@@ -43,8 +44,7 @@ from dsse.partitioning import MaskPlan, resolution_depth
 from dsse.pipeline import Dataset, sample_multipliers
 from dsse.powerflow import (SLACK_ANGLES, NotConvergedError, StateVector, slack_state,
                             solve_power_flow)
-from dsse.wls import (MAX_STEP_HALVINGS, NonConvergedError, WlsConfig, WlsReport,
-                      check_observable)
+from dsse.wls import MAX_STEP_HALVINGS, NonConvergedError, WlsReport, check_observable
 
 
 # -- graph oracles ---------------------------------------------------------
@@ -308,6 +308,13 @@ def fd_scalar_grad(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 # -- training oracle -------------------------------------------------------
 
 
+def parameter_masks(net: MaskedNetwork) -> list:
+    """Bool mask of each parameter array, in ``parameters()`` order: the
+    views of ``net.mask``."""
+    w, b, rw, rb = net._views(net.mask)
+    return [m != 0 for m in w + b + [rw, rb]]
+
+
 def reference_forward(net: MaskedNetwork, x):
     """Dense forward pass of ``net``: (outputs, pre-activations, activations)."""
     x = np.atleast_2d(x)
@@ -348,7 +355,7 @@ def reference_loss_and_gradients(net: MaskedNetwork, x, targets):
 
     g_w = [np.zeros_like(w) for w in net.weights]
     g_b = [np.zeros_like(b) for b in net.biases]
-    masks = net.parameter_masks()
+    masks = parameter_masks(net)
     for t in range(net.plan.depth - 1, -1, -1):
         d_pre = d_acts[t + 1] * np.where(pre[t] >= 0, 1.0, LEAKY_SLOPE)
         g_w[t] = (d_pre.T @ acts[t]) * masks[t]
@@ -374,7 +381,7 @@ def reference_train(plan, model, features, targets, config=None):
     params = net.parameters()
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
-    masks = net.parameter_masks()
+    masks = parameter_masks(net)
     rng = np.random.default_rng(config.seed + 1)
 
     def val_loss():
@@ -422,12 +429,12 @@ def reference_train(plan, model, features, targets, config=None):
 # -- dataset generation ----------------------------------------------------
 
 
-def reference_generate(model, template, profile, pmu_buses, seed=None) -> Dataset:
+def reference_generate(model, template, profile, pmu_buses) -> Dataset:
     """``dsse.pipeline.generate_dataset`` as a loop over samples: each sample
     builds a load dict, solves its own power flow (resampling up to 20 times
     on non-convergence) and synthesizes its measurements from the same
     generator."""
-    seed = profile.seed if seed is None else seed
+    seed = profile.seed
     embedding = InputEmbedding(model, template)
     base_loads = sorted(model.loads, key=lambda l: l.bus)
 
@@ -502,16 +509,11 @@ def reference_objective(
     return float(np.sum(r * r / z.variances()))
 
 
-def reference_estimate(
-    model: FeederModel,
-    z: MeasurementSet,
-    config: WlsConfig | None = None,
-    x0: StateVector | None = None,
-) -> WlsReport:
+def reference_estimate(model: FeederModel, z: MeasurementSet) -> WlsReport:
     """``dsse.wls.estimate`` before compiled templates: a new evaluator, flat
     Jacobian and observability test per call, a full QR and two h(x)
-    evaluations per step."""
-    config = config or WlsConfig()
+    evaluations per step. Reads ``wls.MAX_ITER`` and ``wls.TOLERANCE`` at
+    call time."""
     ev = RowEvaluator(model, z)
     zv, variances = z.values(), z.variances()
     if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
@@ -521,12 +523,12 @@ def reference_estimate(
     flat = slack_state(model)
     H = reference_jacobian(ev, flat)
     margin = check_observable(model, z, H)
-    x = x0.copy() if x0 is not None else flat
+    x = flat
     j_cur = reference_objective(model, z, x, ev)
     base = model.base_voltage
 
-    for it in range(1, config.max_iter + 1):
-        if x is not flat:  # a cold start's first step reuses the flat-start H
+    for it in range(1, wls.MAX_ITER + 1):
+        if x is not flat:  # the first step reuses the flat-start H
             H = reference_jacobian(ev, x)
         # Gauss-Newton step: least squares on the sigma-whitened rows
         # (H / sigma) delta = r / sigma by QR, without the normal equations
@@ -547,12 +549,12 @@ def reference_estimate(
         if accepted is None:
             # no productive step left; converged if the full step was already
             # below tolerance, otherwise report the stall
-            if float(np.max(np.abs(delta))) / base < config.tolerance:
+            if float(np.max(np.abs(delta))) / base < wls.TOLERANCE:
                 return WlsReport(x, j_cur, it, True, margin)
             raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
         x, j_cur, alpha = accepted
 
-        if float(np.max(np.abs(alpha * delta))) / base < config.tolerance:
+        if float(np.max(np.abs(alpha * delta))) / base < wls.TOLERANCE:
             return WlsReport(x, j_cur, it, True, margin)
 
-    raise NonConvergedError(WlsReport(x, j_cur, config.max_iter, False, margin))
+    raise NonConvergedError(WlsReport(x, j_cur, wls.MAX_ITER, False, margin))

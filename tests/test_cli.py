@@ -17,11 +17,12 @@ from dsse.cli import (
     main,
 )
 from dsse.fixtures import fixture_path
-from dsse.measurements import plan_measurements, synthesize
+from dsse.measurements import PSEUDO_NOISE, plan_measurements, synthesize
 from dsse.network import (MaskedNetwork, TrainConfig, evaluate, load_checkpoint, save_checkpoint,
                           split_indices)
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, partition_at_pmus
-from dsse.pipeline import LoadProfileConfig, load_dataset, remove_pseudo_until_unobservable
+from dsse.pipeline import (LoadProfileConfig, Scenario, load_dataset,
+                           remove_pseudo_until_unobservable)
 
 SIX = str(fixture_path("six_bus"))
 
@@ -100,6 +101,8 @@ def test_flags_mirror_config_fields(command, required, configs):
             assert options.count("--" + f.name.replace("_", "-")) == 1
     if command != "generate":
         assert args.block_width == BLOCK_WIDTH
+    else:
+        assert args.pseudo_noise == PSEUDO_NOISE == Scenario("s", ()).pseudo_noise
 
 
 def test_estimate_wls(workdir, six_bus, six_bus_pf, capsys):
@@ -349,7 +352,8 @@ def test_bench_writes_report(workdir, capsys):
     "flag, value, field",
     [("--epochs", "0", "epochs"), ("--batch-size", "0", "batch_size"),
      ("--learning-rate", "-0.001", "learning_rate"), ("--learning-rate", "inf", "learning_rate"),
-     ("--train-fraction", "1.0", "train_fraction"), ("--patience", "0", "patience")],
+     ("--train-fraction", "1.0", "train_fraction"), ("--patience", "0", "patience"),
+     ("--seed", "-1", "seed")],
 )
 def test_train_with_an_invalid_setting_is_validation_error(
     workdir, dataset_path, capsys, flag, value, field
@@ -368,6 +372,16 @@ def test_bench_with_zero_epochs_is_validation_error(workdir, capsys):
                  "--samples", "20", "--epochs", "0"])
     assert code == EXIT_VALIDATION
     assert "error: epochs must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, name", [("--seed", "-1", "seed")])
+def test_bench_with_an_invalid_setting_is_validation_error(workdir, capsys, flag, value, name):
+    out = workdir / "bench_bad"
+    code = main(["bench", "--feeder", SIX, "--pmu", "4", "--out", str(out), "--samples", "20",
+                 "--epochs", "2", flag, value])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {name} must be ")
     assert not out.exists()
 
 
@@ -415,6 +429,8 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
 @pytest.mark.parametrize("flag, value, name", [
     ("--amplitude", "nan", "amplitude"), ("--amplitude", "-5", "amplitude"),
     ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
+    ("--seed", "-1", "seed"), ("--pseudo-noise", "-1", "pseudo_noise"),
+    ("--pseudo-noise", "0", "pseudo_noise"), ("--pseudo-noise", "nan", "pseudo_noise"),
 ])
 def test_generate_with_a_bad_load_profile_is_validation_error(workdir, capsys, flag, value, name):
     out = workdir / "bad_profile.npz"
@@ -430,5 +446,5 @@ def test_generate_with_infinite_pseudo_noise_is_validation_error(workdir, capsys
     code = main(["generate", "--feeder", SIX, "--pmu", "4", "--samples", "20",
                  "--pseudo-noise", "inf", "--out", str(out)])
     assert code == EXIT_VALIDATION
-    assert "max_error must be positive and finite" in capsys.readouterr().err
+    assert "error: pseudo_noise must be finite and > 0" in capsys.readouterr().err
     assert not out.exists()

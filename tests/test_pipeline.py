@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from conftest import two_bus_doc
-from dsse import pipeline
+from dsse import pipeline, wls
 from dsse.grid_model import feeder_from_dict
 from dsse.measurements import measurement_function, plan_measurements
 from dsse.network import InputEmbedding, TrainConfig
@@ -31,7 +31,7 @@ from dsse.pipeline import (
     standard_scenarios,
 )
 from dsse.powerflow import NotConvergedError, StateVector, solve_batch, solve_power_flow
-from dsse.wls import UnobservableError, WlsConfig, estimate
+from dsse.wls import UnobservableError, estimate
 
 
 SMALL_PROFILE = LoadProfileConfig(samples=200, seed=3)
@@ -55,7 +55,7 @@ class TestLoadProfiles:
 
     @pytest.mark.parametrize("name, value", [
         ("amplitude", np.nan), ("amplitude", -5.0), ("amplitude", 1.5), ("amplitude", np.inf),
-        ("noise_sigma", np.nan), ("noise_sigma", -0.1), ("noise_sigma", np.inf),
+        ("noise_sigma", np.nan), ("noise_sigma", -0.1), ("noise_sigma", np.inf), ("seed", -1),
     ])
     def test_bad_shape_or_noise_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be "):
@@ -261,7 +261,7 @@ class TestScenarios:
         s1, s2, s3 = standard_scenarios((3,))
         assert s1.pseudo_noise == 0.3 and not s1.make_unobservable
         assert s2.pseudo_noise == 0.5 and not s2.make_unobservable
-        assert s3.make_unobservable
+        assert s3.pseudo_noise == 0.3 and s3.make_unobservable
 
     def test_pseudo_removal_reaches_rank_deficiency(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [3])
@@ -403,11 +403,12 @@ class TestRunScenario:
         assert np.isfinite(by["p2n2"].nu)
         assert artifacts["removed_pseudo"] > 0
 
-    def test_all_wls_samples_failing_is_nonconverged(self, six_bus):
+    def test_all_wls_samples_failing_is_nonconverged(self, six_bus, monkeypatch):
         scenario = Scenario("scenario1", (3,), pseudo_noise=0.3)
+        monkeypatch.setattr(wls, "MAX_ITER", 1)
         rows, artifacts = run_scenario(
             six_bus, scenario, LoadProfileConfig(samples=20, seed=3), SMALL_TRAIN,
-            wls_config=WlsConfig(max_iter=1), estimators=("wls",),
+            estimators=("wls",),
         )
         (row,) = rows
         assert row.status == "nonconverged"

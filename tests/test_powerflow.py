@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from conftest import two_bus_doc
+from dsse import powerflow
 from dsse.grid_model import feeder_from_dict
 from dsse.powerflow import (
     NotConvergedError,
@@ -33,12 +34,14 @@ class TestSolvePowerFlow:
         assert res.iterations == 1
         assert np.allclose(res.state.values, slack_state(six_bus).values)
 
-    def test_two_bus_closed_form(self):
+    def test_two_bus_closed_form(self, monkeypatch):
         m = feeder_from_dict(two_bus_doc(r=1.0, x=0.0, p=100_000.0, q=0.0))
-        res = solve_power_flow(m, tolerance=1e-12)
+        monkeypatch.setattr(powerflow, "TOL_PU", 1e-12 / m.base_voltage)  # 1e-12 V
+        res = solve_power_flow(m)
         expected = oracles.two_bus_receiving_voltage(2400.0, 1.0, 100_000.0)
         got = res.state.magnitudes()[m.slot_index(1, "A")]
-        assert got == pytest.approx(expected, rel=1e-9)
+        # 1e-12 rather than 1e-9: the default 1e-8 p.u. tolerance stops 3e-11 away
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_matches_newton_oracle_six_bus(self, six_bus, six_bus_pf):
         truth = oracles.newton_power_flow(six_bus)
@@ -75,15 +78,13 @@ class TestSolvePowerFlow:
         with pytest.raises(PowerFlowError, match="slot"):
             solve_power_flow(six_bus, loads={-1: {"A": 5e5}})
 
-    def test_infeasible_load_does_not_converge(self):
+    def test_infeasible_load_does_not_converge(self, monkeypatch):
         # beyond the maximum power transfer of the 2-bus line
         m = feeder_from_dict(two_bus_doc(r=1.0, x=0.0, p=2e6, q=0.0))
-        with pytest.raises(NotConvergedError):
-            solve_power_flow(m, max_iter=50)
-
-    def test_bad_tolerance_rejected(self, six_bus):
-        with pytest.raises(ValueError):
-            solve_power_flow(six_bus, tolerance=0.0)
+        monkeypatch.setattr(powerflow, "MAX_ITER", 50)
+        with pytest.raises(NotConvergedError) as exc:
+            solve_power_flow(m)
+        assert exc.value.iterations == 50
 
     def test_branch_currents_satisfy_ohms_law(self, six_bus, six_bus_pf):
         v = six_bus_pf.state.values
@@ -121,16 +122,17 @@ class TestSolveBatch:
             assert iterations[row] == single.iterations
             assert np.array_equal(v[row], single.state.values)
 
-    def test_nonconverged_row_leaves_the_others_alone(self):
+    def test_nonconverged_row_leaves_the_others_alone(self, monkeypatch):
         m = feeder_from_dict(two_bus_doc())
+        monkeypatch.setattr(powerflow, "MAX_ITER", 50)
         slot = m.slot_index(1, "A")
         s = np.zeros((3, m.n_slots), complex)
         s[:, slot] = [1e5, 2e6, 5e4]  # the middle row is beyond maximum power transfer
-        v, iterations, converged, _ = solve_batch(m, s, max_iter=50)
+        v, iterations, converged, _ = solve_batch(m, s)
         assert converged.tolist() == [True, False, True]
         assert iterations[1] == 50
         for row in (0, 2):
-            single = solve_power_flow(m, {1: {"A": s[row, slot]}}, max_iter=50)
+            single = solve_power_flow(m, {1: {"A": s[row, slot]}})
             assert iterations[row] == single.iterations
             assert np.array_equal(v[row], single.state.values)
 
