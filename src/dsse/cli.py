@@ -19,7 +19,7 @@ import numpy as np
 from dsse import network, wls
 from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
 from dsse.measurements import PSEUDO_NOISE, MeasurementSet
-from dsse.network import TrainConfig, checkpoint_meta, load_checkpoint, save_checkpoint, train
+from dsse.network import TrainConfig, load_checkpoint, save_checkpoint, train
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, export_mask_plan, partition_at_pmus
 from dsse.pipeline import (
     LoadProfileConfig,
@@ -74,21 +74,10 @@ def cmd_generate(args):
 def cmd_train(args):
     model = load_feeder(args.feeder)
     ds = load_dataset(args.dataset, model)
-    pmu = list(ds.pmu_buses)
-    partitions = partition_at_pmus(model, pmu)
-    plan = build_mask_plan(
-        model, partitions, block_width=args.block_width, prune=args.kind == "p2n2"
-    )
+    plan = build_mask_plan(model, partition_at_pmus(model, ds.pmu_buses),
+                           block_width=args.block_width, prune=args.kind == "p2n2")
     net, curve, _ = train(plan, model, ds.features, ds.v_true_pu, _config(TrainConfig, args))
-    save_checkpoint(
-        net,
-        args.out,
-        extra_meta={
-            "kind": args.kind,
-            "pmu_buses": pmu,
-            "template_signature": ds.template.signature(),
-        },
-    )
+    save_checkpoint(net, args.out, ds.pmu_buses, ds.template)
     kept = 0 if net.best_epoch is None else net.best_epoch + 1
     print(f"trained {args.kind} for {len(curve)} epochs; checkpoint {args.out} holds epoch "
           f"{kept} (0 is the initialisation), held-out loss {net.best_loss:.6e}")
@@ -103,12 +92,7 @@ def cmd_estimate(args):
         mags = rep.x_hat.magnitudes() / model.base_voltage
         print(f"# converged in {rep.iterations} iterations, J={rep.objective:.6e}")
     else:
-        meta = checkpoint_meta(args.checkpoint, "pmu_buses", "block_width", "template_signature")
-        plan = build_mask_plan(
-            model, partition_at_pmus(model, meta["pmu_buses"]), block_width=meta["block_width"],
-            prune=meta.get("kind", "p2n2") == "p2n2",
-        )
-        net = load_checkpoint(args.checkpoint, plan, model)
+        net, meta = load_checkpoint(args.checkpoint, model)
         if mset.signature() != meta["template_signature"]:
             raise ValueError("measurement rows do not match the training template")
         if not (np.isfinite(mset.values()).all() and np.isfinite(mset.variances()).all()):

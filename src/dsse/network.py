@@ -30,7 +30,7 @@ import numpy as np
 
 from dsse.grid_model import PHASES, FeederModel
 from dsse.measurements import I_IMAG, I_REAL, KIND_CODE, MeasurementSet, unit_bases
-from dsse.partitioning import MaskPlan
+from dsse.partitioning import MaskPlan, build_mask_plan, partition_at_pmus
 
 LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -430,38 +430,36 @@ def evaluate(net: MaskedNetwork, features: np.ndarray, targets: np.ndarray) -> E
 # -- checkpointing ---------------------------------------------------------
 
 
-def save_checkpoint(net: MaskedNetwork, path, extra_meta=None) -> None:
-    meta = {
-        "plan_signature": net.plan.signature(),
-        "input_layout": INPUT_LAYOUT,
-        "n_buses": net.n_buses,
-        "block_width": net.f,
-        "slots": [[int(b), p] for b, p in net.slots],
-    }
-    if extra_meta:
-        meta.update(extra_meta)
+def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSet) -> None:
+    """Write ``net``'s parameters and a JSON ``meta`` array: ``kind`` (p2n2 if the plan
+    is pruned, else pawnn), ``pmu_buses``, ``block_width``, ``plan_signature``,
+    ``template_signature`` (of ``template``), ``input_layout``, ``n_buses`` and ``slots``."""
+    meta = dict(kind="p2n2" if net.plan.pruned else "pawnn",
+                pmu_buses=sorted({int(b) for b in pmu_buses}), block_width=net.f,
+                plan_signature=net.plan.signature(), template_signature=template.signature(),
+                input_layout=INPUT_LAYOUT, n_buses=net.n_buses,
+                slots=[[int(b), p] for b, p in net.slots])
     arrays = dict(zip(net.parameter_names(), net.parameters()))
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def checkpoint_meta(path, *fields) -> dict:
-    """A checkpoint's metadata; ValueError without the layout stamp or one of ``fields``."""
+def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
+    """(network, meta) from a ``save_checkpoint`` file, opened once; the plan rebuilt on
+    ``model`` from ``pmu_buses``, ``block_width`` and ``kind`` must hash to ``plan_signature``.
+    ValueError for a missing stamp or field, another plan or a bad array."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-    if meta.get("input_layout") != INPUT_LAYOUT:
-        raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")
-    missing = [name for name in fields if name not in meta]
-    if missing:
-        raise ValueError(f"checkpoint metadata lacks the field {missing[0]!r}")
-    return meta
-
-
-def load_checkpoint(path, plan: MaskPlan, model: FeederModel) -> MaskedNetwork:
-    if checkpoint_meta(path, "plan_signature")["plan_signature"] != plan.signature():
-        raise ValueError("checkpoint plan hash does not match the feeder's plan")
-    net = MaskedNetwork(plan, model, seed=0)
-    with np.load(path) as data:
+        if meta.get("input_layout") != INPUT_LAYOUT:
+            raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")
+        for name in ("kind", "pmu_buses", "block_width", "plan_signature", "template_signature"):
+            if name not in meta:
+                raise ValueError(f"checkpoint metadata lacks the field {name!r}")
+        plan = build_mask_plan(model, partition_at_pmus(model, meta["pmu_buses"]),
+                               meta["block_width"], prune=meta["kind"] == "p2n2")
+        if meta["plan_signature"] != plan.signature():
+            raise ValueError("checkpoint plan hash does not match the feeder's plan")
+        net = MaskedNetwork(plan, model, seed=0)
         net.set_parameters([data.get(name) for name in net.parameter_names()])
-    return net
+    return net, meta

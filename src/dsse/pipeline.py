@@ -151,7 +151,10 @@ def generate_dataset(model: FeederModel, template: MeasurementSet, profile: Load
             raise NotConvergedError(sweeps.max(), float(mismatch[~converged].max()))
         todo = todo[~converged]
     h_true = evaluator.h(StateVector(v))
-    sigmas = row_sigmas(model, template, h_true)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigmas = row_sigmas(model, template, h_true)
+        if not np.isfinite(sigmas**2).all():
+            raise ValueError("pseudo_noise must be small enough that no row's variance overflows")
     values = h_true + normal * sigmas
     return Dataset(
         template=template,

@@ -323,7 +323,7 @@ class TestGradientSuite:
         for name in ("a.npz", "b.npz"):
             net, _, _ = train(plan, six_bus, ds.features, ds.v_true_pu, cfg)
             path = tmp_path / name
-            save_checkpoint(net, path)
+            save_checkpoint(net, path, pmu, template)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert time.perf_counter() - t0 < 120.0

@@ -17,9 +17,9 @@ from dsse.cli import (
     main,
 )
 from dsse.fixtures import fixture_path
-from dsse.measurements import PSEUDO_NOISE, plan_measurements, synthesize
-from dsse.network import (MaskedNetwork, TrainConfig, evaluate, load_checkpoint, save_checkpoint,
-                          split_indices)
+from dsse.measurements import PSEUDO_NOISE, MeasurementSet, plan_measurements, synthesize
+from dsse.network import (InputEmbedding, MaskedNetwork, TrainConfig, evaluate, load_checkpoint,
+                          save_checkpoint, split_indices)
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, partition_at_pmus
 from dsse.pipeline import (LoadProfileConfig, Scenario, load_dataset,
                            remove_pseudo_until_unobservable)
@@ -231,8 +231,10 @@ def test_estimate_invalid_checkpoint_is_validation_error(
 
 @pytest.mark.parametrize(
     "field, message",
-    [("pmu_buses", "lacks the field 'pmu_buses'"),
+    [("kind", "lacks the field 'kind'"),
+     ("pmu_buses", "lacks the field 'pmu_buses'"),
      ("block_width", "lacks the field 'block_width'"),
+     ("plan_signature", "lacks the field 'plan_signature'"),
      ("template_signature", "lacks the field 'template_signature'"),
      # same array shapes as a current checkpoint, but trained on the old embedding
      ("input_layout", "retrain")],
@@ -256,18 +258,50 @@ def test_estimate_checkpoint_meta_missing_field(
     assert message in capsys.readouterr().err
 
 
-def test_estimate_library_checkpoint_is_validation_error(workdir, six_bus, six_bus_pf, capsys):
-    # save_checkpoint without extra_meta writes no pmu_buses
-    plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, [3]), block_width=2)
-    path = workdir / "library.npz"
-    save_checkpoint(MaskedNetwork(plan, six_bus, seed=0), path)
-    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
-    zpath = workdir / "z_library.csv"
-    z.save(zpath)
+@pytest.mark.parametrize("kind", ["p2n2", "pawnn"])
+def test_estimate_library_checkpoint(workdir, six_bus, six_bus_pf, capsys, kind):
+    # a checkpoint saved from library code carries all that estimate reads
+    template = plan_measurements(six_bus, [3])
+    plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, [3]), block_width=2,
+                           prune=kind == "p2n2")
+    net = MaskedNetwork(plan, six_bus, seed=4)
+    path = workdir / f"library_{kind}.npz"
+    save_checkpoint(net, path, [3], template)
+    zpath = workdir / f"z_library_{kind}.csv"
+    synthesize(template, six_bus_pf.state, six_bus, 0).save(zpath)
     code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
                  "--checkpoint", str(path)])
+    assert code == EXIT_OK
+    z = MeasurementSet.load(zpath)
+    mags = net.forward(InputEmbedding(six_bus, z).embed_values(z.values()))
+    assert capsys.readouterr().out.splitlines() == [
+        f"{six_bus.buses[b].label},{p},{v:.6f}" for (b, p), v in zip(six_bus.slots, mags)]
+
+
+@pytest.mark.parametrize("feeder, pmu_buses, message", [
+    ("six_bus", [99], "invalid pmu bus id 99"),
+    ("six_bus", [2], "plan hash does not match"),
+    ("thirteen_bus", None, "plan hash does not match"),
+], ids=["bus-off-the-feeder", "other-placement", "thirteen-bus-feeder"])
+def test_estimate_checkpoint_for_another_plan_is_validation_error(
+    workdir, checkpoint_path, six_bus, six_bus_pf, capsys, feeder, pmu_buses, message
+):
+    # checkpoint_path is cut at PMU bus 3; None keeps its pmu_buses
+    with np.load(checkpoint_path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert meta["pmu_buses"] == [3]
+    if pmu_buses is not None:
+        meta["pmu_buses"] = pmu_buses
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    bad = workdir / f"pmu_{feeder}_{pmu_buses}.npz"
+    np.savez(bad, **arrays)
+    zpath = workdir / f"z_pmu_{feeder}_{pmu_buses}.csv"
+    synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0).save(zpath)
+    code = main(["estimate", "--feeder", str(fixture_path(feeder)), "--measurements", str(zpath),
+                 "--checkpoint", str(bad)])
     assert code == EXIT_VALIDATION
-    assert "lacks the field 'pmu_buses'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_train_on_another_feeders_dataset_is_validation_error(workdir):
@@ -421,8 +455,8 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
     # the printed loss is the checkpoint's held-out loss, not the last epoch's
     ds = load_dataset(dataset_path, six_bus)
     _, val_idx = split_indices(len(ds), 0.9, 1)
-    plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, list(ds.pmu_buses)), block_width=8)
-    net = load_checkpoint(out, plan, six_bus)
+    net, meta = load_checkpoint(out, six_bus)
+    assert (meta["kind"], meta["pmu_buses"], meta["block_width"]) == ("p2n2", [3], 8)
     assert loss == f"{evaluate(net, ds.features[val_idx], ds.v_true_pu[val_idx]).nu:.6e}"
 
 
@@ -431,6 +465,8 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
     ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
     ("--seed", "-1", "seed"), ("--pseudo-noise", "-1", "pseudo_noise"),
     ("--pseudo-noise", "0", "pseudo_noise"), ("--pseudo-noise", "nan", "pseudo_noise"),
+    # finite, but its squared sigmas overflow to infinite variances
+    ("--pseudo-noise", "1e200", "pseudo_noise"),
 ])
 def test_generate_with_a_bad_load_profile_is_validation_error(workdir, capsys, flag, value, name):
     out = workdir / "bad_profile.npz"

@@ -326,8 +326,9 @@ class TestTraining:
         net1, _, _ = train(plan, six_bus, x, y, cfg)
         net2, _, _ = train(plan, six_bus, x, y, cfg)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
-        save_checkpoint(net1, p1)
-        save_checkpoint(net2, p2)
+        template = plan_measurements(six_bus, [3])
+        save_checkpoint(net1, p1, [3], template)
+        save_checkpoint(net2, p2, [3], template)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize(
@@ -545,30 +546,35 @@ class TestEvaluate:
 
 class TestCheckpoint:
     def test_roundtrip(self, six_bus, tmp_path):
-        plan = make_plan(six_bus, [3], 2)
-        net = MaskedNetwork(plan, six_bus, seed=14)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(net, path, extra_meta={"kind": "p2n2"})
-        back = load_checkpoint(path, plan, six_bus)
+        template = plan_measurements(six_bus, [3])
         rng = np.random.default_rng(7)
         x = rng.normal(0, 1, 6 * INPUT_CHANNELS)
-        assert np.array_equal(back.forward(x), net.forward(x))
+        for kind in ("p2n2", "pawnn"):
+            plan = make_plan(six_bus, [3], 2, prune=kind == "p2n2")
+            net = MaskedNetwork(plan, six_bus, seed=14)
+            path = tmp_path / f"{kind}.npz"
+            save_checkpoint(net, path, [3], template)
+            back, meta = load_checkpoint(path, six_bus)
+            assert back.plan.signature() == plan.signature()
+            assert np.array_equal(back.forward(x), net.forward(x))
+            assert (meta["kind"], meta["pmu_buses"], meta["block_width"]) == (kind, [3], 2)
+            assert meta["template_signature"] == template.signature()
 
     def test_plan_mismatch_rejected(self, six_bus, tmp_path):
-        plan = make_plan(six_bus, [3], 2)
-        other = make_plan(six_bus, [2], 2)
-        net = MaskedNetwork(plan, six_bus, seed=15)
+        # a network saved with PMU buses other than those its plan was cut at
+        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=15)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(net, path)
-        with pytest.raises(ValueError, match="plan"):
-            load_checkpoint(path, other, six_bus)
+        save_checkpoint(net, path, [2], plan_measurements(six_bus, [3]))
+        with pytest.raises(ValueError, match="plan hash"):
+            load_checkpoint(path, six_bus)
 
     def test_unstamped_layout_rejected(self, six_bus, tmp_path):
         # a checkpoint written before the one-cell-per-row embedding has the
         # same shapes but no layout stamp; it must not load silently
         plan = make_plan(six_bus, [3], 2)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(MaskedNetwork(plan, six_bus, seed=19), path)
+        save_checkpoint(MaskedNetwork(plan, six_bus, seed=19), path, [3],
+                        plan_measurements(six_bus, [3]))
         with np.load(path) as data:
             arrays = dict(data)
         meta = json.loads(bytes(arrays["meta"]).decode())
@@ -576,7 +582,7 @@ class TestCheckpoint:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match="retrain"):
-            load_checkpoint(path, plan, six_bus)
+            load_checkpoint(path, six_bus)
 
     @pytest.mark.parametrize(
         "name, corrupt",
@@ -592,7 +598,8 @@ class TestCheckpoint:
     def test_invalid_array_rejected(self, six_bus, tmp_path, name, corrupt):
         plan = make_plan(six_bus, [3], 2)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(MaskedNetwork(plan, six_bus, seed=16), path)
+        save_checkpoint(MaskedNetwork(plan, six_bus, seed=16), path, [3],
+                        plan_measurements(six_bus, [3]))
         with np.load(path) as data:
             arrays = dict(data)
         if corrupt is None:
@@ -601,7 +608,7 @@ class TestCheckpoint:
             arrays[name] = corrupt(arrays[name])
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=f"parameter {name} "):
-            load_checkpoint(path, plan, six_bus)
+            load_checkpoint(path, six_bus)
 
     def test_set_parameters_validates_before_writing(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
