@@ -68,9 +68,6 @@ class PhaseSet:
     def issubset(self, other: "PhaseSet") -> bool:
         return all(p in other.phases for p in self.phases)
 
-    def index(self, phase: str) -> int:
-        return self.phases.index(phase)
-
     @staticmethod
     def parse(text: str) -> "PhaseSet":
         if not isinstance(text, str) or not text:
@@ -326,6 +323,11 @@ class FeederModel:
 
     def __eq__(self, other):
         return isinstance(other, FeederModel) and self.to_dict() == other.to_dict()
+
+
+def is_bus_list(value) -> bool:
+    """Whether a value read from a file is a list of bus indices: ints, not bools."""
+    return isinstance(value, list) and all(type(b) is int for b in value)
 
 
 def _require_keys(entry: dict, required: set, what: str):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dsse.grid_model import PHASES, FeederModel
+from dsse.grid_model import PHASES, FeederModel, is_bus_list
 from dsse.measurements import I_IMAG, I_REAL, KIND_CODE, MeasurementSet, unit_bases
 from dsse.partitioning import MaskPlan, build_mask_plan, partition_at_pmus
 
@@ -153,8 +153,10 @@ class MaskedNetwork:
     def _forward(self, x, ws):
         """Outputs for the rows of ``x``, a fresh array. Leaves each layer's
         pre-activation and activation, and each exit's gathered block, in
-        ``ws``, which has exactly ``len(x)`` rows."""
+        ``ws``, which must have exactly ``len(x)`` rows."""
         n = len(x)
+        if n != ws.rows:
+            raise ValueError(f"a pass over {n} rows needs a workspace of {n} rows, not {ws.rows}")
         k = x
         for t, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(k, w.T, out=ws.pre[t])
@@ -180,7 +182,7 @@ class MaskedNetwork:
         single = np.asarray(x).ndim == 1
         x = np.atleast_2d(x)
         ws = Workspace(self, len(x), backward=False) if workspace is None else workspace
-        out = self._forward(x, ws.fit(len(x)))
+        out = self._forward(x, ws)
         return out[0] if single else out
 
     def loss_and_gradients(self, x, targets, out=None, workspace: Workspace | None = None):
@@ -197,7 +199,6 @@ class MaskedNetwork:
         ws = Workspace(self, n) if workspace is None else workspace
         if not ws.backward:
             raise ValueError("a forward-only workspace cannot hold a backward pass")
-        ws = ws.fit(n)
         y = self._forward(x, ws)
         diff = y - targets
         loss = float(np.sum(diff * diff))
@@ -234,8 +235,8 @@ class MaskedNetwork:
 
 
 class Workspace:
-    """Scratch arrays for passes of ``net`` over up to ``rows`` samples; a
-    pass over n rows works in ``fit(n)``. A ``backward`` workspace keeps a
+    """Scratch arrays for passes of ``net`` over exactly ``rows`` samples; a
+    pass over any other count is a ValueError. A ``backward`` workspace keeps a
     pre-activation, activation and gradient buffer per layer, as
     ``loss_and_gradients`` needs. A forward-only one, all ``forward``
     needs, gives its own activation buffer only to layers that feed a
@@ -266,20 +267,6 @@ class Workspace:
                 self.act[e - 1] = np.empty(shape)
             self.blocks.append(self.block[:, end : end + len(sel)])
             end += len(sel)
-
-    def fit(self, n: int) -> Workspace:
-        """This workspace for a pass over n rows: itself, or for fewer rows
-        a copy holding the leading-row views ``[:n]``, which are contiguous."""
-        if n > self.rows:
-            raise ValueError(f"{n} rows exceed the workspace's {self.rows}")
-        if n == self.rows:
-            return self
-        cut = object.__new__(Workspace)
-        cut.__dict__ = {name: [a[:n] for a in value] if isinstance(value, list)
-                        else value[:n] if isinstance(value, np.ndarray) else value
-                        for name, value in vars(self).items()}
-        cut.rows = n
-        return cut
 
 
 @dataclass
@@ -336,8 +323,8 @@ def train(
     per seed. Returns (network, curve, heldout_indices). Raises
     TrainingDiverged once a minibatch loss is not finite.
 
-    All scratch arrays -- the minibatch and held-out workspaces, ADAM's
-    vectors and the best-epoch snapshot -- are allocated once per call.
+    All scratch arrays -- a workspace per minibatch size and one held-out,
+    ADAM's vectors and the best-epoch snapshot -- are allocated once per call.
     """
     config = config or TrainConfig()
     net = MaskedNetwork(plan, model, seed=config.seed)
@@ -347,8 +334,8 @@ def train(
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 
-    # one workspace for the call: minibatch and held-out passes, and ADAM on
-    # the live entries of theta only (masked ones stay zero), all in place
+    # scratch for the call: minibatch and held-out passes, and ADAM on the
+    # live entries of theta only (masked ones stay zero), all in place
     live = net.live
     m = np.zeros(len(live))
     v = np.zeros(len(live))
@@ -358,13 +345,12 @@ def train(
     rows = min(config.batch_size, len(x_tr))
     x_batch = np.empty_like(x_tr, shape=(rows,) + x_tr.shape[1:])
     y_batch = np.empty_like(y_tr, shape=(rows,) + y_tr.shape[1:])
-    step_ws = Workspace(net, rows)
+    step_ws = {n: Workspace(net, n) for n in (rows, len(x_tr) % rows) if n}
     val_ws = Workspace(net, len(x_val), backward=False)
     rng = np.random.default_rng(config.seed + 1)
 
     def val_loss():
-        out = net.forward(x_val, val_ws)
-        return float(np.mean(np.sum((out - y_val) ** 2, axis=1)))
+        return nu(net.forward(x_val, val_ws), y_val)
 
     best_loss, best_theta, best_epoch = val_loss(), net.theta.copy(), None
     curve = []
@@ -379,7 +365,7 @@ def train(
                 batch = order[start : start + config.batch_size]
                 xb = np.take(x_tr, batch, axis=0, out=x_batch[: len(batch)], mode="clip")
                 yb = np.take(y_tr, batch, axis=0, out=y_batch[: len(batch)], mode="clip")
-                loss, _ = net.loss_and_gradients(xb, yb, out=grad, workspace=step_ws)
+                loss, _ = net.loss_and_gradients(xb, yb, out=grad, workspace=step_ws[len(batch)])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
                 epoch_loss += loss
@@ -417,14 +403,16 @@ def train(
     return net, curve, val_idx
 
 
+def nu(estimates, truth) -> float:
+    """ν: the mean over samples of the summed squared magnitude error."""
+    return float(np.mean(np.sum((np.asarray(estimates) - truth) ** 2, axis=1)))
+
+
 def evaluate(net: MaskedNetwork, features: np.ndarray, targets: np.ndarray) -> EvalReport:
-    """Mean over samples of the squared L2 magnitude-error norm."""
+    """ν of ``net`` on ``features`` against ``targets``."""
     if len(features) == 0:
         raise ValueError("empty test set")
-    out = net.forward(np.atleast_2d(features))
-    sq = (out - np.atleast_2d(targets)) ** 2
-    nu = float(np.mean(np.sum(sq, axis=1)))
-    return EvalReport(nu=nu, n_samples=len(features))
+    return EvalReport(nu(net.forward(np.atleast_2d(features)), targets), len(features))
 
 
 # -- checkpointing ---------------------------------------------------------
@@ -448,7 +436,7 @@ def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSe
 def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
     """(network, meta) from a ``save_checkpoint`` file, opened once; the plan rebuilt on
     ``model`` from ``pmu_buses``, ``block_width`` and ``kind`` must hash to ``plan_signature``.
-    ValueError for a missing stamp or field, another plan or a bad array."""
+    ValueError for a missing stamp, a missing or mistyped field, another plan or a bad array."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("input_layout") != INPUT_LAYOUT:
@@ -456,8 +444,14 @@ def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
         for name in ("kind", "pmu_buses", "block_width", "plan_signature", "template_signature"):
             if name not in meta:
                 raise ValueError(f"checkpoint metadata lacks the field {name!r}")
-        plan = build_mask_plan(model, partition_at_pmus(model, meta["pmu_buses"]),
-                               meta["block_width"], prune=meta["kind"] == "p2n2")
+        kind, pmu_buses, width = meta["kind"], meta["pmu_buses"], meta["block_width"]
+        for name, ok, rule in (("kind", kind in ("p2n2", "pawnn"), "'p2n2' or 'pawnn'"),
+                               ("pmu_buses", is_bus_list(pmu_buses), "a list of ints"),
+                               ("block_width", type(width) is int and width >= 1, "an int >= 1")):
+            if not ok:
+                raise ValueError(f"checkpoint metadata {name!r} must be {rule}, got {meta[name]!r}")
+        plan = build_mask_plan(model, partition_at_pmus(model, pmu_buses), width,
+                               prune=kind == "p2n2")
         if meta["plan_signature"] != plan.signature():
             raise ValueError("checkpoint plan hash does not match the feeder's plan")
         net = MaskedNetwork(plan, model, seed=0)

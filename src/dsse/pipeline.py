@@ -30,11 +30,11 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from dsse.grid_model import FeederModel
+from dsse.grid_model import FeederModel, is_bus_list
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
 from dsse.measurements import (PSEUDO_NOISE, MeasurementSet, RowEvaluator, jacobian_rows,
                                plan_measurements, row_sigmas, synthesize)  # noqa: F401
-from dsse.network import InputEmbedding, TrainConfig, Workspace, split_indices, train
+from dsse.network import InputEmbedding, TrainConfig, Workspace, nu, split_indices, train
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, count_params, partition_at_pmus
 from dsse.powerflow import (NotConvergedError, StateVector, slack_state, solve_batch,
                             solve_power_flow)  # noqa: F401
@@ -72,6 +72,8 @@ class Scenario:
     def __post_init__(self):
         if not 0 < self.pseudo_noise < np.inf:
             raise ValueError(f"pseudo_noise must be finite and > 0, got {self.pseudo_noise!r}")
+        if self.pseudo_noise > 1:  # past 100% every pseudo load's 3-sigma band crosses zero
+            raise ValueError(f"pseudo_noise must be <= 1, got {self.pseudo_noise!r}")
 
 
 @dataclass
@@ -186,11 +188,14 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, model: FeederModel) -> Dataset:
-    """A ``save_dataset`` file; features stored by schema 1 are ignored. Labels
-    of another slot count (another feeder's dataset), and values, variances
-    or labels that are not finite, are a ``ValueError``."""
+    """A ``save_dataset`` file; features stored by schema 1 are ignored. Untyped
+    ``pmu_buses``, labels of another slot count (another feeder's dataset),
+    and non-finite values, variances or labels are a ``ValueError``."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
+        if not is_bus_list(meta.get("pmu_buses")):
+            raise ValueError("dataset metadata 'pmu_buses' must be a list of ints, "
+                             f"got {meta.get('pmu_buses')!r}")
         template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
         values, variances, labels = data["values"], data["variances"], data["v_true_pu"]
         if labels.shape[1] != model.n_slots:
@@ -297,8 +302,8 @@ def nn_test_run(net, dataset, test_idx):
 
 
 def _nu(estimates, truth) -> float:
-    pairs = [(e, t) for e, t in zip(estimates, truth) if e is not None]
-    return float(np.mean([np.sum((e - t) ** 2) for e, t in pairs]))
+    kept = [i for i, e in enumerate(estimates) if e is not None]
+    return nu([estimates[i] for i in kept], truth[kept])
 
 
 def run_scenario(

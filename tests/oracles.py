@@ -201,7 +201,8 @@ def path_impedance(model: FeederModel) -> np.ndarray:
         for t, (c, q) in enumerate(model.slots):
             for k in path[b] & path[c]:
                 br = model.branches[k]
-                z[s, t] += br.series_impedance[br.phases.index(p), br.phases.index(q)]
+                phases = br.phases.phases
+                z[s, t] += br.series_impedance[phases.index(p), phases.index(q)]
     return z
 
 

@@ -258,6 +258,56 @@ def test_estimate_checkpoint_meta_missing_field(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("kind", "foo", "'p2n2' or 'pawnn'"),
+    ("pmu_buses", "3", "a list of ints"),
+    ("pmu_buses", [True], "a list of ints"),
+    ("block_width", "8", "an int >= 1"),
+    ("block_width", 0, "an int >= 1"),
+], ids=["kind-foo", "pmu_buses-string", "pmu_buses-bool", "block_width-string", "block_width-0"])
+def test_estimate_checkpoint_meta_of_the_wrong_type_is_validation_error(
+    workdir, six_bus, six_bus_pf, capsys, field, value, rule
+):
+    # a pawnn checkpoint: any kind but p2n2 used to rebuild its plan unpruned
+    template = plan_measurements(six_bus, [3])
+    plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, [3]), block_width=2, prune=False)
+    path = workdir / f"mistyped_{field}_{value}.npz"
+    save_checkpoint(MaskedNetwork(plan, six_bus, seed=4), path, [3], template)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta[field] = value
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    zpath = workdir / f"z_mistyped_{field}_{value}.csv"
+    synthesize(template, six_bus_pf.state, six_bus, 0).save(zpath)
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
+                 "--checkpoint", str(path)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: checkpoint metadata {field!r} must be {rule}, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["3", 3, [True]], ids=["string", "int", "bool"])
+def test_train_on_a_dataset_with_mistyped_pmu_buses_is_validation_error(
+    workdir, dataset_path, capsys, value
+):
+    with np.load(dataset_path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta["pmu_buses"] = value
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    bad = workdir / f"ds_pmu_buses_{value}.npz"
+    np.savez(bad, **arrays)
+    out = workdir / f"net_pmu_buses_{value}.npz"
+    code = main(["train", "--feeder", SIX, "--dataset", str(bad), "--out", str(out),
+                 "--epochs", "1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: dataset metadata 'pmu_buses' must be a list of ints, got {value!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["p2n2", "pawnn"])
 def test_estimate_library_checkpoint(workdir, six_bus, six_bus_pf, capsys, kind):
     # a checkpoint saved from library code carries all that estimate reads
@@ -465,7 +515,8 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
     ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
     ("--seed", "-1", "seed"), ("--pseudo-noise", "-1", "pseudo_noise"),
     ("--pseudo-noise", "0", "pseudo_noise"), ("--pseudo-noise", "nan", "pseudo_noise"),
-    # finite, but its squared sigmas overflow to infinite variances
+    # past the 100% bound; 1e200's squared sigmas would also overflow
+    ("--pseudo-noise", "1.5", "pseudo_noise"), ("--pseudo-noise", "1e150", "pseudo_noise"),
     ("--pseudo-noise", "1e200", "pseudo_noise"),
 ])
 def test_generate_with_a_bad_load_profile_is_validation_error(workdir, capsys, flag, value, name):

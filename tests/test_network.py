@@ -432,7 +432,7 @@ def minor_faults():
 
 
 class TestWorkspace:
-    """One set of scratch arrays serves every pass over up to its row count."""
+    """A workspace serves every pass over exactly its row count, and no other."""
 
     @pytest.fixture
     def net13(self, thirteen_bus):
@@ -444,19 +444,19 @@ class TestWorkspace:
                 rng.normal(1, 0.1, (rows, len(net.slots))))
 
     def test_interleaved_batch_sizes_match_reference_bytewise(self, net13):
-        ws = Workspace(net13, 300)
-        forward_ws = Workspace(net13, 300, backward=False)
+        ws = {rows: Workspace(net13, rows) for rows in (64, 44, 300)}
+        forward_ws = {rows: Workspace(net13, rows, backward=False) for rows in (64, 44, 300)}
         grad = np.empty_like(net13.theta)
         for rows in (64, 44, 300, 44, 64):
             x, y = self.data(net13, rows, seed=rows)
-            loss, grads = net13.loss_and_gradients(x, y, out=grad, workspace=ws)
+            loss, grads = net13.loss_and_gradients(x, y, out=grad, workspace=ws[rows])
             ref_loss, ref_grads = oracles.reference_loss_and_gradients(net13, x, y)
             assert loss == ref_loss
             for g, ref in zip(grads, ref_grads, strict=True):
                 assert g.tobytes() == ref.tobytes()
             ref_out = oracles.reference_forward(net13, x)[0].tobytes()
-            assert net13.forward(x, forward_ws).tobytes() == ref_out
-            assert net13.forward(x, ws).tobytes() == ref_out
+            assert net13.forward(x, forward_ws[rows]).tobytes() == ref_out
+            assert net13.forward(x, ws[rows]).tobytes() == ref_out
 
     def test_held_outputs_survive_later_calls(self, net13):
         ws = Workspace(net13, 64)
@@ -467,15 +467,20 @@ class TestWorkspace:
         x2, y2 = self.data(net13, 64, seed=9)
         net13.forward(x2, ws)
         net13.loss_and_gradients(x2, y2, workspace=ws)
-        net13.loss_and_gradients(x2[:10], y2[:10], out=np.empty_like(net13.theta), workspace=ws)
+        net13.loss_and_gradients(x2[:10], y2[:10], out=np.empty_like(net13.theta),
+                                 workspace=Workspace(net13, 10))
         for now, then in zip([out] + grads, held, strict=True):
             assert now.tobytes() == then.tobytes()
         assert not np.shares_memory(out, net13.forward(x, ws))
 
     def test_misfit_workspace_rejected(self, net13):
         x, y = self.data(net13, 10)
-        with pytest.raises(ValueError, match="10 rows exceed the workspace's 8"):
-            net13.forward(x, Workspace(net13, 8))
+        for rows in (8, 12):  # fewer rows than the pass, and more
+            misfit = f"a pass over 10 rows needs a workspace of 10 rows, not {rows}"
+            with pytest.raises(ValueError, match=misfit):
+                net13.forward(x, Workspace(net13, rows, backward=False))
+            with pytest.raises(ValueError, match=misfit):
+                net13.loss_and_gradients(x, y, workspace=Workspace(net13, rows))
         with pytest.raises(ValueError, match="forward-only workspace"):
             net13.loss_and_gradients(x, y, workspace=Workspace(net13, 10, backward=False))
 
@@ -485,14 +490,14 @@ class TestWorkspace:
     # times. A warmed-up workspace pass allocates none and faults (almost) never.
 
     def test_warm_passes_fault_in_no_pages(self, net13):
-        ws = Workspace(net13, 64)
+        ws = {rows: Workspace(net13, rows) for rows in (64, 44)}
         forward_ws = Workspace(net13, 300, backward=False)
         grad = np.empty_like(net13.theta)
         x, y = self.data(net13, 300)
 
         def passes():
             for rows in (64, 44):
-                net13.loss_and_gradients(x[:rows], y[:rows], out=grad, workspace=ws)
+                net13.loss_and_gradients(x[:rows], y[:rows], out=grad, workspace=ws[rows])
             net13.forward(x, forward_ws)
 
         passes()

@@ -117,6 +117,12 @@ class TestGenerateDataset:
         assert np.array_equal(back.features, six_ds.features)
         assert np.array_equal(back.v_true_pu, six_ds.v_true_pu)
 
+    def test_overflowing_variances_rejected(self, six_bus):
+        # a template built directly, past Scenario's bound on pseudo noise
+        template = plan_measurements(six_bus, [3], pseudo_noise=1e200)
+        with pytest.raises(ValueError, match="no row's variance overflows"):
+            generate_dataset(six_bus, template, LoadProfileConfig(samples=2), [3])
+
     @pytest.mark.parametrize("name", ["values", "variances", "v_true_pu"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_arrays_rejected(self, six_bus, six_ds, tmp_path, name, bad):
@@ -262,6 +268,13 @@ class TestScenarios:
         assert s1.pseudo_noise == 0.3 and not s1.make_unobservable
         assert s2.pseudo_noise == 0.5 and not s2.make_unobservable
         assert s3.pseudo_noise == 0.3 and s3.make_unobservable
+
+    def test_pseudo_noise_at_most_one(self):
+        assert Scenario("s", (3,), pseudo_noise=1.0).pseudo_noise == 1.0
+        for value in (1.5, 1e150):
+            with pytest.raises(ValueError) as exc:
+                Scenario("s", (3,), pseudo_noise=value)
+            assert str(exc.value) == f"pseudo_noise must be <= 1, got {value!r}"
 
     def test_pseudo_removal_reaches_rank_deficiency(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [3])
