@@ -85,7 +85,7 @@ class MeasurementSet:
         if not ((self.max_error > 0) & (self.max_error < np.inf)).all():
             raise ValueError("max_error must be positive and finite")
         self._digest = None
-        self._compiled = []  # [model, record]; with_values sets share it
+        self._compiled = {}  # build -> (model, record); with_values sets share it
 
     def __len__(self):
         return len(self.code)
@@ -110,11 +110,12 @@ class MeasurementSet:
         return self._digest
 
     def compiled(self, model, build):
-        """``build(model, self)``, kept for the last model asked (compared by ``is``)."""
+        """``build(model, self)``, one record per ``build``, kept for the last
+        model it was asked for (compared by ``is``)."""
         c = self._compiled
-        if not (c and c[0] is model):
-            c[:] = [model, build(model, self)]
-        return c[1]
+        if build not in c or c[build][0] is not model:
+            c[build] = model, build(model, self)
+        return c[build][1]
 
     def _replace(self, **columns) -> "MeasurementSet":
         new = copy.copy(self)
@@ -136,7 +137,7 @@ class MeasurementSet:
         may repeat or reorder rows), in its order."""
         cols = {k: _column(c[keep], c.dtype) for k, c in vars(self).items()
                 if k not in ("_digest", "_compiled")}
-        return self._replace(**cols, _digest=None, _compiled=[])
+        return self._replace(**cols, _digest=None, _compiled={})
 
     def save(self, path):
         with open(path, "w", newline="") as fh:

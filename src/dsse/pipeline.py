@@ -3,8 +3,8 @@
 A dataset sample is one synthetic operating point: draw per-load
 multipliers from a daily shape with multiplicative noise, solve the power
 flow, record the true per-unit voltage magnitudes as labels, and
-synthesize a noisy measurement vector. Sample i draws its multipliers, then
-its noise, from one generator seeded (seed, i, attempt); a draw whose power
+synthesize a noisy measurement vector. Sample i draws its hour, load noise
+and row noise from one generator seeded (seed, i, attempt); a draw whose power
 flow does not converge is redrawn with attempt + 1, at most 20 times.
 ``generate_dataset`` solves all samples in one batch (``solve_batch``) and
 evaluates h(x) once; sample i is bit-for-bit the same in a dataset of any
@@ -24,11 +24,13 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+from numpy.random import PCG64, Generator
 
 from dsse.grid_model import FeederModel, is_bus_list
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
@@ -56,7 +58,9 @@ class LoadProfileConfig:
         for name, ok, rule in (("samples", self.samples >= 1, ">= 1"),
                                ("seed", self.seed >= 0, ">= 0"),
                                ("amplitude", 0 <= self.amplitude <= 1, "in [0, 1]"),
-                               ("noise_sigma", 0 <= self.noise_sigma < np.inf, "finite and >= 0")):
+                               ("noise_sigma", 0 <= self.noise_sigma < np.inf, "finite and >= 0"),
+                               ("noise_sigma", self.noise_sigma <= np.finfo(float).max ** 0.5,
+                                "small enough that its square is finite")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -117,36 +121,56 @@ def config_hash(*parts) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def sample_multipliers(cfg: LoadProfileConfig, rng, n_loads: int) -> np.ndarray:
-    hour = rng.uniform(0.0, 24.0)
-    shape = 1.0 + cfg.amplitude * np.cos(2.0 * np.pi * (hour - PEAK_HOUR) / 24.0)
-    noise = np.exp(rng.normal(0.0, cfg.noise_sigma, n_loads) - cfg.noise_sigma**2 / 2)
+def _multipliers(cfg: LoadProfileConfig, u, z) -> np.ndarray:
+    """Load multipliers from uniform draws ``u`` (the hour is 24u) and standard
+    normal draws ``z`` (the noise is exp(sigma z - sigma^2 / 2)), any batch shape."""
+    shape = 1.0 + cfg.amplitude * np.cos(2.0 * np.pi * (24.0 * u - PEAK_HOUR) / 24.0)
+    noise = np.exp(cfg.noise_sigma * z - cfg.noise_sigma**2 / 2)
     return np.maximum(shape * noise, MULTIPLIER_FLOOR)
+
+
+def sample_multipliers(cfg: LoadProfileConfig, rng, n_loads: int) -> np.ndarray:
+    return _multipliers(cfg, rng.random(), rng.standard_normal(n_loads))
+
+
+def _generation_record(model: FeederModel, template: MeasurementSet) -> tuple:
+    """The inputs of ``generate_dataset`` that the template and feeder fix: (input
+    embedding, row evaluator, the load matrix's (slot, load) cells, their base powers)."""
+    embedding, evaluator = InputEmbedding(model, template), RowEvaluator(model, template)
+    base_loads = sorted(model.loads, key=lambda l: l.bus)
+    slot = [model.slot_index(ld.bus, p) for ld in base_loads for p in ld.power]
+    load = [k for k, ld in enumerate(base_loads) for _ in ld.power]
+    power = np.array([s for ld in base_loads for s in ld.power.values()], dtype=complex)
+    return embedding, evaluator, slot, load, power
 
 
 def generate_dataset(model: FeederModel, template: MeasurementSet, profile: LoadProfileConfig,
                      pmu_buses) -> Dataset:
-    """M samples of (measurement vector, per-unit magnitude labels)."""
-    embedding = InputEmbedding(model, template)
-    evaluator = RowEvaluator(model, template)
-    base_loads = sorted(model.loads, key=lambda l: l.bus)
-    # the load matrix's (slot, load) cells and each cell's base power
-    slot = [model.slot_index(ld.bus, p) for ld in base_loads for p in ld.power]
-    load = [k for k, ld in enumerate(base_loads) for _ in ld.power]
-    power = np.array([s for ld in base_loads for s in ld.power.values()], dtype=complex)
+    """M samples of (measurement vector, per-unit magnitude labels).
 
-    mult = np.empty((profile.samples, len(base_loads)))
-    normal = np.empty((profile.samples, len(template)))
-    v = np.empty((profile.samples, model.n_slots), complex)
-    attempt = np.zeros(profile.samples, dtype=int)
-    todo = np.arange(profile.samples)
+    The per-sample loop only draws: it builds sample i's generator and fills
+    its rows of the hour, load noise and row noise draws. The multipliers
+    then come from one batched ``_multipliers`` call and the power flows from
+    one ``solve_batch``; the embedding, evaluator and load cells are built
+    once per (template, model) through ``MeasurementSet.compiled``."""
+    embedding, evaluator, slot, load, power = template.compiled(model, _generation_record)
+    m, seed = profile.samples, operator.index(profile.seed)
+    # NumPy's coercion of [seed, i, attempt]: the seed's little-endian 32-bit words, i, attempt
+    n = (seed.bit_length() + 31) // 32 or 1
+    words = np.array([seed >> 32 * k & 0xFFFFFFFF for k in range(n)] + [0, 0], np.uint32)
+    u, z, normal = np.empty((m, 1)), np.empty((m, len(model.loads))), np.empty((m, len(template)))
+    v = np.empty((m, model.n_slots), complex)
+    attempt = np.zeros(m, dtype=int)
+    todo = np.arange(m)
     while len(todo):
-        for i in todo.tolist():
-            rng = np.random.default_rng([profile.seed, i, int(attempt[i])])
-            mult[i] = sample_multipliers(profile, rng, len(base_loads))
-            normal[i] = rng.normal(0.0, 1.0, len(template))
+        for i, a in zip(todo.tolist(), attempt[todo].tolist()):
+            words[-2], words[-1] = i, a
+            rng = Generator(PCG64(words))
+            rng.random(out=u[i])
+            rng.standard_normal(out=z[i])
+            rng.standard_normal(out=normal[i])
         s = np.zeros((len(todo), model.n_slots), complex)
-        s[:, slot] = mult[todo][:, load] * power
+        s[:, slot] = _multipliers(profile, u[todo], z[todo])[:, load] * power
         v[todo], sweeps, converged, mismatch = solve_batch(model, s)
         attempt[todo[~converged]] += 1
         if attempt.max() > 20:

@@ -94,27 +94,26 @@ def slack_state(model: FeederModel) -> StateVector:
 def solve_batch(model: FeederModel, s: np.ndarray):
     """Fixed point V = V0 - Zbus @ conj(S / V) for each row of the (M, n_slots)
     slot loads ``s`` (W + jvar), iterated from the slack state as the module
-    docstring says. Only active rows are updated. Returns (voltages, sweeps,
-    converged, last mismatch) per row.
-    """
+    docstring says. Sweeps run on compact copies of V and S that hold only the
+    rows still iterating and shrink on a sweep where some row stops; that row's
+    voltages, sweep count and mismatch are written then, once. Returns
+    (voltages, sweeps, converged, last mismatch) per row."""
     tol = TOL_PU * model.base_voltage
     slack = slack_state(model).values
     # each slot's phase of the source voltage
     v0 = slack[[model.slot_index(model.source, p) for _, p in model.slots]]
     m = len(s)
-    v = np.tile(slack, (m, 1))
-    iterations = np.zeros(m, dtype=int)
-    mismatch = np.full(m, np.inf)
-    active = np.arange(m)
+    v, va, sa, rows = np.empty((m, len(slack)), complex), np.tile(slack, (m, 1)), s, np.arange(m)
+    iterations, mismatch = np.zeros(m, dtype=int), np.full(m, np.inf)
     for it in range(1, MAX_ITER + 1):
-        if not len(active):
+        if not len(rows):
             break
-        va = v[active]
-        v_new = v0 - np.einsum("ij,mj->mi", model.zbus, np.conj(s[active] / va))
-        mismatch[active] = np.abs(v_new - va).max(axis=1, initial=0.0)
-        v[active] = v_new
-        iterations[active] = it
-        active = active[~(mismatch[active] < tol)]
+        v_new = v0 - np.einsum("ij,mj->mi", model.zbus, np.conj(sa / va))
+        gap = np.abs(v_new - va).max(axis=1, initial=0.0)
+        va, stop = v_new, (gap < tol) | (it == MAX_ITER)
+        if stop.any():
+            v[rows[stop]], iterations[rows[stop]], mismatch[rows[stop]] = va[stop], it, gap[stop]
+            va, sa, rows = va[~stop], sa[~stop], rows[~stop]
     return v, iterations, mismatch < tol, mismatch
 
 

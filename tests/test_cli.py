@@ -459,7 +459,8 @@ def test_bench_with_zero_epochs_is_validation_error(workdir, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value, name", [("--seed", "-1", "seed")])
+@pytest.mark.parametrize("flag, value, name", [("--seed", "-1", "seed"),
+                                               ("--noise-sigma", "1e155", "noise_sigma")])
 def test_bench_with_an_invalid_setting_is_validation_error(workdir, capsys, flag, value, name):
     out = workdir / "bench_bad"
     code = main(["bench", "--feeder", SIX, "--pmu", "4", "--out", str(out), "--samples", "20",
@@ -513,6 +514,7 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
 @pytest.mark.parametrize("flag, value, name", [
     ("--amplitude", "nan", "amplitude"), ("--amplitude", "-5", "amplitude"),
     ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
+    ("--noise-sigma", "1e155", "noise_sigma"),  # finite, but its square overflows
     ("--seed", "-1", "seed"), ("--pseudo-noise", "-1", "pseudo_noise"),
     ("--pseudo-noise", "0", "pseudo_noise"), ("--pseudo-noise", "nan", "pseudo_noise"),
     # past the 100% bound; 1e200's squared sigmas would also overflow

@@ -61,6 +61,17 @@ class TestLoadProfiles:
         with pytest.raises(ValueError, match=f"^{name} must be "):
             LoadProfileConfig(samples=10, **{name: value})
 
+    def test_noise_sigma_with_an_overflowing_square_rejected(self):
+        # sigma^2 / 2 is the lognormal's mean correction; past sqrt(max float) it
+        # overflows, which Python floats raise as OverflowError
+        edge = np.finfo(float).max ** 0.5
+        assert LoadProfileConfig(samples=1, noise_sigma=edge).noise_sigma == edge
+        for value in (np.nextafter(edge, np.inf), 1e155, 1e300):
+            with pytest.raises(ValueError) as exc:
+                LoadProfileConfig(samples=1, noise_sigma=value)
+            assert str(exc.value) == ("noise_sigma must be small enough that its square is "
+                                      f"finite, got {value!r}")
+
     def test_shape_and_noise_bounds_accepted(self):
         for amplitude, noise_sigma in ((0.0, 0.0), (1.0, 0.0), (1.0, 3.0)):
             cfg = LoadProfileConfig(samples=1, amplitude=amplitude, noise_sigma=noise_sigma)
@@ -223,16 +234,42 @@ class TestBatchedGeneration:
             for name in ("values", "variances", "v_true_pu", "features"):
                 assert getattr(ds, name).tobytes() == getattr(big, name)[:n].tobytes(), (n, name)
 
-    @pytest.mark.parametrize("feeder", ["six_bus", "thirteen_bus"])
-    def test_batch_rows_equal_single_solves(self, request, feeder):
+    @pytest.mark.parametrize("feeder, factor, digest", [
+        ("six_bus", 1.0, "4b1aa5ca9bd231f0988ec8b81272ccfd75658d97704cb0994bb96a68dc2b61fe"),
+        ("six_bus", 12.0, "df25bdb323cf950a288ac6370cabfc0fde50624978171661abe74111ebe5f65c"),
+        ("thirteen_bus", 1.0, "dd8adc196468764a82ffbe279a1ad2dcd5a64918b76629152d47c5bec84bb8cf"),
+    ])
+    def test_datasets_bytes_pinned(self, request, feeder, factor, digest):
+        # a faster generator must not move one bit of any dataset, and the
+        # WLS digests of test_wls.py are taken on generated datasets too. Taken
+        # with numpy 2.4 on x86-64 with AVX-512; another build's cos or exp may
+        # round differently and need new digests
+        model, _, pmu = _fixture_case(request, feeder)
+        model = _scaled(model, factor)
+        h = hashlib.sha256()
+        for scenario in standard_scenarios(pmu):
+            template, _ = scenario_template(model, scenario)
+            for seed in (4, 2**32 + 7):
+                ds = generate_dataset(model, template, LoadProfileConfig(samples=40, seed=seed),
+                                      pmu)
+                for a in (ds.values, ds.variances, ds.v_true_pu, ds.features):
+                    h.update(a.tobytes())
+                h.update(np.int64(ds.resampled).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("feeder, seed", [
+        pytest.param("six_bus", 2, id="six_bus"), pytest.param("thirteen_bus", 2, id="thirteen_bus"),
+        pytest.param("six_bus", 2**32 + 7, id="six_bus-seed_2**32+7"),
+    ])
+    def test_batch_rows_equal_single_solves(self, request, feeder, seed):
         model, template, pmu = _fixture_case(request, feeder)
-        profile = LoadProfileConfig(samples=40, seed=2)
+        profile = LoadProfileConfig(samples=40, seed=seed)
         ds = generate_dataset(model, template, profile, pmu)
-        assert ds.resampled == 0  # every sample's load draw is its (2, i, 0) stream
+        assert ds.resampled == 0  # every sample's load draw is its (seed, i, 0) stream
         base = sorted(model.loads, key=lambda ld: ld.bus)
         loads, s = [], np.zeros((40, model.n_slots), complex)
         for i in range(40):
-            mult = sample_multipliers(profile, np.random.default_rng([2, i, 0]), len(base))
+            mult = sample_multipliers(profile, np.random.default_rng([seed, i, 0]), len(base))
             loads.append({ld.bus: {p: v * k for p, v in ld.power.items()}
                           for ld, k in zip(base, mult)})
             for bus, power in loads[-1].items():
@@ -249,17 +286,41 @@ class TestBatchedGeneration:
     def test_never_converging_load_raises_after_21_attempts(self, monkeypatch):
         # beyond the line's maximum power transfer even at the 0.2 floor multiplier
         model = feeder_from_dict(two_bus_doc(p=1e7))
-        draws = []
+        rows = []
 
-        def counting(cfg, rng, n_loads):
-            draws.append(n_loads)
-            return sample_multipliers(cfg, rng, n_loads)
+        def counting(model, s):
+            rows.append(len(s))
+            return solve_batch(model, s)
 
-        monkeypatch.setattr(pipeline, "sample_multipliers", counting)
+        monkeypatch.setattr(pipeline, "solve_batch", counting)
         with pytest.raises(NotConvergedError):
             generate_dataset(model, plan_measurements(model, [0]),
                              LoadProfileConfig(samples=1, seed=0), [0])
-        assert len(draws) == 21
+        assert sum(rows) == 21
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_sample_generators_are_numpys_seeding_of_the_triple(self, six_bus, monkeypatch,
+                                                                seed):
+        # each sample's generator must be default_rng([seed, i, attempt]); the
+        # x12 feeder redraws some samples, so attempts past 0 are covered too
+        states = []
+
+        def capturing(words):
+            bits = np.random.PCG64(words)
+            states.append(bits.state)
+            return bits
+
+        model = _scaled(six_bus, 12.0)
+        template = plan_measurements(model, [3])
+        monkeypatch.setattr(pipeline, "PCG64", capturing)
+        ds = generate_dataset(model, template, LoadProfileConfig(samples=20, seed=seed), [3])
+        monkeypatch.undo()
+        assert len(states) == 20 + ds.resampled and ds.resampled > 0
+        expected = [np.random.default_rng([seed, i, 0]).bit_generator.state for i in range(20)]
+        assert states[:20] == expected
+        redrawn = {state["state"]["state"] for state in states[20:]}
+        assert redrawn <= {np.random.default_rng([seed, i, a]).bit_generator.state["state"]["state"]
+                           for i in range(20) for a in range(1, 21)}
 
 
 class TestScenarios:
