@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import yaml
@@ -160,6 +161,18 @@ class FeederModel:
         self.zbus = np.zeros((self.n_slots, self.n_slots), complex)
         self.zbus[np.ix_(free, free)] = np.linalg.inv(self.ybus[np.ix_(free, free)])
 
+    @cached_property
+    def zbus_groups(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The connected components of the pattern ``zbus != 0`` as (ascending
+        slots, dense block ``zbus[g][:, g]``), by first slot; the source's slots,
+        whose rows are all zero, are in none. Built on first use."""
+        reach = (self.zbus != 0) | (self.zbus.T != 0)
+        while not np.array_equal(reach, wider := reach | reach @ reach):  # transitive closure
+            reach = wider
+        # a component's rows are now equal, and the first is at its first slot
+        slots = dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach if row.any())
+        return [(np.array(g), self.zbus[np.ix_(g, g)]) for g in slots]
+
     # -- lookups ---------------------------------------------------------
 
     def bus_by_label(self, label: int) -> int:
@@ -197,6 +210,10 @@ class FeederModel:
         buses, branches, loads = self.buses, self.branches, self.loads
         if not buses:
             raise FeederValidationError("feeder has no buses")
+        for b in buses:
+            if not 0 < b.base_voltage < np.inf:
+                raise FeederValidationError(f"bus {b.label} base_voltage_v must be finite and "
+                                            f"positive, got {b.base_voltage}")
         sources = [b for b in buses if b.kind == "source"]
         if len(sources) != 1:
             raise FeederValidationError(
@@ -223,25 +240,18 @@ class FeederModel:
                         f"{br.phases.phases} not a subset of bus {end} phases "
                         f"{buses[end].phases.phases}"
                     )
-            z = br.series_impedance
-            n = len(br.phases)
+            z, n = br.series_impedance, len(br.phases)
+            what = f"impedance of branch {br.from_bus}-{br.to_bus}"
             if z.shape != (n, n):
-                raise FeederValidationError(
-                    f"impedance of branch {br.from_bus}-{br.to_bus} must be {n}x{n}"
-                )
+                raise FeederValidationError(f"{what} must be {n}x{n}")
+            if not np.isfinite(z).all():
+                raise FeederValidationError(f"{what} has a non-finite entry")
             if not np.allclose(z, z.T):
-                raise FeederValidationError(
-                    f"impedance of branch {br.from_bus}-{br.to_bus} is not symmetric"
-                )
+                raise FeederValidationError(f"{what} is not symmetric")
             if np.any(np.real(np.diag(z)) <= 0):
-                raise FeederValidationError(
-                    f"impedance of branch {br.from_bus}-{br.to_bus} needs positive "
-                    "resistance on the diagonal"
-                )
+                raise FeederValidationError(f"{what} needs positive resistance on the diagonal")
             if np.linalg.matrix_rank(z) < n:
-                raise FeederValidationError(
-                    f"impedance of branch {br.from_bus}-{br.to_bus} is singular"
-                )
+                raise FeederValidationError(f"{what} is singular")
         # connectivity from the source (with the count check above, the tree
         # check); each bus has exactly the phases of the branch feeding it,
         # which keeps every phase continuous from the source and the
@@ -278,11 +288,14 @@ class FeederModel:
                 raise FeederValidationError(
                     f"zero-injection bus {bus.label} has an attached load"
                 )
-            for p in ld.power:
+            for p, power in ld.power.items():
                 if p not in bus.phases:
                     raise FeederValidationError(
                         f"load on bus {bus.label} uses phase {p} absent at the bus"
                     )
+                if not np.isfinite(power):
+                    raise FeederValidationError(f"load on bus {bus.label} phase {p} must be "
+                                                f"finite, got {power}")
 
     # -- (de)serialization -------------------------------------------------
 

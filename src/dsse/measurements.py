@@ -28,6 +28,7 @@ import csv
 import hashlib
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -284,11 +285,24 @@ class RowEvaluator:
         self._inj_conj_C = np.conj(self.C[self._inj])
         self._inj_sign = np.where(self.imag[self._inj], -1.0, 1.0)
 
+    @cached_property
+    def sparse_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, coef): each row's nonzero columns of C in ascending order and
+        their coefficients, padded to the widest row with C's next zero columns
+        (coefficient 0). Built on the first batched ``h``."""
+        nonzero = self.C != 0
+        width = nonzero.sum(axis=1).max(initial=0)
+        cols = np.argsort(~nonzero, axis=1, kind="stable")[:, :width]
+        return cols, np.take_along_axis(self.C, cols, axis=1)
+
     def h(self, state: StateVector) -> np.ndarray:
         """h at one state (BLAS product), or per row of states with (M, n_slots)
-        ``values`` (einsum, whose row sums do not depend on M, unlike BLAS)."""
+        ``values``: einsum over ``sparse_rows``, so each sum adds the nonzero terms
+        of C's row in the dense einsum's order, equal bit for bit and, unlike
+        BLAS, independent of M."""
         v = state.values
-        i = self.C @ v if v.ndim == 1 else np.einsum("rj,mj->mr", self.C, v)
+        i = self.C @ v if v.ndim == 1 else np.einsum(
+            "rk,mrk->mr", self.sparse_rows[1], v.take(self.sparse_rows[0], axis=1))
         q = np.where(self.power, -v[..., self.slot] * np.conj(i), i)
         return np.where(self.imag, q.imag, q.real)
 

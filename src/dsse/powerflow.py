@@ -13,7 +13,12 @@ current downstream of it along every slot's path to the source.
 each row until no voltage moves by ``TOL_PU`` of the base voltage, for at most
 ``MAX_ITER`` sweeps; ``solve_power_flow`` is its one-row case.
 Zbus contracts through ``einsum``, which sums a row in the same order for any
-M, so a row's voltages are bit-for-bit independent of its batch.
+M, so a row's voltages are bit-for-bit independent of its batch. It contracts
+only the blocks of ``FeederModel.zbus_groups``, the connected components of
+Zbus's nonzero pattern (one per phase on a feeder without mutual impedance).
+A skipped entry is an exact zero times a finite current, a signed zero that
+leaves the sum unchanged, and the kept terms are added in the same ascending
+order, so the voltages equal the dense product's bit for bit.
 
 State ordering is the model's slot list: bus-major, phase-minor. Voltages
 are complex line-to-neutral volts; the source bus is the slack with a
@@ -94,25 +99,36 @@ def slack_state(model: FeederModel) -> StateVector:
 def solve_batch(model: FeederModel, s: np.ndarray):
     """Fixed point V = V0 - Zbus @ conj(S / V) for each row of the (M, n_slots)
     slot loads ``s`` (W + jvar), iterated from the slack state as the module
-    docstring says. Sweeps run on compact copies of V and S that hold only the
-    rows still iterating and shrink on a sweep where some row stops; that row's
-    voltages, sweep count and mismatch are written then, once. Returns
+    docstring says. S, the state and V0 are permuted once into the order of
+    ``model.zbus_groups``, and each sweep contracts each group's block with its
+    own columns; the source's slots stay out and keep V0. Sweeps run on compact
+    copies of V and S that hold only the rows still iterating and shrink on a
+    sweep where some row stops; that row's voltages (back through the
+    permutation), sweep count and mismatch are written then, once. Returns
     (voltages, sweeps, converged, last mismatch) per row."""
     tol = TOL_PU * model.base_voltage
     slack = slack_state(model).values
     # each slot's phase of the source voltage
     v0 = slack[[model.slot_index(model.source, p) for _, p in model.slots]]
+    groups = model.zbus_groups
+    perm = np.array([k for g, _ in groups for k in g], dtype=int)
+    bounds = np.cumsum([0] + [len(g) for g, _ in groups]).tolist()
     m = len(s)
-    v, va, sa, rows = np.empty((m, len(slack)), complex), np.tile(slack, (m, 1)), s, np.arange(m)
+    v, va, sa, rows = np.tile(v0, (m, 1)), np.tile(slack[perm], (m, 1)), s[:, perm], np.arange(m)
+    v0, drop = v0[perm], np.empty((m, len(perm)), complex)
     iterations, mismatch = np.zeros(m, dtype=int), np.full(m, np.inf)
     for it in range(1, MAX_ITER + 1):
         if not len(rows):
             break
-        v_new = v0 - np.einsum("ij,mj->mi", model.zbus, np.conj(sa / va))
+        i_inj, out = np.conj(sa / va), drop[: len(rows)]
+        for (_, block), a, b in zip(groups, bounds, bounds[1:]):
+            np.einsum("ij,mj->mi", block, i_inj[:, a:b], out=out[:, a:b])
+        v_new = v0 - out
         gap = np.abs(v_new - va).max(axis=1, initial=0.0)
         va, stop = v_new, (gap < tol) | (it == MAX_ITER)
         if stop.any():
-            v[rows[stop]], iterations[rows[stop]], mismatch[rows[stop]] = va[stop], it, gap[stop]
+            done = rows[stop]
+            v[done[:, None], perm], iterations[done], mismatch[done] = va[stop], it, gap[stop]
             va, sa, rows = va[~stop], sa[~stop], rows[~stop]
     return v, iterations, mismatch < tol, mismatch
 

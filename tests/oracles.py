@@ -8,6 +8,8 @@ and the reference trainer is the network's dense, array-by-array training
 path: ADAM over every entry, masks re-applied after each update. The
 reference generator is the per-sample dataset loop that batched generation
 replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
+The reference batch power flow is the sweep before Zbus was split into its
+groups: one dense ``einsum`` over the whole matrix, source slots included.
 The reference estimator is WLS as it was before templates were compiled: it
 rebuilds the evaluator and reruns the observability test on every call, and
 solves each Gauss-Newton step through an explicit Q; its Jacobian is the
@@ -20,13 +22,14 @@ and bus pairs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict
 
 import networkx as nx
 import numpy as np
 import scipy.optimize
 
-from dsse import wls
+from dsse import powerflow, wls
 from dsse.grid_model import FeederModel
 from dsse.measurements import MeasurementSet, RowEvaluator, synthesize
 from dsse.network import (
@@ -184,6 +187,38 @@ def random_tree_model(rng: np.random.Generator, n: int) -> FeederModel:
     return feeder_from_dict(doc)
 
 
+def coupled_feeder(model: FeederModel, couplings: dict) -> FeederModel:
+    """``model`` with mutual impedances: ``couplings`` maps a branch index to
+    the phase pairs it couples, each at a third of the first phase's self
+    impedance."""
+    from dsse.grid_model import feeder_from_dict
+
+    doc = model.to_dict()
+    for k, pairs in couplings.items():
+        z, phases = doc["branches"][k]["impedance"], model.branches[k].phases.phases
+        for p, q in pairs:
+            i, j = phases.index(p), phases.index(q)
+            z[i][j] = z[j][i] = [x / 3.0 for x in z[i][i]]
+    return feeder_from_dict(doc)
+
+
+def fully_coupled(model: FeederModel) -> FeederModel:
+    """Every pair of phases coupled on every branch."""
+    return coupled_feeder(model, {br.index: list(itertools.combinations(br.phases, 2))
+                                  for br in model.branches})
+
+
+def random_loads(model: FeederModel, m: int, scale: float, seed: int) -> np.ndarray:
+    """(m, n_slots) slot loads: the feeder's own times ``scale``, a per-row and a
+    per-slot random factor."""
+    base = np.zeros(model.n_slots, complex)
+    for ld in model.loads:
+        for p, value in ld.power.items():
+            base[model.slot_index(ld.bus, p)] = value
+    rng = np.random.default_rng(seed)
+    return base * scale * rng.uniform(0.2, 1.8, (m, 1)) * rng.uniform(0.5, 1.5, (m, model.n_slots))
+
+
 def path_impedance(model: FeederModel) -> np.ndarray:
     """Bus impedance over slots from the tree paths to the source.
 
@@ -269,6 +304,29 @@ def newton_power_flow(model: FeederModel, loads=None, tol=1e-10) -> StateVector:
     v = slack.copy()
     v[free] = xr[: len(free)] + 1j * xr[len(free) :]
     return StateVector(v)
+
+
+def reference_solve_batch(model: FeederModel, s: np.ndarray):
+    """``dsse.powerflow.solve_batch`` as it was before the Zbus groups: every
+    sweep contracts the whole dense ``model.zbus``. The body is that version's,
+    reading the iteration budget and tolerance from ``dsse.powerflow``."""
+    tol = powerflow.TOL_PU * model.base_voltage
+    slack = slack_state(model).values
+    # each slot's phase of the source voltage
+    v0 = slack[[model.slot_index(model.source, p) for _, p in model.slots]]
+    m = len(s)
+    v, va, sa, rows = np.empty((m, len(slack)), complex), np.tile(slack, (m, 1)), s, np.arange(m)
+    iterations, mismatch = np.zeros(m, dtype=int), np.full(m, np.inf)
+    for it in range(1, powerflow.MAX_ITER + 1):
+        if not len(rows):
+            break
+        v_new = v0 - np.einsum("ij,mj->mi", model.zbus, np.conj(sa / va))
+        gap = np.abs(v_new - va).max(axis=1, initial=0.0)
+        va, stop = v_new, (gap < tol) | (it == powerflow.MAX_ITER)
+        if stop.any():
+            v[rows[stop]], iterations[rows[stop]], mismatch[rows[stop]] = va[stop], it, gap[stop]
+            va, sa, rows = va[~stop], sa[~stop], rows[~stop]
+    return v, iterations, mismatch < tol, mismatch
 
 
 def two_bus_receiving_voltage(v_source: float, r_ohm: float, p_watt: float) -> float:

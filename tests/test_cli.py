@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
 from dsse.cli import (
     EXIT_NON_CONVERGED,
@@ -82,6 +83,24 @@ def test_checkpoint_meta_bytes_pinned(workdir, dataset_path):
     with np.load(out) as data:
         assert hashlib.sha256(bytes(data["meta"])).hexdigest() == (
             "8354a2f97034777dba55541b5ee148673b435962e97802ff4005d239633a8cb2")
+
+
+@pytest.mark.parametrize("feeder, pmu, seed, digest", [
+    ("six_bus", ["4"], 1, "1bd99029c9191ec8c736f63a491b0b1c650d213ec8fd3aa2483cd467a9f98bca"),
+    ("six_bus", ["4"], 2**32 + 7,
+     "8e1d1b81412e3603fab3da8420f292bc60f52982e80b5a577161eae2774a194a"),
+    ("thirteen_bus", ["1", "12"], 1,
+     "04d15cc96b22f870d7c6a64ccbe41e5e596a5a0a3347b7247c9f04723e4c444d"),
+    ("thirteen_bus", ["1", "12"], 2**32 + 7,
+     "17dfea588272eea0617b8f4bbdad9a4c7c3695098a9951549d593f48dbaac142"),
+], ids=["six_bus-1", "six_bus-2**32+7", "thirteen_bus-1", "thirteen_bus-2**32+7"])
+def test_generate_file_bytes_pinned(workdir, feeder, pmu, seed, digest):
+    # the whole file: array bytes, and each array's .npy header (dtype, shape,
+    # memory order); np.savez dates every entry 1980-01-01
+    out = workdir / f"pinned_{feeder}_{seed}.npz"
+    assert main(["generate", "--feeder", str(fixture_path(feeder)), "--pmu", *pmu,
+                 "--samples", "200", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command, required, configs", [
@@ -398,6 +417,63 @@ def test_bad_feeder_is_validation_error(workdir):
     code = main(["generate", "--feeder", str(bad), "--pmu", "1",
                  "--out", str(workdir / "x.npz")])
     assert code == EXIT_VALIDATION
+
+
+def _feeder_file(path, doc):
+    """``doc`` as YAML; the string '1e400' is written bare, as a hand edit would."""
+    path.write_text(yaml.safe_dump(doc, sort_keys=False).replace("'1e400'", "1e400"))
+    return path
+
+
+BAD_NUMBERS = {
+    "zero-base-voltage": (lambda d: d["buses"][1].update(base_voltage_v=0.0),
+                          "bus 2 base_voltage_v must be finite and positive, got 0.0"),
+    "negative-base-voltage": (lambda d: d["buses"][1].update(base_voltage_v=-2400.0),
+                              "bus 2 base_voltage_v must be finite and positive, got -2400.0"),
+    "nan-base-voltage": (lambda d: d["buses"][1].update(base_voltage_v=float("nan")),
+                         "bus 2 base_voltage_v must be finite and positive, got nan"),
+    "nan-load": (lambda d: d["loads"][0]["power"]["A"].__setitem__(0, float("nan")),
+                 "load on bus 2 phase A must be finite, got (nan+9000j)"),
+    "inf-load": (lambda d: d["loads"][0]["power"]["B"].__setitem__(0, float("inf")),
+                 "load on bus 2 phase B must be finite, got (inf+8000j)"),
+    "overflowing-load": (lambda d: d["loads"][0]["power"]["C"].__setitem__(0, "1e400"),
+                         "load on bus 2 phase C must be finite, got (inf+7000j)"),
+    "nan-impedance": (lambda d: d["branches"][1]["impedance"][0][0].__setitem__(1, float("nan")),
+                      "impedance of branch 1-2 has a non-finite entry"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_NUMBERS))
+def test_feeder_with_a_bad_number_is_validation_error(workdir, six_bus, capsys, case):
+    mutate, message = BAD_NUMBERS[case]
+    doc = six_bus.to_dict()
+    mutate(doc)
+    feeder, out = _feeder_file(workdir / f"{case}.yaml", doc), workdir / f"{case}.npz"
+    capsys.readouterr()
+    assert main(["generate", "--feeder", str(feeder), "--pmu", "4", "--samples", "20",
+                 "--out", str(out)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "estimate", "bench", "masks"])
+def test_every_command_rejects_a_zero_base_voltage(workdir, six_bus, six_bus_pf, dataset_path,
+                                                   capsys, command):
+    doc = six_bus.to_dict()
+    doc["buses"][1]["base_voltage_v"] = 0.0
+    feeder, out = _feeder_file(workdir / "zero_volts.yaml", doc), workdir / f"zero_{command}"
+    z = workdir / "zero_volts_z.csv"
+    synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0).save(z)
+    extra = {"generate": ["--pmu", "4", "--out", str(out)],
+             "train": ["--dataset", str(dataset_path), "--out", str(out)],
+             "estimate": ["--measurements", str(z), "--wls"],
+             "bench": ["--pmu", "4", "--out", str(out)],
+             "masks": ["--pmu", "4", "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([command, "--feeder", str(feeder), *extra]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "bus 2 base_voltage_v must be finite and positive" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_feeder_yaml_syntax_error_is_validation_error(workdir, capsys):

@@ -150,6 +150,48 @@ class TestIngestion:
         with pytest.raises(FeederValidationError, match="singular"):
             feeder_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "mutate,error",
+        [
+            (lambda d: d["buses"][1].update(base_voltage_v=0.0), "bus 2 base_voltage_v"),
+            (lambda d: d["buses"][1].update(base_voltage_v=-2400.0), "bus 2 base_voltage_v"),
+            (lambda d: d["buses"][0].update(base_voltage_v=float("nan")), "bus 1 base_voltage_v"),
+            (lambda d: d["buses"][0].update(base_voltage_v=float("inf")), "bus 1 base_voltage_v"),
+            (lambda d: d["loads"][0]["power"]["A"].__setitem__(0, float("nan")),
+             "load on bus 2 phase A must be finite"),
+            (lambda d: d["loads"][0]["power"]["A"].__setitem__(0, float("-inf")),
+             "load on bus 2 phase A must be finite"),
+            (lambda d: d["loads"][0]["power"]["A"].__setitem__(0, "1e400"),
+             "load on bus 2 phase A must be finite"),
+            (lambda d: d["loads"][0]["power"]["A"].__setitem__(1, float("nan")),
+             "load on bus 2 phase A must be finite"),
+            (lambda d: d["branches"][0]["impedance"][0][0].__setitem__(0, float("nan")),
+             "branch 0-1 has a non-finite entry"),
+            (lambda d: d["branches"][0]["impedance"][0][0].__setitem__(1, float("inf")),
+             "branch 0-1 has a non-finite entry"),
+        ],
+        ids=["zero-base-voltage", "negative-base-voltage", "nan-base-voltage",
+             "inf-base-voltage", "nan-load-p", "inf-load-p", "overflowing-load-p",
+             "nan-load-q", "nan-resistance", "inf-reactance"],
+    )
+    def test_nonfinite_or_nonpositive_number_named(self, mutate, error):
+        doc = minimal_doc()
+        mutate(doc)
+        with pytest.raises(FeederValidationError, match=error):
+            feeder_from_dict(doc)
+
+    def test_nonfinite_mutual_impedance_named(self):
+        doc = minimal_doc()
+        doc["buses"][0]["phases"] = "AB"
+        doc["buses"][1]["phases"] = "AB"
+        doc["branches"][0]["phases"] = "AB"
+        doc["branches"][0]["impedance"] = [
+            [[0.3, 0.6], [float("inf"), 0.0]],
+            [[float("inf"), 0.0], [0.3, 0.6]],
+        ]
+        with pytest.raises(FeederValidationError, match="branch 0-1 has a non-finite entry"):
+            feeder_from_dict(doc)
+
     def test_branch_phases_must_exist_at_endpoints(self):
         doc = minimal_doc()
         doc["branches"][0]["phases"] = "AB"
@@ -276,3 +318,75 @@ class TestDerivedStructure:
         doc = minimal_doc()
         doc["branches"][0]["from"], doc["branches"][0]["to"] = 2, 1
         assert feeder_from_dict(doc).downstream_bus.tolist() == [1]
+
+
+def zbus_components(model) -> list:
+    """networkx's connected components of the pattern ``zbus != 0``, as sorted
+    slot lists ordered by first slot, without the all-zero source slots."""
+    g = oracles.nx.Graph()
+    g.add_nodes_from(np.flatnonzero(model.zbus.any(axis=1)).tolist())
+    rows, cols = np.nonzero(model.zbus)
+    g.add_edges_from(zip(rows.tolist(), cols.tolist()))
+    return sorted(sorted(c) for c in oracles.nx.connected_components(g))
+
+
+@pytest.fixture(scope="module")
+def group_feeders(six_bus, thirteen_bus):
+    rng = np.random.default_rng(7)
+    return {
+        "six_bus": six_bus,
+        "thirteen_bus": thirteen_bus,
+        "thirteen_bus_coupled": oracles.fully_coupled(thirteen_bus),
+        "thirteen_bus_chain": oracles.coupled_feeder(
+            thirteen_bus, {0: [("A", "B")], 2: [("B", "C")]}),
+        "six_bus_coupled": oracles.fully_coupled(six_bus),
+        **{f"random_tree_{n}": oracles.random_tree_model(rng, n) for n in (9, 15, 30)},
+        "source_only": feeder_from_dict(minimal_doc(buses=minimal_doc()["buses"][:1],
+                                                    branches=[], loads=[])),
+    }
+
+
+class TestZbusGroups:
+    @pytest.mark.parametrize("name", ["six_bus", "thirteen_bus", "thirteen_bus_coupled",
+                                      "thirteen_bus_chain", "six_bus_coupled", "random_tree_9",
+                                      "random_tree_15", "random_tree_30", "source_only"])
+    def test_groups_partition_the_free_slots_into_the_components(self, group_feeders, name):
+        model = group_feeders[name]
+        free = [s for s, (b, _) in enumerate(model.slots) if b != model.source]
+        slots = [g.tolist() for g, _ in model.zbus_groups]
+        assert sorted(s for g in slots for s in g) == free
+        assert slots == zbus_components(model)  # each ascending, ordered by first slot
+        inside = np.zeros(model.zbus.shape, dtype=bool)
+        for g, block in model.zbus_groups:
+            assert np.array_equal(block, model.zbus[np.ix_(g, g)])
+            inside[np.ix_(g, g)] = True
+        assert not model.zbus[~inside].any()
+
+    @pytest.mark.parametrize("name,sizes", [("six_bus", [5, 5, 5]), ("thirteen_bus", [8, 10, 10])])
+    def test_decoupled_fixtures_have_a_group_per_phase(self, group_feeders, name, sizes):
+        model = group_feeders[name]
+        assert sorted(len(g) for g, _ in model.zbus_groups) == sizes
+        for g, _ in model.zbus_groups:
+            assert len({model.slots[s][1] for s in g.tolist()}) == 1
+
+    def test_coupled_variants_are_one_group(self, group_feeders):
+        (g, block), = group_feeders["thirteen_bus_coupled"].zbus_groups
+        assert len(g) == 28 and block.all()
+        # no branch couples A with C, but the inverse leaves rounding-sized A-C entries
+        assert [len(g) for g, _ in group_feeders["thirteen_bus_chain"].zbus_groups] == [28]
+        assert [len(g) for g, _ in group_feeders["six_bus_coupled"].zbus_groups] == [15]
+
+    def test_chained_pattern_is_one_group(self):
+        # 3-9 and 9-15 are coupled, 3-15 is not: the rows of 3, 9 and 15 all
+        # differ, so only a closure over the pattern puts the three in one group
+        model = load_feeder(fixture_path("six_bus"))
+        model.zbus[:] = np.diag(model.zbus.diagonal())
+        for a, b in ((3, 9), (9, 15)):
+            model.zbus[a, b] = model.zbus[b, a] = 1.0 + 2.0j
+        assert [g.tolist() for g, _ in model.zbus_groups] == (
+            [[3, 9, 15]] + [[s] for s in range(4, 18) if s not in (9, 15)])
+
+    def test_groups_are_built_on_first_use(self):
+        model = load_feeder(fixture_path("six_bus"))
+        assert "zbus_groups" not in vars(model)
+        assert model.zbus_groups is model.zbus_groups

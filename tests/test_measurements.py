@@ -24,7 +24,7 @@ from dsse.measurements import (
 )
 from dsse.pipeline import (LoadProfileConfig, generate_dataset, scenario_template,
                            standard_scenarios)
-from dsse.powerflow import StateVector, slack_state
+from dsse.powerflow import StateVector, slack_state, solve_batch
 from dsse.wls import estimate
 
 
@@ -321,6 +321,41 @@ class TestJacobian:
             assert np.array_equal(H, oracles.reference_jacobian(ev, x))
             H[:] = np.nan  # each call returns its own array
         assert np.array_equal(ev.jacobian(flat), oracles.reference_jacobian(ev, flat))
+
+
+def standard_templates(model, fixture):
+    pmu = [model.bus_by_label(label) for label in PMU_LABELS[fixture]]
+    return [scenario_template(model, scenario)[0] for scenario in standard_scenarios(pmu)]
+
+
+class TestSparseRows:
+    @pytest.mark.parametrize("fixture", sorted(PMU_LABELS))
+    def test_rows_list_each_rows_nonzero_columns_ascending(self, request, fixture):
+        model = request.getfixturevalue(fixture)
+        for template in standard_templates(model, fixture):
+            ev = RowEvaluator(model, template)
+            cols, coef = ev.sparse_rows
+            nnz = np.count_nonzero(ev.C, axis=1)
+            assert cols.shape == coef.shape == (len(template), nnz.max())
+            assert nnz.max() == 4  # the injection rows of a bus with three neighbours
+            for r, k in enumerate(nnz.tolist()):
+                assert cols[r, :k].tolist() == np.flatnonzero(ev.C[r]).tolist()
+                assert np.array_equal(coef[r], ev.C[r, cols[r]])
+                assert not coef[r, k:].any()
+
+    @pytest.mark.parametrize("fixture", sorted(PMU_LABELS))
+    def test_batched_h_equals_the_dense_einsum_bytewise(self, request, fixture):
+        model = request.getfixturevalue(fixture)
+        v, _, converged, _ = solve_batch(model, oracles.random_loads(model, 100, 1.0, seed=3))
+        v = v[converged]
+        assert len(v) > 50
+        for template in standard_templates(model, fixture):
+            ev = RowEvaluator(model, template)
+            for m in (1, 7, len(v)):
+                x = StateVector(v[:m])
+                i = np.einsum("rj,mj->mr", ev.C, x.values)
+                q = np.where(ev.power, -x.values[..., ev.slot] * np.conj(i), i)
+                assert ev.h(x).tobytes() == np.where(ev.imag, q.imag, q.real).tobytes()
 
 
 class TestSynthesis:

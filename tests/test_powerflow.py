@@ -139,3 +139,56 @@ class TestSolveBatch:
     def test_empty_batch(self, six_bus):
         v, iterations, converged, _ = solve_batch(six_bus, np.zeros((0, six_bus.n_slots), complex))
         assert v.shape == (0, six_bus.n_slots) and len(iterations) == len(converged) == 0
+
+
+# the 13-bus fixture's first branch couples A-B and branch 3-4 couples B-C: no
+# branch couples A with C, yet all 28 free slots form one group
+CHAIN_COUPLINGS = {0: [("A", "B")], 2: [("B", "C")]}
+
+SOURCE_ONLY = {"buses": [{"id": 1, "phases": "ABC", "kind": "source", "base_voltage_v": 2400.0}],
+               "branches": [], "loads": []}
+
+
+@pytest.fixture(scope="module")
+def sweep_feeders(six_bus, thirteen_bus):
+    """Feeders whose Zbus groups differ: per phase, one group, a chain-coupled
+    group, a group per subtree of the source, and none."""
+    rng = np.random.default_rng(20)
+    return {
+        "six_bus": six_bus,
+        "thirteen_bus": thirteen_bus,
+        "thirteen_bus_coupled": oracles.fully_coupled(thirteen_bus),
+        "thirteen_bus_chain": oracles.coupled_feeder(thirteen_bus, CHAIN_COUPLINGS),
+        **{f"random_tree_{k}": oracles.random_tree_model(rng, n)
+           for k, n in enumerate((9, 15, 30))},
+        "source_only": feeder_from_dict(SOURCE_ONLY),
+    }
+
+
+class TestGroupedSweep:
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    @pytest.mark.parametrize("name,scale", [
+        ("six_bus", 1), ("six_bus", 12), ("thirteen_bus", 1), ("thirteen_bus", 12),
+        ("thirteen_bus_coupled", 1), ("thirteen_bus_chain", 1), ("random_tree_0", 1),
+        ("random_tree_1", 1), ("random_tree_2", 1), ("source_only", 1),
+    ])
+    def test_matches_the_dense_sweep_bytewise(self, sweep_feeders, name, scale, m):
+        model = sweep_feeders[name]
+        s = oracles.random_loads(model, m, scale, seed=m)
+        got, want = solve_batch(model, s), oracles.reference_solve_batch(model, s)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_heavy_loads_leave_rows_unconverged(self, sweep_feeders):
+        # the x12 cases above compare rows that stop at MAX_ITER too
+        for name in ("six_bus", "thirteen_bus"):
+            _, _, converged, _ = solve_batch(sweep_feeders[name], oracles.random_loads(
+                sweep_feeders[name], 100, 12, seed=100))
+            assert not converged.all()
+
+    def test_source_only_feeder_keeps_the_slack_state(self, sweep_feeders):
+        model = sweep_feeders["source_only"]
+        assert model.zbus_groups == []
+        v, iterations, converged, mismatch = solve_batch(model, np.zeros((4, 3), complex))
+        assert np.array_equal(v, np.tile(slack_state(model).values, (4, 1)))
+        assert iterations.tolist() == [1] * 4 and converged.all() and not mismatch.any()
