@@ -11,7 +11,6 @@ from dsse.grid_model import (
     FeederModel,
     FeederValidationError,
     Load,
-    PhaseSet,
     dump_feeder,
     load_feeder,
 )

@@ -14,11 +14,9 @@ import argparse
 import sys
 from dataclasses import fields
 
-import numpy as np
-
 from dsse import network, wls
 from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
-from dsse.measurements import PSEUDO_NOISE, MeasurementSet
+from dsse.measurements import PSEUDO_NOISE, MeasurementSet, check_usable
 from dsse.network import TrainConfig, load_checkpoint, save_checkpoint, train
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, export_mask_plan, partition_at_pmus
 from dsse.pipeline import (
@@ -93,11 +91,11 @@ def cmd_estimate(args):
         print(f"# converged in {rep.iterations} iterations, J={rep.objective:.6e}")
     else:
         net, meta = load_checkpoint(args.checkpoint, model)
+        embedding = network.InputEmbedding(model, mset)  # rows first, in WLS's order
         if mset.signature() != meta["template_signature"]:
             raise ValueError("measurement rows do not match the training template")
-        if not (np.isfinite(mset.values()).all() and np.isfinite(mset.variances()).all()):
-            raise ValueError("measurement values and variances must be finite")
-        mags = net.forward(network.InputEmbedding(model, mset).embed_values(mset.values()))
+        check_usable(mset)
+        mags = net.forward(embedding.embed_values(mset.values()))
     for (b, p), v in zip(model.slots, mags):
         print(f"{model.buses[b].label},{p},{v:.6f}")
     return EXIT_OK

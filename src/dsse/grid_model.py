@@ -18,8 +18,8 @@ ingestion remaps them to contiguous indices 0..N-1 in sorted-id order and
 keeps the original id as ``label``. Unknown keys are rejected.
 
 The graph must be a tree (radial) with exactly one source bus, which
-carries no load, and every other bus must have exactly the phases of the
-branch that feeds it.
+carries no load and whose base voltage every bus shares, and every other bus
+must have exactly the phases of the branch that feeds it.
 """
 
 from __future__ import annotations
@@ -44,46 +44,20 @@ class FeederParseError(ValueError):
     """A feeder file is malformed (bad YAML, missing/unknown keys)."""
 
 
-@dataclass(frozen=True, order=True)
-class PhaseSet:
-    """Non-empty subset of the phases A, B, C, kept in canonical order."""
-
-    phases: str
-
-    def __post_init__(self):
-        canon = "".join(p for p in PHASES if p in self.phases)
-        if not canon or canon != self.phases:
-            raise FeederValidationError(
-                f"phase set {self.phases!r} must be a non-empty ordered subset of 'ABC'"
-            )
-
-    def __iter__(self):
-        return iter(self.phases)
-
-    def __len__(self):
-        return len(self.phases)
-
-    def __contains__(self, phase):
-        return phase in self.phases
-
-    def issubset(self, other: "PhaseSet") -> bool:
-        return all(p in other.phases for p in self.phases)
-
-    @staticmethod
-    def parse(text: str) -> "PhaseSet":
-        if not isinstance(text, str) or not text:
-            raise FeederParseError(f"invalid phases field: {text!r}")
-        canon = "".join(p for p in PHASES if p in text.upper())
-        if len(canon) != len(text):
-            raise FeederParseError(f"invalid phases field: {text!r}")
-        return PhaseSet(canon)
+def parse_phases(text) -> str:
+    """A phases field as its canonical string: a non-empty subset of 'ABC', in
+    that order (any case and order is read); anything else is a FeederParseError."""
+    canon = "".join(p for p in PHASES if p in text.upper()) if isinstance(text, str) else ""
+    if not canon or len(canon) != len(text):
+        raise FeederParseError(f"invalid phases field: {text!r}")
+    return canon
 
 
 @dataclass(frozen=True)
 class Bus:
     index: int
     label: int
-    phases: PhaseSet
+    phases: str  # canonical, as ``parse_phases`` returns it
     kind: str
     base_voltage: float
 
@@ -93,7 +67,7 @@ class Branch:
     index: int
     from_bus: int
     to_bus: int
-    phases: PhaseSet
+    phases: str
     series_impedance: np.ndarray  # complex, |phases| x |phases|
 
     @property
@@ -187,6 +161,17 @@ class FeederModel:
     def branch_phase_index(self, branch: int, phase: str) -> int:
         return self._branch_phase_index[(branch, phase)]
 
+    def pmu_placement(self, pmu_buses) -> tuple:
+        """``pmu_buses`` sorted and distinct, as given (nothing is coerced); an
+        empty placement is a ValueError and a bus not on the feeder a KeyError."""
+        pmus = tuple(sorted(set(pmu_buses)))
+        if not pmus:
+            raise ValueError("pmu_buses must be non-empty")
+        for b in pmus:
+            if not 0 <= b < self.n_buses:
+                raise KeyError(f"invalid pmu bus id {b}")
+        return pmus
+
     def neighbors(self, bus: int):
         """Buses one branch away from ``bus``, as a set-like view."""
         return self._nbr[bus].keys()
@@ -219,6 +204,10 @@ class FeederModel:
             raise FeederValidationError(
                 f"multiple sources: feeder must have exactly one source bus, got {len(sources)}"
             )
+        for b in buses:  # one base voltage serves the whole feeder
+            if b.base_voltage != sources[0].base_voltage:
+                raise FeederValidationError(f"bus {b.label} base_voltage_v {b.base_voltage} "
+                                            f"differs from the source's {sources[0].base_voltage}")
         if len(branches) != len(buses) - 1:
             raise FeederValidationError(
                 f"cycle or disconnection: |branches| = {len(branches)} != |buses| - 1 = {len(buses) - 1}"
@@ -234,11 +223,10 @@ class FeederModel:
             nbr[br.from_bus][br.to_bus] = br
             nbr[br.to_bus][br.from_bus] = br
             for end in (br.from_bus, br.to_bus):
-                if not br.phases.issubset(buses[end].phases):
+                if not set(br.phases) <= set(buses[end].phases):
                     raise FeederValidationError(
                         f"phase mismatch: branch {br.from_bus}-{br.to_bus} phases "
-                        f"{br.phases.phases} not a subset of bus {end} phases "
-                        f"{buses[end].phases.phases}"
+                        f"{br.phases} not a subset of bus {end} phases {buses[end].phases}"
                     )
             z, n = br.series_impedance, len(br.phases)
             what = f"impedance of branch {br.from_bus}-{br.to_bus}"
@@ -268,8 +256,7 @@ class FeederModel:
                 if br.phases != buses[v].phases:
                     raise FeederValidationError(
                         f"phase mismatch: bus {buses[v].label} has phases "
-                        f"{buses[v].phases.phases} but its feeding branch carries "
-                        f"{br.phases.phases}"
+                        f"{buses[v].phases} but its feeding branch carries {br.phases}"
                     )
                 seen.add(v)
                 queue.append(v)
@@ -304,7 +291,7 @@ class FeederModel:
             "buses": [
                 {
                     "id": b.label,
-                    "phases": b.phases.phases,
+                    "phases": b.phases,
                     "kind": b.kind,
                     "base_voltage_v": float(b.base_voltage),
                 }
@@ -314,7 +301,7 @@ class FeederModel:
                 {
                     "from": self.buses[br.from_bus].label,
                     "to": self.buses[br.to_bus].label,
-                    "phases": br.phases.phases,
+                    "phases": br.phases,
                     "impedance": [
                         [[float(z.real), float(z.imag)] for z in row]
                         for row in br.series_impedance
@@ -354,6 +341,23 @@ def _require_keys(entry: dict, required: set, what: str):
         raise FeederParseError(f"{what} entry has unknown keys {sorted(unknown)}")
 
 
+def _number(value, kind, what: str):
+    """``value`` as an int, float or complex ``kind``, or a FeederParseError naming
+    ``what``: an int takes an int, a float what ``float`` reads (a bare 1e400 is the
+    YAML string '1e400', so inf), a complex a [real, imag] pair of floats."""
+    try:
+        if kind is int and type(value) is int:
+            return value
+        if kind is float:
+            return float(value)
+        if kind is complex and isinstance(value, list) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+    except (TypeError, ValueError):
+        pass
+    expected = {int: "an int", float: "a number", complex: "a [real, imag] pair of numbers"}
+    raise FeederParseError(f"{what} must be {expected[kind]}, got {value!r}")
+
+
 def feeder_from_dict(doc: dict) -> FeederModel:
     if not isinstance(doc, dict):
         raise FeederParseError("feeder document must be a mapping")
@@ -364,65 +368,53 @@ def feeder_from_dict(doc: dict) -> FeederModel:
         raise FeederParseError("feeder document needs 'buses' and 'branches'")
 
     raw_buses = doc["buses"] or []
-    labels = []
     for entry in raw_buses:
         _require_keys(entry, {"id", "phases", "kind", "base_voltage_v"}, "bus")
-        labels.append(int(entry["id"]))
+    labels = [_number(entry["id"], int, f"bus entry {i} id") for i, entry in enumerate(raw_buses)]
     if len(set(labels)) != len(labels):
         raise FeederParseError("duplicate bus ids")
     index_of = {lab: i for i, lab in enumerate(sorted(labels))}
 
+    def bus_ref(entry, key, what):
+        label = _number(entry[key], int, f"{what} {key}")
+        if label not in index_of:
+            raise FeederParseError(f"{what} references unknown bus {label}")
+        return index_of[label]
+
     buses = [None] * len(labels)
-    for entry in raw_buses:
+    for label, entry in zip(labels, raw_buses):
         kind = entry["kind"]
         if kind not in BUS_KINDS:
             raise FeederParseError(f"unknown bus kind {kind!r}")
-        idx = index_of[int(entry["id"])]
-        buses[idx] = Bus(
-            index=idx,
-            label=int(entry["id"]),
-            phases=PhaseSet.parse(entry["phases"]),
-            kind=kind,
-            base_voltage=float(entry["base_voltage_v"]),
-        )
+        volts = _number(entry["base_voltage_v"], float, f"bus {label} base_voltage_v")
+        buses[index_of[label]] = Bus(index=index_of[label], label=label, kind=kind,
+                                     phases=parse_phases(entry["phases"]), base_voltage=volts)
 
     branches = []
     for k, entry in enumerate(doc["branches"] or []):
         _require_keys(entry, {"from", "to", "phases", "impedance"}, "branch")
-        phases = PhaseSet.parse(entry["phases"])
-        try:
-            z = np.array(
-                [[complex(r, x) for r, x in row] for row in entry["impedance"]]
-            )
-        except (TypeError, ValueError) as exc:
-            raise FeederParseError(f"bad impedance in branch entry {k}: {exc}") from exc
-        for end in ("from", "to"):
-            if int(entry[end]) not in index_of:
-                raise FeederParseError(f"branch references unknown bus {entry[end]}")
-        branches.append(
-            Branch(
-                index=k,
-                from_bus=index_of[int(entry["from"])],
-                to_bus=index_of[int(entry["to"])],
-                phases=phases,
-                series_impedance=z,
-            )
-        )
+        what, rows = f"branch entry {k}", entry["impedance"]
+        if not (isinstance(rows, list)
+                and all(isinstance(row, list) and len(row) == len(rows) for row in rows)):
+            raise FeederParseError(f"{what} impedance must be a square matrix, got {rows!r}")
+        z = [[_number(rx, complex, f"{what} impedance entry") for rx in row] for row in rows]
+        branches.append(Branch(index=k, from_bus=bus_ref(entry, "from", what),
+                               to_bus=bus_ref(entry, "to", what),
+                               phases=parse_phases(entry["phases"]),
+                               series_impedance=np.array(z, dtype=complex)))
 
     loads = []
-    for entry in doc.get("loads") or []:
+    for i, entry in enumerate(doc.get("loads") or []):
         _require_keys(entry, {"bus", "power"}, "load")
-        if int(entry["bus"]) not in index_of:
-            raise FeederParseError(f"load references unknown bus {entry['bus']}")
+        bus = bus_ref(entry, "bus", f"load entry {i}")
         if not isinstance(entry["power"], dict):
             raise FeederParseError("load 'power' must map phase -> [p_w, q_var]")
         power = {}
         for p, pq in entry["power"].items():
-            if p not in PHASES:
-                raise FeederParseError(f"load phase {p!r} not one of 'ABC'")
-            pw, qv = pq
-            power[p] = complex(float(pw), float(qv))
-        loads.append(Load(bus=index_of[int(entry["bus"])], power=power))
+            if p not in tuple(PHASES):
+                raise FeederParseError(f"load entry {i} phase {p!r} not one of 'ABC'")
+            power[p] = _number(pq, complex, f"load on bus {entry['bus']} phase {p}")
+        loads.append(Load(bus=bus, power=power))
 
     return FeederModel(buses, branches, loads)
 

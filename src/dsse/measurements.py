@@ -190,12 +190,7 @@ def plan_measurements(
     PMU bus; P/Q per phase at every load bus (smart-meter class if metered,
     pseudo otherwise); P/Q per phase at every zero-injection bus.
     """
-    pmu_buses = sorted(set(pmu_buses))
-    if not pmu_buses:
-        raise ValueError("pmu_buses must be non-empty")
-    for b in pmu_buses:
-        if not 0 <= b < model.n_buses:
-            raise KeyError(f"invalid pmu bus id {b}")
+    pmu_buses = model.pmu_placement(pmu_buses)
     metered = set(metered_loads)
     load_buses = {ld.bus for ld in model.loads}
     if not metered <= load_buses:
@@ -236,6 +231,30 @@ def plan_measurements(
 # bilinear s = -V * conj(i) at the row's own slot (consumption-positive).
 
 
+def row_index(model: FeederModel, template: MeasurementSet) -> tuple[np.ndarray, np.ndarray]:
+    """(index, branch): each row's slot, or branch-phase index for a branch-current
+    row, and the branch-row mask. A row whose (bus or branch, phase) the feeder
+    lacks is a ValueError; every consumer of a template checks its rows here."""
+    code = template.code
+    branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
+    index = []
+    for r, (n, p, b) in enumerate(zip(template.locus.tolist(), template.phase.tolist(), branch)):
+        try:
+            index.append(model.branch_phase_index(n, p) if b else model.slot_index(n, p))
+        except KeyError:
+            raise ValueError(f"measurement row {r} ({_KINDS[code[r]]}, locus {n}, "
+                             f"phase {p}) is not on the feeder") from None
+    return np.array(index, dtype=int), branch
+
+
+def check_usable(z: MeasurementSet) -> None:
+    """The rule both estimators apply to a realized set: a ValueError unless every
+    value is finite and every variance finite and positive."""
+    values, variances = z.values(), z.variances()
+    if not (np.isfinite(values).all() and (np.isfinite(variances) & (variances > 0)).all()):
+        raise ValueError("measurement values must be finite, variances finite and positive")
+
+
 def unit_bases(model: FeederModel, template: MeasurementSet) -> np.ndarray:
     """Per-row unit base: V for voltage rows, VA/V for current rows, VA for
     P/Q rows. Dividing a row by its base makes it per-unit."""
@@ -253,20 +272,9 @@ class RowEvaluator:
     def __init__(self, model: FeederModel, template: MeasurementSet):
         self.model = model
         code = template.code
-        branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
+        index, branch = row_index(model, template)
         self.power = code >= KIND_CODE[P_INJ]
         self.imag = code % 2 == 1
-        # each row's slot, or branch-phase index for a branch row
-        index = []
-        for r, (n, p, b) in enumerate(
-            zip(template.locus.tolist(), template.phase.tolist(), branch.tolist())
-        ):
-            try:
-                index.append(model.branch_phase_index(n, p) if b else model.slot_index(n, p))
-            except KeyError:
-                raise ValueError(f"measurement row {r} ({_KINDS[code[r]]}, locus {n}, "
-                                 f"phase {p}) is not on the feeder") from None
-        index = np.array(index, dtype=int)
         # the row's own bus slot (0, unused, for branch rows)
         self.slot = np.where(branch, 0, index)
         own_slot = (self.slot[:, None] == np.arange(model.n_slots)).astype(float)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dsse.grid_model import PHASES, FeederModel, is_bus_list
-from dsse.measurements import I_IMAG, I_REAL, KIND_CODE, MeasurementSet, unit_bases
+from dsse.measurements import MeasurementSet, row_index, unit_bases
 from dsse.partitioning import MaskPlan, build_mask_plan, partition_at_pmus
 
 LEAKY_SLOPE = 0.01
@@ -44,15 +44,13 @@ INPUT_LAYOUT = 2  # checkpoint stamp: one cell per row, currents at the downstre
 class InputEmbedding:
     """Puts each row's per-unit value in its own cell (bus, phase, kind code): a
     branch-current row at the branch's downstream bus, which only that branch
-    feeds, any other row at its bus. Rows off the feeder or sharing a cell are
-    rejected. Layout: bus-major, phase-major (A, B, C), then kind."""
+    feeds, any other row at its bus. Rows off the feeder (``row_index``) or sharing
+    a cell are rejected. Layout: bus-major, phase-major (A, B, C), then kind."""
 
     def __init__(self, model: FeederModel, template: MeasurementSet):
         self.width = model.n_buses * INPUT_CHANNELS
+        _, branch = row_index(model, template)
         code, bus = template.code, template.locus.copy()
-        branch = (code == KIND_CODE[I_REAL]) | (code == KIND_CODE[I_IMAG])
-        if ((bus < 0) | (bus >= np.where(branch, len(model.branches), model.n_buses))).any():
-            raise ValueError("a measurement row's locus is not a bus or branch of the feeder")
         bus[branch] = model.downstream_bus[bus[branch]]
         phase = np.array([PHASES.index(p) for p in template.phase.tolist()], dtype=int)
         self._index = bus * INPUT_CHANNELS + phase * CHANNELS_PER_PHASE + code

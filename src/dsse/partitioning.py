@@ -97,13 +97,7 @@ class ParamCount:
 
 def partition_at_pmus(model: FeederModel, pmu_buses) -> list:
     """Split the feeder at its PMU buses (vertex cut)."""
-    pmus = sorted(set(pmu_buses))
-    if not pmus:
-        raise ValueError("pmu_buses must be non-empty")
-    for b in pmus:
-        if not 0 <= b < model.n_buses:
-            raise KeyError(f"invalid pmu bus id {b}")
-    pmu_set = set(pmus)
+    pmu_set = set(model.pmu_placement(pmu_buses))
 
     partitions = []
     seen = set()

@@ -21,7 +21,6 @@ observability test, ``wls.check_observable``, fails.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import operator
@@ -109,18 +108,6 @@ class Dataset:
         return len(self.values)
 
 
-def config_hash(*parts) -> str:
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if hasattr(o, "__dict__"):
-            return o.__dict__
-        return str(o)
-
-    payload = json.dumps(parts, sort_keys=True, default=default).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 def _multipliers(cfg: LoadProfileConfig, u, z) -> np.ndarray:
     """Load multipliers from uniform draws ``u`` (the hour is 24u) and standard
     normal draws ``z`` (the noise is exp(sigma z - sigma^2 / 2)), any batch shape."""
@@ -153,6 +140,7 @@ def generate_dataset(model: FeederModel, template: MeasurementSet, profile: Load
     then come from one batched ``_multipliers`` call and the power flows from
     one ``solve_batch``; the embedding, evaluator and load cells are built
     once per (template, model) through ``MeasurementSet.compiled``."""
+    pmu_buses = model.pmu_placement(pmu_buses)
     embedding, evaluator, slot, load, power = template.compiled(model, _generation_record)
     m, seed = profile.samples, operator.index(profile.seed)
     # NumPy's coercion of [seed, i, attempt]: the seed's little-endian 32-bit words, i, attempt
@@ -184,7 +172,7 @@ def generate_dataset(model: FeederModel, template: MeasurementSet, profile: Load
     values = h_true + normal * sigmas
     return Dataset(
         template=template,
-        pmu_buses=tuple(sorted(set(pmu_buses))),
+        pmu_buses=pmu_buses,
         values=values,
         variances=sigmas**2,
         features=embedding.embed_values(values),

@@ -92,7 +92,7 @@ class PowerFlowResult:
 def slack_state(model: FeederModel) -> StateVector:
     """Balanced nominal voltages at every bus (flat start / slack reference)."""
     return StateVector(np.array(
-        [model.buses[b].base_voltage * np.exp(1j * SLACK_ANGLES[p]) for b, p in model.slots]
+        [model.base_voltage * np.exp(1j * SLACK_ANGLES[p]) for _, p in model.slots]
     ))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dsse.grid_model import FeederModel
-from dsse.measurements import MeasurementSet, RowEvaluator, unit_bases
+from dsse.measurements import MeasurementSet, RowEvaluator, check_usable, unit_bases
 from dsse.powerflow import StateVector, slack_state
 
 MAX_STEP_HALVINGS = 4
@@ -86,9 +86,8 @@ def _compile(model: FeederModel, template: MeasurementSet) -> tuple:
 
 def estimate(model: FeederModel, z: MeasurementSet) -> WlsReport:
     ev, flat, H, margin, upper = z.compiled(model, _compile)
+    check_usable(z)
     zv, variances = z.values(), z.variances()
-    if not (np.isfinite(zv).all() and (np.isfinite(variances) & (variances > 0)).all()):
-        raise ValueError("measurement values must be finite, variances finite and positive")
     if isinstance(margin, UnobservableError):
         raise UnobservableError(*margin.args)
     sigma = np.sqrt(variances)[:, None]

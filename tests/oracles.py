@@ -195,7 +195,7 @@ def coupled_feeder(model: FeederModel, couplings: dict) -> FeederModel:
 
     doc = model.to_dict()
     for k, pairs in couplings.items():
-        z, phases = doc["branches"][k]["impedance"], model.branches[k].phases.phases
+        z, phases = doc["branches"][k]["impedance"], model.branches[k].phases
         for p, q in pairs:
             i, j = phases.index(p), phases.index(q)
             z[i][j] = z[j][i] = [x / 3.0 for x in z[i][i]]
@@ -236,7 +236,7 @@ def path_impedance(model: FeederModel) -> np.ndarray:
         for t, (c, q) in enumerate(model.slots):
             for k in path[b] & path[c]:
                 br = model.branches[k]
-                phases = br.phases.phases
+                phases = br.phases
                 z[s, t] += br.series_impedance[phases.index(p), phases.index(q)]
     return z
 

@@ -174,19 +174,68 @@ def test_generate_unobservable_without_pseudo_rows_is_validation_error(workdir, 
     assert "cannot make the template unobservable: it has no pseudo rows" in err
 
 
-def test_estimate_row_off_the_feeder_is_validation_error(workdir, six_bus, six_bus_pf, capsys):
-    z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
-    zpath = workdir / "z_bus99.csv"
+def _move_rows(text, kinds, locus, phase, to):
+    """Template CSV ``text`` with its ``kinds`` rows at (``locus``, ``phase``)
+    moved to ``to``, the first such row's index and kind."""
+    lines = text.splitlines()
+    moved = [r for r, line in enumerate(lines[1:])
+             if line.split(",")[0] in kinds and line.split(",")[1:3] == [str(locus), phase]]
+    assert moved
+    for r in moved:
+        cells = lines[r + 1].split(",")
+        lines[r + 1] = ",".join([cells[0], str(to[0]), to[1], *cells[3:]])
+    return "\n".join(lines) + "\n", moved[0], lines[moved[0] + 1].split(",")[0]
+
+
+OFF_THE_FEEDER = {  # feeder, PMU bus, moved kinds, (locus, phase), where to
+    # bus 99 does not exist
+    "bus-99": ("six_bus", 3, ["v_real"], (3, "A"), (99, "A")),
+    # bus 6 (label 7) carries phase A only: a pseudo P/Q pair moved to its phase C
+    "phase-c-at-a-phase-a-bus": ("thirteen_bus", 0, ["p_injection", "q_injection"], (6, "A"),
+                                 (6, "C")),
+}
+
+
+@pytest.mark.parametrize("estimator", ["wls", "checkpoint"])
+@pytest.mark.parametrize("case", list(OFF_THE_FEEDER))
+def test_estimate_row_off_the_feeder_is_validation_error(workdir, request, capsys, case, estimator):
+    feeder, pmu, kinds, at, to = OFF_THE_FEEDER[case]
+    model = request.getfixturevalue(feeder)
+    template = plan_measurements(model, [pmu])
+    z = synthesize(template, request.getfixturevalue(f"{feeder}_pf").state, model, 0)
+    zpath, net = workdir / f"z_off_{case}.csv", workdir / f"net_off_{case}.npz"
     z.save(zpath)
-    lines = zpath.read_text().splitlines()
-    cells = lines[1].split(",")
-    assert cells[:3] == ["v_real", "3", "A"]
-    lines[1] = ",".join(["v_real", "99", *cells[2:]])
-    zpath.write_text("\n".join(lines) + "\n")
-    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath), "--wls"])
+    text, row, kind = _move_rows(zpath.read_text(), kinds, *at, to)
+    zpath.write_text(text)
+    plan = build_mask_plan(model, partition_at_pmus(model, [pmu]), block_width=2, prune=True)
+    save_checkpoint(MaskedNetwork(plan, model, seed=0), net, [pmu], template)
+    how = ["--wls"] if estimator == "wls" else ["--checkpoint", str(net)]
+    capsys.readouterr()
+    code = main(["estimate", "--feeder", str(fixture_path(feeder)), "--measurements", str(zpath),
+                 *how])
     assert code == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert "measurement row 0 (v_real, locus 99, phase A) is not on the feeder" in err
+    assert capsys.readouterr().err == (f"error: measurement row {row} ({kind}, locus {to[0]}, "
+                                       f"phase {to[1]}) is not on the feeder\n")
+
+
+def test_train_on_a_dataset_with_a_row_off_the_feeder_is_validation_error(workdir, capsys):
+    thirteen = str(fixture_path("thirteen_bus"))
+    ds = workdir / "ds13_off.npz"
+    assert main(["generate", "--feeder", thirteen, "--pmu", "1", "--out", str(ds),
+                 "--samples", "10"]) == EXIT_OK
+    with np.load(ds) as data:
+        arrays = dict(data)
+    text, row, kind = _move_rows(bytes(arrays["template"]).decode(),
+                                 ["p_injection", "q_injection"], 6, "A", (6, "C"))
+    arrays["template"] = np.frombuffer(text.encode(), dtype=np.uint8)
+    np.savez(ds, **arrays)
+    out = workdir / "net13_off.npz"
+    capsys.readouterr()
+    assert main(["train", "--feeder", thirteen, "--dataset", str(ds), "--out", str(out),
+                 "--epochs", "1"]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        f"error: measurement row {row} ({kind}, locus 6, phase C) is not on the feeder\n")
+    assert not out.exists()
 
 
 def test_estimate_template_mismatch_is_validation_error(
@@ -206,24 +255,30 @@ def test_estimate_template_mismatch_is_validation_error(
 
 
 @pytest.mark.parametrize("estimator", ["wls", "checkpoint"])
-@pytest.mark.parametrize("cell", ["", "nan"], ids=["empty", "nan"])
+@pytest.mark.parametrize("column, cell", [("value", ""), ("value", "nan"), ("variance", "0"),
+                                          ("variance", "-1")],
+                         ids=["empty", "nan", "zero-variance", "negative-variance"])
 def test_estimate_nonfinite_input_is_validation_error(
-    workdir, checkpoint_path, six_bus, six_bus_pf, estimator, cell
+    workdir, checkpoint_path, six_bus, six_bus_pf, capsys, estimator, column, cell
 ):
-    # an empty value cell is what a saved template holds
+    # an empty value cell is what a saved template holds; both estimators apply
+    # one rule to the values and variances
     z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
-    zpath = workdir / f"z_nonfinite_{estimator}_{cell}.csv"
+    zpath = workdir / f"z_nonfinite_{estimator}_{column}_{cell}.csv"
     z.save(zpath)
     with open(zpath, newline="") as fh:
         recs = list(csv.DictReader(fh))
-    recs[1]["value"] = cell
+    recs[1][column] = cell
     with open(zpath, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=list(recs[0]))
         w.writeheader()
         w.writerows(recs)
     how = ["--wls"] if estimator == "wls" else ["--checkpoint", str(checkpoint_path)]
+    capsys.readouterr()
     code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath), *how])
     assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: measurement values must be finite, variances finite and positive\n")
 
 
 @pytest.mark.parametrize("corrupt", ["short-readout_b", "nan-w0", "missing-b1"])
@@ -440,6 +495,10 @@ BAD_NUMBERS = {
                          "load on bus 2 phase C must be finite, got (inf+7000j)"),
     "nan-impedance": (lambda d: d["branches"][1]["impedance"][0][0].__setitem__(1, float("nan")),
                       "impedance of branch 1-2 has a non-finite entry"),
+    "list-base-voltage": (lambda d: d["buses"][1].update(base_voltage_v=[1.0]),
+                          "bus 2 base_voltage_v must be a number, got [1.0]"),
+    "other-base-voltage": (lambda d: d["buses"][1].update(base_voltage_v=3000.0),
+                           "bus 2 base_voltage_v 3000.0 differs from the source's 2400.0"),
 }
 
 

@@ -8,10 +8,10 @@ from dsse.grid_model import (
     SAFE_LOADER,
     FeederParseError,
     FeederValidationError,
-    PhaseSet,
     dump_feeder,
     feeder_from_dict,
     load_feeder,
+    parse_phases,
 )
 
 
@@ -31,18 +31,20 @@ def minimal_doc(**overrides):
 
 
 class TestPhaseSet:
-    def test_canonical_subsets(self):
-        assert PhaseSet.parse("abc").phases == "ABC"
-        assert PhaseSet.parse("CA").phases == "AC"
-        assert list(PhaseSet("AB")) == ["A", "B"]
-        assert "B" in PhaseSet("AB")
-        assert PhaseSet("A").issubset(PhaseSet("ABC"))
-        assert not PhaseSet("AC").issubset(PhaseSet("AB"))
+    def test_canonical_subsets(self, thirteen_bus):
+        assert parse_phases("abc") == "ABC"
+        assert parse_phases("CA") == "AC"
+        assert parse_phases("b") == "B"
+        # bus and branch phases are the parser's strings
+        doc = minimal_doc()
+        doc["buses"][0]["phases"] = "cba"
+        assert feeder_from_dict(doc).buses[0].phases == "ABC"
+        assert {b.phases for b in thirteen_bus.buses} == {"ABC", "AB", "A", "BC", "B"}
 
-    @pytest.mark.parametrize("bad", ["", "D", "AA", 3, None])
+    @pytest.mark.parametrize("bad", ["", "D", "AA", "AD", 3, None, ["A"]])
     def test_rejects_garbage(self, bad):
-        with pytest.raises((FeederParseError, FeederValidationError)):
-            PhaseSet.parse(bad)
+        with pytest.raises(FeederParseError, match="invalid phases field"):
+            parse_phases(bad)
 
 
 class TestIngestion:
@@ -112,6 +114,8 @@ class TestIngestion:
             (lambda d: d["loads"][0].update(bus=99), "unknown bus"),
             (lambda d: d["loads"][0]["power"].update(D=[1.0, 0.0]), "not one of"),
             (lambda d: d["loads"][0].update(bus=1), "source"),
+            (lambda d: d["buses"][1].update(base_voltage_v=3000.0),
+             "bus 2 base_voltage_v 3000.0 differs from the source's 2400.0"),
         ],
     )
     def test_schema_violations(self, mutate, error):
@@ -178,6 +182,42 @@ class TestIngestion:
         doc = minimal_doc()
         mutate(doc)
         with pytest.raises(FeederValidationError, match=error):
+            feeder_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mutate,error",
+        [
+            (lambda d: d["buses"][1].update(base_voltage_v=[1.0]),
+             r"bus 2 base_voltage_v must be a number, got \[1.0\]"),
+            (lambda d: d["buses"][1].update(base_voltage_v=None),
+             "bus 2 base_voltage_v must be a number, got None"),
+            (lambda d: d["loads"][0]["power"].update(A=5.0),
+             r"load on bus 2 phase A must be a \[real, imag\] pair of numbers, got 5.0"),
+            (lambda d: d["loads"][0]["power"].update(A=[1.0, None]),
+             r"load on bus 2 phase A must be a \[real, imag\] pair of numbers, got \[1.0, None\]"),
+            (lambda d: d["loads"][0]["power"].update(A=[1, 2, 3]),
+             r"load on bus 2 phase A must be a \[real, imag\] pair of numbers, got \[1, 2, 3\]"),
+            (lambda d: d["loads"][0].update(power={1: [1.0, 0.0]}),
+             "load entry 0 phase 1 not one of 'ABC'"),
+            (lambda d: d["loads"][0].update(power={"AB": [1.0, 0.0]}),
+             "load entry 0 phase 'AB' not one of 'ABC'"),
+            (lambda d: d["buses"][1].update(id=[2]), r"bus entry 1 id must be an int, got \[2\]"),
+            (lambda d: d["branches"][0].update({"from": None}),
+             "branch entry 0 from must be an int, got None"),
+            (lambda d: d["loads"][0].update(bus="2"), "load entry 0 bus must be an int, got '2'"),
+            (lambda d: d["branches"][0]["impedance"][0].__setitem__(0, "r"),
+             "branch entry 0 impedance entry must be a"),
+            (lambda d: d["branches"][0].update(impedance=None),
+             "branch entry 0 impedance must be a square matrix, got None"),
+        ],
+        ids=["list-base-voltage", "null-base-voltage", "scalar-load", "null-load-q",
+             "triple-load", "int-load-phase", "two-phase-load-key", "list-bus-id",
+             "null-branch-end", "string-load-bus", "string-impedance", "null-impedance"],
+    )
+    def test_mistyped_field_is_a_parse_error_naming_it(self, mutate, error):
+        doc = minimal_doc()
+        mutate(doc)
+        with pytest.raises(FeederParseError, match=error):
             feeder_from_dict(doc)
 
     def test_nonfinite_mutual_impedance_named(self):

@@ -257,7 +257,7 @@ class TestMeasurementFunction:
             if kind not in (I_REAL, I_IMAG):
                 continue
             br = model.branches[locus]
-            i_true = pf.branch_currents[br.index][br.phases.phases.index(phase)]
+            i_true = pf.branch_currents[br.index][br.phases.index(phase)]
             want = i_true.real if kind == I_REAL else i_true.imag
             assert h[r] == pytest.approx(want, abs=1e-6)
 

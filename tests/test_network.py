@@ -11,6 +11,7 @@ from dsse.measurements import (
     I_IMAG,
     I_REAL,
     KIND_CODE,
+    V_IMAG,
     V_REAL,
     MeasurementSet,
     plan_measurements,
@@ -138,13 +139,21 @@ class TestInputEmbedding:
         with pytest.raises(ValueError, match="row 54 shares an earlier row's input cell"):
             InputEmbedding(six_bus, doubled)
 
-    @pytest.mark.parametrize("kind, locus", [(V_REAL, 6), (V_REAL, -1), (I_REAL, 5), (I_IMAG, -2)])
-    def test_locus_off_the_feeder_rejected(self, six_bus, kind, locus):
-        # a negative locus would otherwise wrap into another bus's cell
-        rows = list(plan_measurements(six_bus, [3])._keys())
-        rows[0] = (kind, locus, *rows[0][2:])
-        with pytest.raises(ValueError, match="not a bus or branch"):
-            InputEmbedding(six_bus, MeasurementSet(*zip(*rows)))
+    @pytest.mark.parametrize("feeder, kind, locus, phase", [
+        ("six_bus", V_REAL, 6, "A"), ("six_bus", V_REAL, -1, "A"), ("six_bus", I_REAL, 5, "A"),
+        ("six_bus", I_IMAG, -2, "A"),
+        # bus 6 (label 7) and branch 5, which feeds it, carry phase A only
+        ("thirteen_bus", V_IMAG, 6, "C"), ("thirteen_bus", I_REAL, 5, "B"),
+    ])
+    def test_locus_off_the_feeder_rejected(self, request, feeder, kind, locus, phase):
+        # a negative locus would otherwise wrap into another bus's cell, and a
+        # phase the locus lacks would fill a cell no trained weight reads
+        model = request.getfixturevalue(feeder)
+        rows = list(plan_measurements(model, [0])._keys())
+        rows[0] = (kind, locus, phase, *rows[0][3:])
+        named = rf"measurement row 0 \({kind}, locus {locus}, phase {phase}\) is not on the feeder"
+        with pytest.raises(ValueError, match=named):
+            InputEmbedding(model, MeasurementSet(*zip(*rows)))
 
     def test_batched_equals_single(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [3])

@@ -18,7 +18,6 @@ from dsse.pipeline import (
     MULTIPLIER_FLOOR,
     LoadProfileConfig,
     Scenario,
-    config_hash,
     format_report,
     generate_dataset,
     load_dataset,
@@ -182,12 +181,6 @@ class TestGenerateDataset:
         expected = InputEmbedding(six_bus, six_ds.template).embed_values(six_ds.values)
         assert np.array_equal(back.features, expected)
         assert np.array_equal(back.features, six_ds.features)
-
-    def test_config_hash_stable(self):
-        a = config_hash(SMALL_PROFILE, [1, 2])
-        b = config_hash(SMALL_PROFILE, [1, 2])
-        c = config_hash(SMALL_PROFILE, [1, 3])
-        assert a == b != c
 
 
 def _scaled(model, factor):
