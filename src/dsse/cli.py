@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 
 from dsse import network, wls
-from dsse.grid_model import FeederParseError, FeederValidationError, load_feeder
+from dsse.grid_model import load_feeder
 from dsse.measurements import PSEUDO_NOISE, MeasurementSet, check_usable
 from dsse.network import TrainConfig, load_checkpoint, save_checkpoint, train
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, export_mask_plan, partition_at_pmus
@@ -185,7 +185,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FeederParseError, FeederValidationError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except wls.UnobservableError as exc:

@@ -367,7 +367,13 @@ def feeder_from_dict(doc: dict) -> FeederModel:
     if "buses" not in doc or "branches" not in doc:
         raise FeederParseError("feeder document needs 'buses' and 'branches'")
 
-    raw_buses = doc["buses"] or []
+    def section(key):  # null reads as empty
+        entries = [] if doc.get(key) is None else doc[key]
+        if not isinstance(entries, list):
+            raise FeederParseError(f"feeder section {key!r} must be a list, got {entries!r}")
+        return entries
+
+    raw_buses = section("buses")
     for entry in raw_buses:
         _require_keys(entry, {"id", "phases", "kind", "base_voltage_v"}, "bus")
     labels = [_number(entry["id"], int, f"bus entry {i} id") for i, entry in enumerate(raw_buses)]
@@ -391,7 +397,7 @@ def feeder_from_dict(doc: dict) -> FeederModel:
                                      phases=parse_phases(entry["phases"]), base_voltage=volts)
 
     branches = []
-    for k, entry in enumerate(doc["branches"] or []):
+    for k, entry in enumerate(section("branches")):
         _require_keys(entry, {"from", "to", "phases", "impedance"}, "branch")
         what, rows = f"branch entry {k}", entry["impedance"]
         if not (isinstance(rows, list)
@@ -404,7 +410,7 @@ def feeder_from_dict(doc: dict) -> FeederModel:
                                series_impedance=np.array(z, dtype=complex)))
 
     loads = []
-    for i, entry in enumerate(doc.get("loads") or []):
+    for i, entry in enumerate(section("loads")):
         _require_keys(entry, {"bus", "power"}, "load")
         bus = bus_ref(entry, "bus", f"load entry {i}")
         if not isinstance(entry["power"], dict):

@@ -6,7 +6,7 @@ cell. W_t is gated by the plan's bus mask expanded to F x F blocks (F x C
 for the input layer). All parameters are views of one flat vector ``theta``,
 gated by one float vector ``mask`` laid out like it; masked entries are zero
 from initialisation on and ADAM updates only the live ones. A per-slot linear
-head reads bus b from layer ``exit_layer[b]``.
+head reads bus b from layer ``exit_layer[b]``, all slots in slot order.
 
 Gradients are hand-rolled reverse mode into one array laid out like
 ``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
@@ -79,21 +79,15 @@ class MaskedNetwork:
         # set by ``train``: the curve index of the epoch whose parameters it
         # kept (None for the initialisation) and their held-out loss
         self.best_epoch = self.best_loss = None
+        # a slot's cell in a (bus, rank) grid, its rank being its place among
+        # its bus's slots (slots are bus-major); and per exit layer, a column
+        # that selects the buses read from it
         self.slot_bus = np.array([b for b, _ in self.slots])
-        # per exit layer: the slots it feeds, in slot order, their buses, and
-        # their cells in a (bus, rank) grid, a slot's rank being its place
-        # among its bus's slots (slots are bus-major)
         rank = np.arange(len(self.slots)) - np.searchsorted(self.slot_bus, self.slot_bus)
         self.ranks = int(rank.max()) + 1
-        slot_exit = plan.exit_layer[self.slot_bus]
-        self.exits = []
-        for e in np.unique(slot_exit).tolist():
-            sel = np.flatnonzero(slot_exit == e)
-            bus = self.slot_bus[sel]
-            self.exits.append((e, sel, bus, bus * self.ranks + rank[sel]))
-        # the readout reads every exit's slots at once, in exit order
-        self.exit_order = np.concatenate([sel for _, sel, _, _ in self.exits])
-        self.exit_rank = np.argsort(self.exit_order)
+        self.slot_cell = self.slot_bus * self.ranks + rank
+        self.exit_buses = {e: (plan.exit_layer == e)[:, None]
+                           for e in np.unique(plan.exit_layer).tolist()}
 
         # theta: depth weight matrices (F x C blocks at the input layer, F x F
         # after), depth biases and the readout; ``mask`` is 1.0 at its live entries
@@ -150,7 +144,7 @@ class MaskedNetwork:
 
     def _forward(self, x, ws):
         """Outputs for the rows of ``x``, a fresh array. Leaves each layer's
-        pre-activation and activation, and each exit's gathered block, in
+        pre-activation and activation, and the slots' gathered blocks, in
         ``ws``, which must have exactly ``len(x)`` rows."""
         n = len(x)
         if n != ws.rows:
@@ -162,16 +156,12 @@ class MaskedNetwork:
             k = ws.act[t]
             np.multiply(z, LEAKY_SLOPE, out=k)
             np.maximum(z, k, out=k)  # leaky ReLU, exact for 0 < slope < 1
-        for (e, _, bus, _), block in zip(self.exits, ws.blocks):
-            k = ws.act[e - 1].reshape(n, self.n_buses, self.f)
-            # "clip" writes straight into a contiguous out (one row's view),
-            # where "raise" stages a copy; bus holds valid indices either way
-            np.take(k, bus, axis=1, out=block, mode="clip")
-        # one head for all exits: each slot's dot product over its own F cells
-        # is the same whichever other slots share the call
-        head = np.einsum("bsf,sf->bs", ws.block, self.readout_w[self.exit_order], out=ws.head)
-        head += self.readout_b[self.exit_order]
-        return head[:, self.exit_rank]
+        # each slot's bus at its exit layer; "clip" writes straight into a
+        # contiguous out, where "raise" stages a copy; cells are valid either way
+        np.take(ws.acts.reshape(-1, self.f), ws.cells, axis=0, out=ws.block, mode="clip")
+        y = np.einsum("bsf,sf->bs", ws.block, self.readout_w)
+        y += self.readout_b
+        return y
 
     def forward(self, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
         """Per (bus, phase) voltage magnitudes (p.u.) for feature vector(s), a
@@ -208,15 +198,16 @@ class MaskedNetwork:
         for d in d_act:
             d.fill(0.0)
         np.sum(d_out, axis=0, out=g_rb)
-        for (e, sel, bus, cell), block, grid in zip(self.exits, ws.blocks, ws.grids):
-            g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
-            # the gathered block is spent: hold the slots' gradients in its place
-            grid[:, cell] = np.multiply(d_out[:, sel, None], self.readout_w[sel], out=block)
-            # the slots of one bus share its block: add them in rank order;
-            # the grid's empty cells hold +0, which adds nothing to a sum from 0
+        np.einsum("bs,bsf->sf", d_out, ws.block, out=g_rw)
+        # the gathered block is spent: hold the slots' gradients in its place,
+        # then on the (bus, rank) grid, whose empty cells stay +0
+        ws.grid[:, self.slot_cell] = np.multiply(d_out[:, :, None], self.readout_w, out=ws.block)
+        grid = ws.grid.reshape(n, self.n_buses, self.ranks, self.f)
+        for e, buses in self.exit_buses.items():
+            # the slots of one bus share its block: add them in rank order
             d_block = d_act[e - 1].reshape(n, self.n_buses, self.f)
             for r in range(self.ranks):
-                d_block += grid.reshape(n, self.n_buses, self.ranks, self.f)[:, :, r]
+                np.add(d_block, grid[:, :, r], out=d_block, where=buses)
 
         for t in range(self.plan.depth - 1, -1, -1):
             d, pre = d_act[t], ws.pre[t]
@@ -234,13 +225,14 @@ class MaskedNetwork:
 
 class Workspace:
     """Scratch arrays for passes of ``net`` over exactly ``rows`` samples; a
-    pass over any other count is a ValueError. A ``backward`` workspace keeps a
-    pre-activation, activation and gradient buffer per layer, as
-    ``loss_and_gradients`` needs. A forward-only one, all ``forward``
-    needs, gives its own activation buffer only to layers that feed a
-    readout; the other layers share one, and every layer shares one
-    pre-activation buffer. Every exit gathers its slots into its own view of
-    one ``block``, so one readout product serves all exits."""
+    pass over any other count is a ValueError. Activations are slices of one
+    array ``acts``. A ``backward`` workspace keeps an activation slice, a
+    pre-activation and a gradient buffer per layer, as ``loss_and_gradients``
+    needs. A forward-only one, all ``forward`` needs, gives its own slice only
+    to layers that feed a readout; the other layers share one, and every layer
+    shares one pre-activation buffer. ``cells[b, s]`` is the row of ``acts``,
+    seen as rows of F, that holds slot s's bus at its exit layer for sample b,
+    so one gather fills ``block`` and one product reads every slot out."""
 
     def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
         shape = (rows, net.n_buses * net.f)
@@ -248,23 +240,19 @@ class Workspace:
         self.rows = rows
         self.backward = backward
         if backward:
-            self.pre, self.act, self.d_act = (
-                [np.empty(shape) for _ in range(depth)] for _ in range(3)
-            )
-            # readout gradients on a (bus, rank) grid whose empty cells stay 0
-            self.grids = [np.zeros((rows, net.n_buses * net.ranks, net.f)) for _ in net.exits]
+            layer_slice = np.arange(depth)
+            self.pre, self.d_act = ([np.empty(shape) for _ in range(depth)] for _ in range(2))
+            self.grid = np.zeros((rows, net.n_buses * net.ranks, net.f))
         else:
+            exits = np.array(list(net.exit_buses))
+            layer_slice = np.full(depth, len(exits))
+            layer_slice[exits - 1] = np.arange(len(exits))
             self.pre = [np.empty(shape)] * depth
-            self.act = [np.empty(shape)] * depth
-        # every exit's gathered slots, in exit order, and a view per exit
+        self.acts = np.empty((layer_slice.max() + 1,) + shape)
+        self.act = [self.acts[i] for i in layer_slice.tolist()]
+        slot_slice = layer_slice[net.plan.exit_layer[net.slot_bus] - 1]
+        self.cells = (slot_slice * rows + np.arange(rows)[:, None]) * net.n_buses + net.slot_bus
         self.block = np.empty((rows, len(net.slots), net.f))
-        self.head = np.empty((rows, len(net.slots)))
-        self.blocks, end = [], 0
-        for e, sel, _, _ in net.exits:
-            if not backward:  # a readout's layer keeps its own activation
-                self.act[e - 1] = np.empty(shape)
-            self.blocks.append(self.block[:, end : end + len(sel)])
-            end += len(sel)
 
 
 @dataclass

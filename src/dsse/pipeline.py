@@ -51,15 +51,15 @@ class LoadProfileConfig:
     samples: int = 10_000
     seed: int = 0
     amplitude: float = 0.15  # daily shape swing around 1.0, at most 1 so it stays >= 0
-    noise_sigma: float = 0.08  # lognormal sigma of per-load multiplier
+    # lognormal sigma of per-load multiplier, in [0, 1]: the multiplier floor
+    # clips about 14% of draws at 1 and 58% at 2
+    noise_sigma: float = 0.08
 
     def __post_init__(self):
         for name, ok, rule in (("samples", self.samples >= 1, ">= 1"),
                                ("seed", self.seed >= 0, ">= 0"),
                                ("amplitude", 0 <= self.amplitude <= 1, "in [0, 1]"),
-                               ("noise_sigma", 0 <= self.noise_sigma < np.inf, "finite and >= 0"),
-                               ("noise_sigma", self.noise_sigma <= np.finfo(float).max ** 0.5,
-                                "small enough that its square is finite")):
+                               ("noise_sigma", 0 <= self.noise_sigma <= 1, "in [0, 1]")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 

@@ -374,6 +374,15 @@ def parameter_masks(net: MaskedNetwork) -> list:
     return [m != 0 for m in w + b + [rw, rb]]
 
 
+def exit_routing(net: MaskedNetwork) -> list:
+    """(exit layer, slot indices, their buses) per exit layer, worked out from
+    the plan's ``exit_layer`` and the network's slots."""
+    slot_bus = np.array([b for b, _ in net.slots])
+    slot_exit = net.plan.exit_layer[slot_bus]
+    return [(e, np.flatnonzero(slot_exit == e), slot_bus[slot_exit == e])
+            for e in np.unique(slot_exit).tolist()]
+
+
 def reference_forward(net: MaskedNetwork, x):
     """Dense forward pass of ``net``: (outputs, pre-activations, activations)."""
     x = np.atleast_2d(x)
@@ -386,7 +395,7 @@ def reference_forward(net: MaskedNetwork, x):
         k = np.where(z >= 0, z, LEAKY_SLOPE * z)
         acts.append(k)
     out = np.empty((x.shape[0], len(net.slots)))
-    for e, sel, bus, _ in net.exits:
+    for e, sel, bus in exit_routing(net):
         block = acts[e].reshape(len(x), net.n_buses, net.f)[:, bus]
         out[:, sel] = np.einsum("bsf,sf->bs", block, net.readout_w[sel]) + net.readout_b[sel]
     return out, pre, acts
@@ -406,7 +415,7 @@ def reference_loss_and_gradients(net: MaskedNetwork, x, targets):
     d_acts = [np.zeros_like(a) for a in acts]
     g_rw = np.empty_like(net.readout_w)
     g_rb = d_out.sum(axis=0)
-    for e, sel, bus, _ in net.exits:
+    for e, sel, bus in exit_routing(net):
         block = acts[e].reshape(len(x), net.n_buses, net.f)[:, bus]
         g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
         d_block = d_acts[e].reshape(len(x), net.n_buses, net.f)

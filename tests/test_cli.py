@@ -499,6 +499,7 @@ BAD_NUMBERS = {
                           "bus 2 base_voltage_v must be a number, got [1.0]"),
     "other-base-voltage": (lambda d: d["buses"][1].update(base_voltage_v=3000.0),
                            "bus 2 base_voltage_v 3000.0 differs from the source's 2400.0"),
+    "scalar-buses": (lambda d: d.update(buses=5), "feeder section 'buses' must be a list, got 5"),
 }
 
 
@@ -649,7 +650,7 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
 @pytest.mark.parametrize("flag, value, name", [
     ("--amplitude", "nan", "amplitude"), ("--amplitude", "-5", "amplitude"),
     ("--noise-sigma", "nan", "noise_sigma"), ("--noise-sigma", "inf", "noise_sigma"),
-    ("--noise-sigma", "1e155", "noise_sigma"),  # finite, but its square overflows
+    ("--noise-sigma", "1e155", "noise_sigma"), ("--noise-sigma", "5", "noise_sigma"),
     ("--seed", "-1", "seed"), ("--pseudo-noise", "-1", "pseudo_noise"),
     ("--pseudo-noise", "0", "pseudo_noise"), ("--pseudo-noise", "nan", "pseudo_noise"),
     # past the 100% bound; 1e200's squared sigmas would also overflow

@@ -209,10 +209,14 @@ class TestIngestion:
              "branch entry 0 impedance entry must be a"),
             (lambda d: d["branches"][0].update(impedance=None),
              "branch entry 0 impedance must be a square matrix, got None"),
+            (lambda d: d.update(buses=5), "feeder section 'buses' must be a list, got 5"),
+            (lambda d: d.update(branches=5), "feeder section 'branches' must be a list, got 5"),
+            (lambda d: d.update(loads=5), "feeder section 'loads' must be a list, got 5"),
         ],
         ids=["list-base-voltage", "null-base-voltage", "scalar-load", "null-load-q",
              "triple-load", "int-load-phase", "two-phase-load-key", "list-bus-id",
-             "null-branch-end", "string-load-bus", "string-impedance", "null-impedance"],
+             "null-branch-end", "string-load-bus", "string-impedance", "null-impedance",
+             "scalar-buses", "scalar-branches", "scalar-loads"],
     )
     def test_mistyped_field_is_a_parse_error_naming_it(self, mutate, error):
         doc = minimal_doc()

@@ -266,13 +266,20 @@ class TestGradients:
             assert g.tobytes() == g_out.tobytes()
         assert not np.shares_memory(grads[0], grads_out[0])
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_match_dense_reference_bytewise(self, thirteen_bus, prune):
-        plan = make_plan(thirteen_bus, [0, 11], 3, prune=prune)
-        net = MaskedNetwork(plan, thirteen_bus, seed=6)
+    # the 13-bus plans read every bus from one exit layer (6); the 6-bus p2n2
+    # plan at PMU 4 reads from layers 2 and 3, three slots per bus
+    @pytest.mark.parametrize("feeder, labels, prune", [
+        ("thirteen_bus", (1, 12), True),
+        ("thirteen_bus", (1, 12), False),
+        ("six_bus", (4,), True),
+    ], ids=["True", "False", "six_bus-two_exits"])
+    def test_match_dense_reference_bytewise(self, request, feeder, labels, prune):
+        model = request.getfixturevalue(feeder)
+        pmu = [model.bus_by_label(label) for label in labels]
+        net = MaskedNetwork(make_plan(model, pmu, 3, prune=prune), model, seed=6)
         rng = np.random.default_rng(4)
         x = rng.normal(0, 1, (7, net.weights[0].shape[1]))
-        y = rng.normal(1, 0.1, (7, thirteen_bus.n_slots))
+        y = rng.normal(1, 0.1, (7, model.n_slots))
         loss, grads = net.loss_and_gradients(x, y)
         ref_loss, ref_grads = oracles.reference_loss_and_gradients(net, x, y)
         assert loss == ref_loss
@@ -452,20 +459,24 @@ class TestWorkspace:
         return (rng.normal(0, 1, (rows, net.weights[0].shape[1])),
                 rng.normal(1, 0.1, (rows, len(net.slots))))
 
-    def test_interleaved_batch_sizes_match_reference_bytewise(self, net13):
-        ws = {rows: Workspace(net13, rows) for rows in (64, 44, 300)}
-        forward_ws = {rows: Workspace(net13, rows, backward=False) for rows in (64, 44, 300)}
-        grad = np.empty_like(net13.theta)
-        for rows in (64, 44, 300, 44, 64):
-            x, y = self.data(net13, rows, seed=rows)
-            loss, grads = net13.loss_and_gradients(x, y, out=grad, workspace=ws[rows])
-            ref_loss, ref_grads = oracles.reference_loss_and_gradients(net13, x, y)
-            assert loss == ref_loss
-            for g, ref in zip(grads, ref_grads, strict=True):
-                assert g.tobytes() == ref.tobytes()
-            ref_out = oracles.reference_forward(net13, x)[0].tobytes()
-            assert net13.forward(x, forward_ws[rows]).tobytes() == ref_out
-            assert net13.forward(x, ws[rows]).tobytes() == ref_out
+    def test_interleaved_batch_sizes_match_reference_bytewise(self, net13, six_bus):
+        # the 6-bus plan's forward-only workspace gives exit layers 2 and 3
+        # their own activation slices and lets layer 1 share a third
+        net6 = MaskedNetwork(make_plan(six_bus, [six_bus.bus_by_label(4)], 8), six_bus, seed=6)
+        for net in (net13, net6):
+            ws = {rows: Workspace(net, rows) for rows in (64, 44, 300)}
+            forward_ws = {rows: Workspace(net, rows, backward=False) for rows in (64, 44, 300)}
+            grad = np.empty_like(net.theta)
+            for rows in (64, 44, 300, 44, 64):
+                x, y = self.data(net, rows, seed=rows)
+                loss, grads = net.loss_and_gradients(x, y, out=grad, workspace=ws[rows])
+                ref_loss, ref_grads = oracles.reference_loss_and_gradients(net, x, y)
+                assert loss == ref_loss
+                for g, ref in zip(grads, ref_grads, strict=True):
+                    assert g.tobytes() == ref.tobytes()
+                ref_out = oracles.reference_forward(net, x)[0].tobytes()
+                assert net.forward(x, forward_ws[rows]).tobytes() == ref_out
+                assert net.forward(x, ws[rows]).tobytes() == ref_out
 
     def test_held_outputs_survive_later_calls(self, net13):
         ws = Workspace(net13, 64)
