@@ -1,16 +1,17 @@
 """Monte Carlo dataset generation, scenario orchestration, and benchmarking.
 
-A dataset sample is one synthetic operating point: draw per-load
-multipliers from a daily shape with multiplicative noise, solve the power
-flow, record the true per-unit voltage magnitudes as labels, and
-synthesize a noisy measurement vector. Sample i draws its hour, load noise
-and row noise from one generator seeded (seed, i, attempt); a draw whose power
-flow does not converge is redrawn with attempt + 1, at most 20 times.
-``generate_dataset`` solves all samples in one batch (``solve_batch``) and
-evaluates h(x) once; sample i is bit-for-bit the same in a dataset of any
-size, so parallel and serial generation produce identical data. It matches a
-per-sample ``solve_power_flow`` and ``synthesize`` loop up to rounding (1e-12
-p.u. labels, 1e-7 sigma values) with the same resampling.
+A dataset sample is one synthetic operating point: draw per-load multipliers from a
+daily shape with multiplicative noise, solve the power flow, record the true per-unit
+voltage magnitudes as labels, and synthesize a noisy measurement vector. Sample i draws
+its hour and one fused normal row (load noise, then row noise) from the stream of
+``default_rng([seed, i, attempt])``: all samples' streams are seeded in one vectorized
+pass, exact while NumPy keeps SeedSequence and PCG64 stable (NEP 19), and drawn through
+one reused Generator. A draw whose power flow does not converge is redrawn with
+attempt + 1, at most 20 times. ``generate_dataset`` solves all samples in one batch
+(``solve_batch``) and evaluates h(x) once; sample i is bit-for-bit the same in a dataset
+of any size, so parallel and serial generation produce identical data. It matches a
+per-sample ``solve_power_flow`` and ``synthesize`` loop up to rounding (1e-12 p.u.
+labels, 1e-7 sigma values) with the same resampling.
 
 Scenario semantics: scenario 1 is the full measurement plan with 30%
 pseudo noise; scenario 2 raises pseudo noise to 50% with the same rows;
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import operator
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -120,6 +123,48 @@ def sample_multipliers(cfg: LoadProfileConfig, rng, n_loads: int) -> np.ndarray:
     return _multipliers(cfg, rng.random(), rng.standard_normal(n_loads))
 
 
+# NumPy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M128 = 2**32 - 1, 2**128 - 1
+
+
+def _pcg64_states(seed: int, i: np.ndarray, attempt: np.ndarray) -> Iterator[dict]:
+    """Yields ``default_rng([seed, i[k], attempt[k]]).bit_generator.state["state"]`` for
+    each k: SeedSequence's pool mixing (``hashmix``/``mix``, XSHIFT 16) and ``generate_state(4,
+    uint64)`` run on uint32 arrays of all k at once, then PCG64's two seeding LCG steps."""
+    if max(i.max(), attempt.max()) > _M32:
+        raise OverflowError("a sample index or attempt does not fit one 32-bit seed word")
+    # NumPy's coercion of [seed, i, attempt] (the seed's 32-bit words, i, attempt), zero-padded
+    n = (seed.bit_length() + 31) // 32 or 1
+    words = np.zeros((max(n + 2, 4), len(i)), np.uint32)
+    words[:n] = np.array([seed >> 32 * k & _M32 for k in range(n)], np.uint32)[:, None]
+    words[n], words[n + 1] = i, attempt
+    mult = _INIT_A  # the hash multiplier advances on every call, whatever the data
+
+    def hash32(x, step):
+        nonlocal mult
+        x, mult = x ^ mult, mult * step & _M32
+        x = x * mult
+        return x ^ x >> 16
+
+    def mix(x, y):
+        x = x * _MIX_L - hash32(y, _MULT_A) * _MIX_R
+        return x ^ x >> 16
+
+    pool = [hash32(word, _MULT_A) for word in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], pool[src])
+    for word in words[4:]:  # entropy longer than the pool
+        pool = [mix(x, word) for x in pool]
+    mult = _INIT_B
+    out = [hash32(pool[k % 4], _MULT_B).astype(np.uint64) for k in range(8)]
+    w0, w1, w2, w3 = ((lo | hi << 32).tolist() for lo, hi in zip(out[::2], out[1::2]))
+    incs = (((c << 64 | d) << 1 | 1) & _M128 for c, d in zip(w2, w3))
+    return ({"state": ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _M128, "inc": inc}
+            for a, b, inc in zip(w0, w1, incs))  # one at a time: no list of K states
+
+
 def _generation_record(model: FeederModel, template: MeasurementSet) -> tuple:
     """The inputs of ``generate_dataset`` that the template and feeder fix: (input
     embedding, row evaluator, the load matrix's (slot, load) cells, their base powers)."""
@@ -135,28 +180,29 @@ def generate_dataset(model: FeederModel, template: MeasurementSet, profile: Load
                      pmu_buses) -> Dataset:
     """M samples of (measurement vector, per-unit magnitude labels).
 
-    The per-sample loop only draws: it builds sample i's generator and fills
-    its rows of the hour, load noise and row noise draws. The multipliers
-    then come from one batched ``_multipliers`` call and the power flows from
-    one ``solve_batch``; the embedding, evaluator and load cells are built
-    once per (template, model) through ``MeasurementSet.compiled``."""
+    Each pass seeds every pending sample's PCG64 stream at once (``_pcg64_states``;
+    NumPy keeps SeedSequence and PCG64 stable, NEP 19, and
+    ``test_sample_generators_are_numpys_seeding_of_the_triple`` checks it), and one
+    reused ``Generator`` draws sample i's hour and one normal row, load noise then
+    row noise. The multipliers come from one batched ``_multipliers`` call and the
+    power flows from one ``solve_batch``; the embedding, evaluator and load cells
+    are built once per (template, model) through ``MeasurementSet.compiled``."""
     pmu_buses = model.pmu_placement(pmu_buses)
     embedding, evaluator, slot, load, power = template.compiled(model, _generation_record)
-    m, seed = profile.samples, operator.index(profile.seed)
-    # NumPy's coercion of [seed, i, attempt]: the seed's little-endian 32-bit words, i, attempt
-    n = (seed.bit_length() + 31) // 32 or 1
-    words = np.array([seed >> 32 * k & 0xFFFFFFFF for k in range(n)] + [0, 0], np.uint32)
-    u, z, normal = np.empty((m, 1)), np.empty((m, len(model.loads))), np.empty((m, len(template)))
+    m, seed, n_loads = profile.samples, operator.index(profile.seed), len(model.loads)
+    u, draws = np.empty((m, 1)), np.empty((m, n_loads + len(template)))
+    z, normal = draws[:, :n_loads], draws[:, n_loads:]  # one normal draw fills both
     v = np.empty((m, model.n_slots), complex)
+    bits = PCG64()  # its state is set before each sample's draws
+    rng, state = Generator(bits), bits.state
     attempt = np.zeros(m, dtype=int)
     todo = np.arange(m)
     while len(todo):
-        for i, a in zip(todo.tolist(), attempt[todo].tolist()):
-            words[-2], words[-1] = i, a
-            rng = Generator(PCG64(words))
+        for i, sample_state in zip(todo.tolist(), _pcg64_states(seed, todo, attempt[todo])):
+            state["state"] = sample_state
+            bits.state = state
             rng.random(out=u[i])
-            rng.standard_normal(out=z[i])
-            rng.standard_normal(out=normal[i])
+            rng.standard_normal(out=draws[i])
         s = np.zeros((len(todo), model.n_slots), complex)
         s[:, slot] = _multipliers(profile, u[todo], z[todo])[:, load] * power
         v[todo], sweeps, converged, mismatch = solve_batch(model, s)

@@ -93,7 +93,13 @@ def test_checkpoint_meta_bytes_pinned(workdir, dataset_path):
      "04d15cc96b22f870d7c6a64ccbe41e5e596a5a0a3347b7247c9f04723e4c444d"),
     ("thirteen_bus", ["1", "12"], 2**32 + 7,
      "17dfea588272eea0617b8f4bbdad9a4c7c3695098a9951549d593f48dbaac142"),
-], ids=["six_bus-1", "six_bus-2**32+7", "thirteen_bus-1", "thirteen_bus-2**32+7"])
+    # five seeding words: more entropy than SeedSequence's four-word pool
+    ("six_bus", ["4"], 2**64 + 5,
+     "66a7055627585772c0bad44128cc514eecf638d4009bae9180e46a68270a7a83"),
+    ("thirteen_bus", ["1", "12"], 2**64 + 5,
+     "3e942dbaeba030afe8470043f639a39a649a2b419595a323db0c42a09adcfd6c"),
+], ids=["six_bus-1", "six_bus-2**32+7", "thirteen_bus-1", "thirteen_bus-2**32+7",
+        "six_bus-2**64+5", "thirteen_bus-2**64+5"])
 def test_generate_file_bytes_pinned(workdir, feeder, pmu, seed, digest):
     # the whole file: array bytes, and each array's .npy header (dtype, shape,
     # memory order); np.savez dates every entry 1980-01-01
@@ -598,7 +604,7 @@ def test_bench_with_zero_epochs_is_validation_error(workdir, capsys):
 @pytest.mark.parametrize("flag, value, name", [("--seed", "-1", "seed"),
                                                ("--noise-sigma", "1e155", "noise_sigma")])
 def test_bench_with_an_invalid_setting_is_validation_error(workdir, capsys, flag, value, name):
-    out = workdir / "bench_bad"
+    out = workdir / f"bench_bad_{name}_{value}"  # one per case: a written file fails only its own
     code = main(["bench", "--feeder", SIX, "--pmu", "4", "--out", str(out), "--samples", "20",
                  "--epochs", "2", flag, value])
     assert code == EXIT_VALIDATION
@@ -658,7 +664,7 @@ def test_train_reports_the_kept_epoch(workdir, dataset_path, six_bus, capsys):
     ("--pseudo-noise", "1e200", "pseudo_noise"),
 ])
 def test_generate_with_a_bad_load_profile_is_validation_error(workdir, capsys, flag, value, name):
-    out = workdir / "bad_profile.npz"
+    out = workdir / f"bad_profile_{name}_{value}.npz"  # one per case, as in the bench test
     code = main(["generate", "--feeder", SIX, "--pmu", "4", "--samples", "20",
                  flag, value, "--out", str(out)])
     assert code == EXIT_VALIDATION

@@ -288,21 +288,28 @@ class TestBatchedGeneration:
                              LoadProfileConfig(samples=1, seed=0), [0])
         assert sum(rows) == 21
 
-    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3])
     def test_sample_generators_are_numpys_seeding_of_the_triple(self, six_bus, monkeypatch,
                                                                 seed):
-        # each sample's generator must be default_rng([seed, i, attempt]); the
-        # x12 feeder redraws some samples, so attempts past 0 are covered too
+        # each sample's generator state must be default_rng([seed, i, attempt])'s;
+        # the x12 feeder redraws some samples, so attempts past 0 are covered too.
+        # Seeds of 2**64 + 5 and 2**96 + 3 give 5 and 6 entropy words, more than
+        # SeedSequence's 4-word pool
         states = []
 
-        def capturing(words):
-            bits = np.random.PCG64(words)
-            states.append(bits.state)
-            return bits
+        class PCG64(np.random.PCG64):  # same name, so its state dicts compare equal
+            @property
+            def state(self):
+                return np.random.PCG64.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                states.append(dict(value, state=dict(value["state"])))  # the dict is reused
+                np.random.PCG64.state.__set__(self, value)
 
         model = _scaled(six_bus, 12.0)
         template = plan_measurements(model, [3])
-        monkeypatch.setattr(pipeline, "PCG64", capturing)
+        monkeypatch.setattr(pipeline, "PCG64", PCG64)
         ds = generate_dataset(model, template, LoadProfileConfig(samples=20, seed=seed), [3])
         monkeypatch.undo()
         assert len(states) == 20 + ds.resampled and ds.resampled > 0
@@ -311,6 +318,16 @@ class TestBatchedGeneration:
         redrawn = {state["state"]["state"] for state in states[20:]}
         assert redrawn <= {np.random.default_rng([seed, i, a]).bit_generator.state["state"]["state"]
                            for i in range(20) for a in range(1, 21)}
+
+    @pytest.mark.parametrize("i, attempt", [(2**32, 0), (0, 2**32)])
+    def test_seeding_refuses_an_index_past_one_word(self, i, attempt):
+        # default_rng would give such an index two entropy words; a uint32 cast would wrap it
+        with pytest.raises(OverflowError, match="does not fit one 32-bit seed word"):
+            pipeline._pcg64_states(1, np.array([0, i]), np.array([0, attempt]))
+        edge = list(pipeline._pcg64_states(2**64 + 5, np.array([2**32 - 1]),
+                                           np.array([2**32 - 1])))
+        expected = np.random.default_rng([2**64 + 5, 2**32 - 1, 2**32 - 1]).bit_generator.state
+        assert edge == [expected["state"]]
 
 
 class TestScenarios:
