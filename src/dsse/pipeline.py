@@ -29,7 +29,7 @@ import operator
 import os
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -247,8 +247,10 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path, model: FeederModel) -> Dataset:
     """A ``save_dataset`` file; features stored by schema 1 are ignored. Untyped
-    ``pmu_buses``, labels of another slot count (another feeder's dataset),
-    and non-finite values, variances or labels are a ``ValueError``."""
+    ``pmu_buses``, labels of another slot count (another feeder's dataset), an
+    array whose shape is not (M, template rows) for values and variances or
+    (M, slots) for labels, and non-finite values, variances or labels are a
+    ``ValueError``."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if not is_bus_list(meta.get("pmu_buses")):
@@ -256,11 +258,20 @@ def load_dataset(path, model: FeederModel) -> Dataset:
                              f"got {meta.get('pmu_buses')!r}")
         template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
         values, variances, labels = data["values"], data["variances"], data["v_true_pu"]
-        if labels.shape[1] != model.n_slots:
+        if labels.ndim == 2 and labels.shape[1] != model.n_slots:
             raise ValueError(
                 f"dataset labels have {labels.shape[1]} slots but the feeder has "
                 f"{model.n_slots}; was the dataset generated on another feeder?"
             )
+        arrays = {"values": (values, len(template)), "variances": (variances, len(template)),
+                  "v_true_pu": (labels, model.n_slots)}
+        for name, (a, cols) in arrays.items():
+            if a.ndim != 2 or a.shape[1] != cols:
+                raise ValueError(f"dataset {name} has shape {a.shape}, expected (M, {cols})")
+        m = sorted(len(a) for a, _ in arrays.values())[1]  # the row count two arrays share
+        for name, (a, cols) in arrays.items():
+            if len(a) != m:
+                raise ValueError(f"dataset {name} has shape {a.shape}, expected ({m}, {cols})")
         if not all(np.isfinite(a).all() for a in (values, variances, labels)):
             raise ValueError("dataset values, variances and labels must be finite")
         return Dataset(
@@ -426,32 +437,21 @@ def format_report(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report(rows, out_dir, traces_by_scenario=None) -> None:
-    """Human-readable table plus machine-readable columnar files."""
+def report(rows, out_dir, traces_by_scenario) -> None:
+    """``summary.txt``, ``summary.csv`` (one column per ``BenchRow`` field), and per scenario
+    ``trace_<name>.csv``: each estimator's per-slot mean over its non-None samples."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
         fh.write(format_report(rows))
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["scenario", "estimator", "nu", "mean_time_s", "status", "failures", "params"])
-        for r in rows:
-            w.writerow(
-                [r.scenario, r.estimator,
-                 "" if r.nu is None else repr(r.nu),
-                 "" if r.mean_time_s is None else repr(r.mean_time_s),
-                 r.status, r.failures, "" if r.params is None else r.params]
-            )
-    for name, traces in (traces_by_scenario or {}).items():
-        truth = np.asarray(traces["true"])
-        cols = {"true": truth.mean(axis=0)}
-        for est, samples in traces.items():
-            if est == "true":
-                continue
-            kept = [s for s in samples if s is not None]
-            if kept:
-                cols[est] = np.mean(np.asarray(kept), axis=0)
+        w.writerow([f.name for f in fields(BenchRow)])
+        w.writerows(astuple(r) for r in rows)
+    for name, traces in traces_by_scenario.items():
+        kept = {est: [s for s in samples if s is not None] for est, samples in traces.items()}
+        cols = {est: np.mean(samples, axis=0) for est, samples in kept.items() if samples}
+        by_slot = np.transpose([*cols.values()]).tolist()
         with open(os.path.join(out_dir, f"trace_{name}.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["slot"] + list(cols))
-            for s in range(truth.shape[1]):
-                w.writerow([s] + [repr(float(cols[c][s])) for c in cols])
+            w.writerow(["slot", *cols])
+            w.writerows([s, *means] for s, means in enumerate(by_slot))

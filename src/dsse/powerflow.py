@@ -98,8 +98,8 @@ def slack_state(model: FeederModel) -> StateVector:
 
 def solve_batch(model: FeederModel, s: np.ndarray):
     """Fixed point V = V0 - Zbus @ conj(S / V) for each row of the (M, n_slots)
-    slot loads ``s`` (W + jvar), iterated from the slack state as the module
-    docstring says. S, the state and V0 are permuted once into the order of
+    slot loads ``s`` (W + jvar), iterated from V0, the slack state (a feeder has
+    one base voltage). S, the state and V0 are permuted once into the order of
     ``model.zbus_groups``, and each sweep contracts each group's block with its
     own columns; the source's slots stay out and keep V0. Sweeps run on compact
     copies of V and S that hold only the rows still iterating and shrink on a
@@ -107,14 +107,12 @@ def solve_batch(model: FeederModel, s: np.ndarray):
     permutation), sweep count and mismatch are written then, once. Returns
     (voltages, sweeps, converged, last mismatch) per row."""
     tol = TOL_PU * model.base_voltage
-    slack = slack_state(model).values
-    # each slot's phase of the source voltage
-    v0 = slack[[model.slot_index(model.source, p) for _, p in model.slots]]
+    v0 = slack_state(model).values  # one base voltage: the source's on each slot's phase
     groups = model.zbus_groups
     perm = np.array([k for g, _ in groups for k in g], dtype=int)
     bounds = np.cumsum([0] + [len(g) for g, _ in groups]).tolist()
     m = len(s)
-    v, va, sa, rows = np.tile(v0, (m, 1)), np.tile(slack[perm], (m, 1)), s[:, perm], np.arange(m)
+    v, va, sa, rows = np.tile(v0, (m, 1)), np.tile(v0[perm], (m, 1)), s[:, perm], np.arange(m)
     v0, drop = v0[perm], np.empty((m, len(perm)), complex)
     iterations, mismatch = np.zeros(m, dtype=int), np.full(m, np.inf)
     for it in range(1, MAX_ITER + 1):

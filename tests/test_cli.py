@@ -454,6 +454,21 @@ def test_train_on_a_dataset_of_another_slot_count_names_both(workdir, dataset_pa
     assert "broadcast" not in err
 
 
+def test_train_on_a_dataset_with_cut_labels_is_validation_error(workdir, dataset_path, capsys):
+    with np.load(dataset_path) as data:
+        arrays = dict(data)
+    arrays["v_true_pu"] = arrays["v_true_pu"][:10]
+    bad = workdir / "ds_cut_labels.npz"
+    np.savez(bad, **arrays)
+    out = workdir / "net_cut_labels.npz"
+    code = main(["train", "--feeder", SIX, "--dataset", str(bad), "--out", str(out),
+                 "--epochs", "1"])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: dataset v_true_pu has shape (10, 18), expected (120, 18)\n")
+    assert not out.exists()
+
+
 def test_generate_reports_resampled_draws(workdir, six_bus, capsys):
     from dsse.grid_model import dump_feeder, feeder_from_dict
     from dsse.pipeline import load_dataset

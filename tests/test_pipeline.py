@@ -142,6 +142,23 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="values, variances and labels must be finite"):
             load_dataset(path, six_bus)
 
+    @pytest.mark.parametrize("name, cut, expected", [
+        ("v_true_pu", np.s_[:10], r"\(10, 18\), expected \(200, 18\)"),
+        ("v_true_pu", np.s_[:, 0], r"\(200,\), expected \(M, 18\)"),
+        ("values", np.s_[:10], r"\(10, 54\), expected \(200, 54\)"),
+        ("variances", np.s_[:, :-1], r"\(200, 53\), expected \(M, 54\)"),
+        ("values", np.s_[:, :-1], r"\(200, 53\), expected \(M, 54\)"),
+    ], ids=["labels-rows", "labels-1d", "values-rows", "variances-cols", "values-cols"])
+    def test_misshapen_arrays_rejected(self, six_bus, six_ds, tmp_path, name, cut, expected):
+        path = tmp_path / "ds.npz"
+        save_dataset(six_ds, path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = arrays[name][cut]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=f"^dataset {name} has shape {expected}$"):
+            load_dataset(path, six_bus)
+
     def test_loads_five_column_template(self, six_bus, six_ds, tmp_path):
         # files written before the template CSV shared MeasurementSet's
         # writer carry no value/variance columns
@@ -523,3 +540,27 @@ class TestReport:
             rows2 = list(csv.DictReader(fh))
         assert len(rows2) == 3
         assert float(rows2[0]["wls"]) == pytest.approx(1.01)
+
+    def test_report_bytes_pinned(self, tmp_path):
+        rows = [
+            BenchRow("s1", "wls", 0.00123456789, 0.0101, "ok", 2, None),
+            BenchRow("s1", "p2n2", 5.5e-05, 0.000125, "ok", 0, 1234),
+            BenchRow("s3", "wls", None, None, "unobservable", 20, None),  # nu, time, params None
+        ]
+        truth = np.linspace(0.95, 1.05, 12).reshape(4, 3)
+        traces = {
+            # wls has None samples, and p2n2's mean sums the rows in another order
+            "s1": {"true": truth, "wls": [truth[0] * 1.01, None, truth[2] / 3, None],
+                   "p2n2": list(truth[::-1])},
+            # an estimator with no sample gets no column
+            "s3": {"true": truth[:2], "wls": [None, None], "pawnn": list(truth[:2] + 1e-3)},
+        }
+        report(rows, tmp_path, traces)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.iterdir()}
+        assert digests == {
+            "summary.csv": "4edda59f5a6ceca0ee8df47b2fc668a5ba6aeaa43f64c37251ca9d3bdf6b9d4d",
+            "summary.txt": "1366afc4eeca4a23718eb5656bbbcb48d683a846f77282a0bee771f795752e88",
+            "trace_s1.csv": "a304c74f776544af048f080ee7d0dbc2dbe5bbd0f9d851e162df78d5076e775b",
+            "trace_s3.csv": "71f69a6f9336d57f87465a2fcafd3f35a63485b4f3a7958216ca871c07e33d9d",
+        }
