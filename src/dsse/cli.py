@@ -4,8 +4,9 @@ Subcommands: ``generate`` (Monte Carlo dataset), ``train`` (fit a masked
 network), ``estimate`` (run WLS or a checkpoint on a measurement file),
 ``bench`` (three-scenario benchmark suite), ``masks`` (export a mask plan).
 
-Exit codes: 0 success, 2 validation error, 3 unobservable, 4 non-convergence
-(a power flow, a WLS estimate or a training run that diverged).
+Exit codes: 0 success, 2 validation error (bad input, or a path or archive that
+cannot be read or written), 3 unobservable, 4 non-convergence (a power flow, a
+WLS estimate or a training run that diverged).
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except wls.UnobservableError as exc:

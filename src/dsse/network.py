@@ -23,7 +23,9 @@ written into a caller's ``out``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -419,11 +421,27 @@ def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSe
         np.savez(fh, **arrays)
 
 
+@contextlib.contextmanager
+def open_npz(path):
+    """``np.load`` of an ``.npz`` archive for a ``with`` block; a file that is no readable
+    zip archive (cut short, empty, a member failing its CRC check, or a single ``.npy``
+    array) is a ValueError naming it."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path} holds one .npy array, not an .npz archive")
+        with data:
+            yield data
+    except (zipfile.BadZipFile, EOFError) as exc:
+        raise ValueError(f"{path} is not a readable .npz archive: {exc}") from exc
+
+
 def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
     """(network, meta) from a ``save_checkpoint`` file, opened once; the plan rebuilt on
     ``model`` from ``pmu_buses``, ``block_width`` and ``kind`` must hash to ``plan_signature``.
-    ValueError for a missing stamp, a missing or mistyped field, another plan or a bad array."""
-    with np.load(path) as data:
+    ValueError for an unreadable archive, a missing stamp, a missing or mistyped field,
+    another plan or a bad array."""
+    with open_npz(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta.get("input_layout") != INPUT_LAYOUT:
             raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")

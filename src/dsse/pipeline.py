@@ -38,7 +38,8 @@ from dsse.grid_model import FeederModel, is_bus_list
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
 from dsse.measurements import (PSEUDO_NOISE, MeasurementSet, RowEvaluator, jacobian_rows,
                                plan_measurements, row_sigmas, synthesize)  # noqa: F401
-from dsse.network import InputEmbedding, TrainConfig, Workspace, nu, split_indices, train
+from dsse.network import (InputEmbedding, TrainConfig, Workspace, nu, open_npz, split_indices,
+                          train)
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, count_params, partition_at_pmus
 from dsse.powerflow import (NotConvergedError, StateVector, slack_state, solve_batch,
                             solve_power_flow)  # noqa: F401
@@ -246,12 +247,12 @@ def save_dataset(ds: Dataset, path) -> None:
 
 
 def load_dataset(path, model: FeederModel) -> Dataset:
-    """A ``save_dataset`` file; features stored by schema 1 are ignored. Untyped
-    ``pmu_buses``, labels of another slot count (another feeder's dataset), an
-    array whose shape is not (M, template rows) for values and variances or
-    (M, slots) for labels, and non-finite values, variances or labels are a
-    ``ValueError``."""
-    with np.load(path) as data:
+    """A ``save_dataset`` file; features stored by schema 1 are ignored. A file
+    that is no ``.npz`` archive, untyped ``pmu_buses``, labels of another slot
+    count (another feeder's dataset), an array whose shape is not (M, template
+    rows) for values and variances or (M, slots) for labels, and non-finite
+    values, variances or labels are a ``ValueError``."""
+    with open_npz(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if not is_bus_list(meta.get("pmu_buses")):
             raise ValueError("dataset metadata 'pmu_buses' must be a list of ints, "

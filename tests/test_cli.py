@@ -573,6 +573,72 @@ def test_missing_file_is_validation_error(workdir):
     assert code == EXIT_VALIDATION
 
 
+# the path each argv names in its error (first), then the argv: {dir} is an empty
+# directory, {file} a file holding b"keep", {out} a path that must stay absent,
+# {cut_*} the first 300 bytes of a good archive, {flipped} a good archive with its
+# middle byte (array data) inverted, {empty} an empty file and {npy} one array
+# saved by np.save
+PATH_AND_ARCHIVE_ERRORS = {
+    "bench-out-file": ("file", ["bench", "--feeder", SIX, "--pmu", "4", "--samples", "40",
+                                "--epochs", "2", "--out", "{file}"]),
+    "generate-out-dir": ("dir", ["generate", "--feeder", SIX, "--pmu", "4", "--samples", "20",
+                                 "--out", "{dir}"]),
+    "train-out-dir": ("dir", ["train", "--feeder", SIX, "--dataset", "{dataset}",
+                              "--epochs", "2", "--out", "{dir}"]),
+    "masks-out-dir": ("dir", ["masks", "--feeder", SIX, "--pmu", "4", "--out", "{dir}"]),
+    "generate-feeder-dir": ("dir", ["generate", "--feeder", "{dir}", "--pmu", "4",
+                                    "--out", "{out}"]),
+    "train-feeder-dir": ("dir", ["train", "--feeder", "{dir}", "--dataset", "{dataset}",
+                                 "--out", "{out}"]),
+    "estimate-feeder-dir": ("dir", ["estimate", "--feeder", "{dir}", "--measurements", "{z}",
+                                    "--wls"]),
+    "bench-feeder-dir": ("dir", ["bench", "--feeder", "{dir}", "--pmu", "4", "--out", "{out}"]),
+    "masks-feeder-dir": ("dir", ["masks", "--feeder", "{dir}", "--pmu", "4", "--out", "{out}"]),
+    "estimate-measurements-dir": ("dir", ["estimate", "--feeder", SIX, "--measurements", "{dir}",
+                                          "--wls"]),
+    "train-dataset-cut": ("cut_dataset", ["train", "--feeder", SIX, "--dataset", "{cut_dataset}",
+                                          "--out", "{out}"]),
+    "train-dataset-empty": ("empty", ["train", "--feeder", SIX, "--dataset", "{empty}",
+                                      "--out", "{out}"]),
+    "train-dataset-npy": ("npy", ["train", "--feeder", SIX, "--dataset", "{npy}",
+                                  "--out", "{out}"]),
+    "train-dataset-flipped": ("flipped", ["train", "--feeder", SIX, "--dataset", "{flipped}",
+                                          "--out", "{out}"]),
+    "estimate-checkpoint-cut": ("cut_checkpoint", ["estimate", "--feeder", SIX, "--measurements",
+                                                   "{z}", "--checkpoint", "{cut_checkpoint}"]),
+}
+
+
+@pytest.mark.parametrize("case", list(PATH_AND_ARCHIVE_ERRORS))
+def test_path_and_archive_errors_are_validation_errors(
+    workdir, dataset_path, checkpoint_path, six_bus, six_bus_pf, capsys, case
+):
+    base = workdir / "path_errors" / case
+    (base / "dir").mkdir(parents=True)
+    paths = {name: base / name for name in ("dir", "file", "out", "empty", "npy", "z",
+                                            "cut_dataset", "cut_checkpoint", "flipped")}
+    paths["file"].write_bytes(b"keep")
+    paths["empty"].write_bytes(b"")
+    with open(paths["npy"], "wb") as fh:
+        np.save(fh, np.zeros(3))
+    paths["cut_dataset"].write_bytes(dataset_path.read_bytes()[:300])
+    paths["cut_checkpoint"].write_bytes(checkpoint_path.read_bytes()[:300])
+    flipped = bytearray(dataset_path.read_bytes())
+    flipped[len(flipped) // 2] ^= 0xFF
+    paths["flipped"].write_bytes(flipped)
+    synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0).save(paths["z"])
+    fill = {name: str(p) for name, p in paths.items()} | {"dataset": str(dataset_path)}
+    named, argv = PATH_AND_ARCHIVE_ERRORS[case]
+    capsys.readouterr()
+    assert main([a.format(**fill) for a in argv]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and fill[named] in captured.err
+    assert captured.out == ""
+    assert list(paths["dir"].iterdir()) == []
+    assert paths["file"].read_bytes() == b"keep"
+    assert not paths["out"].exists()
+
+
 def test_bench_writes_report(workdir, capsys):
     out = workdir / "bench"
     code = main(

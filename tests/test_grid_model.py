@@ -1,3 +1,6 @@
+import copy
+import itertools
+
 import numpy as np
 import pytest
 import yaml
@@ -5,6 +8,7 @@ import yaml
 import oracles
 from dsse.fixtures import fixture_path
 from dsse.grid_model import (
+    SAFE_DUMPER,
     SAFE_LOADER,
     FeederParseError,
     FeederValidationError,
@@ -289,6 +293,39 @@ class TestIngestion:
         dump_feeder(load_feeder(fixture_path(name)), dumped)
         for text in (fixture_path(name).read_text(), dumped.read_text()):
             assert yaml.load(text, Loader=SAFE_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_libyaml_dumper_writes_the_python_dumpers_bytes(self, tmp_path):
+        if yaml.__with_libyaml__:
+            assert SAFE_DUMPER is yaml.CSafeDumper
+        rng = np.random.default_rng(26)
+        docs = []
+        for name in ("six_bus", "thirteen_bus"):
+            base = load_feeder(fixture_path(name)).to_dict()
+            docs.append(base)
+            for _ in range(8):
+                doc = copy.deepcopy(base)
+                for ld in doc["loads"]:  # each load scaled by U(0.8, 1.2), as Bench6Bus does
+                    for p, (real, imag) in ld["power"].items():
+                        u = rng.uniform(0.8, 1.2)
+                        ld["power"][p] = [real * u, imag * u]
+                coupled = copy.deepcopy(doc)
+                for br in coupled["branches"]:  # mutual terms a third of the self term
+                    z = br["impedance"]
+                    for i, j in itertools.combinations(range(len(z)), 2):
+                        z[i][j] = z[j][i] = [x / 3.0 for x in z[i][i]]
+                for d in (doc, coupled):
+                    docs.append(d)
+                    spread = copy.deepcopy(d)
+                    for br in spread["branches"]:  # each branch scaled within 1e-12 to 1e12
+                        k = 10.0 ** rng.uniform(-12, 12)
+                        br["impedance"] = [[[x * k for x in rx] for rx in row]
+                                           for row in br["impedance"]]
+                    docs.append(spread)
+        path = tmp_path / "dumped.yaml"
+        for doc in docs:
+            model = feeder_from_dict(doc)
+            dump_feeder(model, path)
+            assert path.read_text() == yaml.safe_dump(model.to_dict(), sort_keys=False)
 
     def test_yaml_syntax_error_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.yaml"
