@@ -5,13 +5,14 @@ network), ``estimate`` (run WLS or a checkpoint on a measurement file),
 ``bench`` (three-scenario benchmark suite), ``masks`` (export a mask plan).
 
 Exit codes: 0 success, 2 validation error (bad input, or a path or archive that
-cannot be read or written), 3 unobservable, 4 non-convergence (a power flow, a
-WLS estimate or a training run that diverged).
+cannot be read or written; ``--out`` is checked before any work), 3 unobservable,
+4 non-convergence (a power flow, a WLS estimate or a training run that diverged).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -56,8 +57,7 @@ def _config(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def cmd_generate(args):
-    model = load_feeder(args.feeder)
+def cmd_generate(model, args):
     pmu = _pmu_indices(model, args.pmu)
     scenario = Scenario("generate", tuple(pmu),
                         metered_loads=tuple(_pmu_indices(model, args.metered or [])),
@@ -70,8 +70,7 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def cmd_train(args):
-    model = load_feeder(args.feeder)
+def cmd_train(model, args):
     ds = load_dataset(args.dataset, model)
     plan = build_mask_plan(model, partition_at_pmus(model, ds.pmu_buses),
                            block_width=args.block_width, prune=args.kind == "p2n2")
@@ -83,8 +82,7 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def cmd_estimate(args):
-    model = load_feeder(args.feeder)
+def cmd_estimate(model, args):
     mset = MeasurementSet.load(args.measurements)
     if args.wls:
         rep = wls.estimate(model, mset)
@@ -102,8 +100,7 @@ def cmd_estimate(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    model = load_feeder(args.feeder)
+def cmd_bench(model, args):
     pmu = _pmu_indices(model, args.pmu)
     profile, train_config = _config(LoadProfileConfig, args), _config(TrainConfig, args)
     rows = []
@@ -119,8 +116,7 @@ def cmd_bench(args):
     return EXIT_OK
 
 
-def cmd_masks(args):
-    model = load_feeder(args.feeder)
+def cmd_masks(model, args):
     pmu = _pmu_indices(model, args.pmu)
     partitions = partition_at_pmus(model, pmu)
     plan = build_mask_plan(
@@ -129,6 +125,15 @@ def cmd_masks(args):
     export_mask_plan(plan, args.out)
     print(f"wrote {plan.depth}-layer mask plan to {args.out}")
     return EXIT_OK
+
+
+def _check_out(path, directory: bool):
+    """An OSError, before any work, where writing ``--out`` would fail after it: a directory
+    made with its parents if ``directory``, else a file."""
+    if os.path.exists(path) and os.path.isdir(path) != directory:
+        raise OSError(f"--out {path} is {'a file' if directory else 'a directory'}")
+    if not directory and not os.path.isdir(os.path.dirname(path) or "."):
+        raise OSError(f"--out {path} is in a directory that does not exist")
 
 
 def build_parser():
@@ -185,7 +190,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if "out" in args:
+            _check_out(args.out, directory=args.command == "bench")
+        return args.func(load_feeder(args.feeder), args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -330,6 +330,13 @@ def is_bus_list(value) -> bool:
     return isinstance(value, list) and all(type(b) is int for b in value)
 
 
+def check_fields(values, rules, what="{}") -> None:
+    """ValueError "<what> must be <rule>, got <value>" for the first failing (name, ok, rule)."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"{what.format(name)} must be {rule}, got {values.get(name)!r}")
+
+
 def _require_keys(entry: dict, required: set, what: str):
     if not isinstance(entry, dict):
         raise FeederParseError(f"{what} entry must be a mapping, got {entry!r}")

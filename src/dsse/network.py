@@ -23,14 +23,13 @@ written into a caller's ``out``.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from dsse.grid_model import PHASES, FeederModel, is_bus_list
+from dsse.grid_model import PHASES, FeederModel, check_fields, is_bus_list
 from dsse.measurements import MeasurementSet, row_index, unit_bases
 from dsse.partitioning import MaskPlan, build_mask_plan, partition_at_pmus
 
@@ -267,15 +266,13 @@ class TrainConfig:
     patience: int = 20
 
     def __post_init__(self):
-        for name, ok, rule in (("epochs", self.epochs >= 1, ">= 1"),
-                               ("batch_size", self.batch_size >= 1, ">= 1"),
-                               ("patience", self.patience >= 1, ">= 1"),
-                               ("seed", self.seed >= 0, ">= 0"),
-                               ("learning_rate", 0 <= self.learning_rate < np.inf,
-                                "finite and >= 0"),
-                               ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(vars(self), (("epochs", self.epochs >= 1, ">= 1"),
+                                  ("batch_size", self.batch_size >= 1, ">= 1"),
+                                  ("patience", self.patience >= 1, ">= 1"),
+                                  ("seed", self.seed >= 0, ">= 0"),
+                                  ("learning_rate", 0 <= self.learning_rate < np.inf,
+                                   "finite and >= 0"),
+                                  ("train_fraction", 0 < self.train_fraction < 1, "in (0, 1)")))
 
 
 @dataclass
@@ -403,61 +400,63 @@ def evaluate(net: MaskedNetwork, features: np.ndarray, targets: np.ndarray) -> E
     return EvalReport(nu(net.forward(np.atleast_2d(features)), targets), len(features))
 
 
-# -- checkpointing ---------------------------------------------------------
+# -- archives: datasets and checkpoints --------------------------------------
+
+
+def write_npz(path, meta: dict, arrays: dict) -> None:
+    """One ``.npz`` archive: ``arrays`` in their order, then ``meta`` as sorted-key JSON."""
+    encoded = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays, meta=encoded)
+
+
+def read_npz(path) -> tuple[dict, dict]:
+    """(meta, arrays) of a ``write_npz`` file, every member read while it is open. A file
+    that is no zip archive with a JSON object ``meta`` (cut short, empty, a member failing
+    its CRC check, one ``.npy`` array, text or pickled data) is a ValueError naming it."""
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(arrays.pop("meta")).decode())
+        if not isinstance(meta, dict):
+            raise ValueError("meta is no JSON object")
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path} is not an .npz archive with a JSON meta member") from exc
+    return meta, arrays
 
 
 def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSet) -> None:
-    """Write ``net``'s parameters and a JSON ``meta`` array: ``kind`` (p2n2 if the plan
-    is pruned, else pawnn), ``pmu_buses``, ``block_width``, ``plan_signature``,
-    ``template_signature`` (of ``template``), ``input_layout``, ``n_buses`` and ``slots``."""
+    """Write ``net``'s parameters and a ``meta`` of ``kind`` (p2n2 if the plan is pruned,
+    else pawnn), ``pmu_buses``, ``block_width``, ``plan_signature``, ``template_signature``
+    (of ``template``), ``input_layout``, ``n_buses`` and ``slots`` (``write_npz``)."""
     meta = dict(kind="p2n2" if net.plan.pruned else "pawnn",
                 pmu_buses=sorted({int(b) for b in pmu_buses}), block_width=net.f,
                 plan_signature=net.plan.signature(), template_signature=template.signature(),
                 input_layout=INPUT_LAYOUT, n_buses=net.n_buses,
                 slots=[[int(b), p] for b, p in net.slots])
-    arrays = dict(zip(net.parameter_names(), net.parameters()))
-    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-@contextlib.contextmanager
-def open_npz(path):
-    """``np.load`` of an ``.npz`` archive for a ``with`` block; a file that is no readable
-    zip archive (cut short, empty, a member failing its CRC check, or a single ``.npy``
-    array) is a ValueError naming it."""
-    try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError(f"{path} holds one .npy array, not an .npz archive")
-        with data:
-            yield data
-    except (zipfile.BadZipFile, EOFError) as exc:
-        raise ValueError(f"{path} is not a readable .npz archive: {exc}") from exc
+    write_npz(path, meta, dict(zip(net.parameter_names(), net.parameters())))
 
 
 def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
-    """(network, meta) from a ``save_checkpoint`` file, opened once; the plan rebuilt on
+    """(network, meta) from a ``save_checkpoint`` file (``read_npz``); the plan rebuilt on
     ``model`` from ``pmu_buses``, ``block_width`` and ``kind`` must hash to ``plan_signature``.
     ValueError for an unreadable archive, a missing stamp, a missing or mistyped field,
     another plan or a bad array."""
-    with open_npz(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("input_layout") != INPUT_LAYOUT:
-            raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")
-        for name in ("kind", "pmu_buses", "block_width", "plan_signature", "template_signature"):
-            if name not in meta:
-                raise ValueError(f"checkpoint metadata lacks the field {name!r}")
-        kind, pmu_buses, width = meta["kind"], meta["pmu_buses"], meta["block_width"]
-        for name, ok, rule in (("kind", kind in ("p2n2", "pawnn"), "'p2n2' or 'pawnn'"),
-                               ("pmu_buses", is_bus_list(pmu_buses), "a list of ints"),
-                               ("block_width", type(width) is int and width >= 1, "an int >= 1")):
-            if not ok:
-                raise ValueError(f"checkpoint metadata {name!r} must be {rule}, got {meta[name]!r}")
-        plan = build_mask_plan(model, partition_at_pmus(model, pmu_buses), width,
-                               prune=kind == "p2n2")
-        if meta["plan_signature"] != plan.signature():
-            raise ValueError("checkpoint plan hash does not match the feeder's plan")
-        net = MaskedNetwork(plan, model, seed=0)
-        net.set_parameters([data.get(name) for name in net.parameter_names()])
+    meta, arrays = read_npz(path)
+    if meta.get("input_layout") != INPUT_LAYOUT:
+        raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")
+    for name in ("kind", "pmu_buses", "block_width", "plan_signature", "template_signature"):
+        if name not in meta:
+            raise ValueError(f"checkpoint metadata lacks the field {name!r}")
+    kind, pmu_buses, width = meta["kind"], meta["pmu_buses"], meta["block_width"]
+    check_fields(meta, (("kind", kind in ("p2n2", "pawnn"), "'p2n2' or 'pawnn'"),
+                        ("pmu_buses", is_bus_list(pmu_buses), "a list of ints"),
+                        ("block_width", type(width) is int and width >= 1, "an int >= 1")),
+                 "checkpoint metadata {!r}")
+    plan = build_mask_plan(model, partition_at_pmus(model, pmu_buses), width,
+                           prune=kind == "p2n2")
+    if meta["plan_signature"] != plan.signature():
+        raise ValueError("checkpoint plan hash does not match the feeder's plan")
+    net = MaskedNetwork(plan, model, seed=0)
+    net.set_parameters([arrays.get(name) for name in net.parameter_names()])
     return net, meta

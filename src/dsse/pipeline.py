@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import json
 import operator
 import os
 import time
@@ -34,12 +33,12 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 from numpy.random import PCG64, Generator
 
-from dsse.grid_model import FeederModel, is_bus_list
+from dsse.grid_model import FeederModel, check_fields, is_bus_list
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
 from dsse.measurements import (PSEUDO_NOISE, MeasurementSet, RowEvaluator, jacobian_rows,
                                plan_measurements, row_sigmas, synthesize)  # noqa: F401
-from dsse.network import (InputEmbedding, TrainConfig, Workspace, nu, open_npz, split_indices,
-                          train)
+from dsse.network import (InputEmbedding, TrainConfig, Workspace, nu, read_npz, split_indices,
+                          train, write_npz)
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, count_params, partition_at_pmus
 from dsse.powerflow import (NotConvergedError, StateVector, slack_state, solve_batch,
                             solve_power_flow)  # noqa: F401
@@ -60,12 +59,10 @@ class LoadProfileConfig:
     noise_sigma: float = 0.08
 
     def __post_init__(self):
-        for name, ok, rule in (("samples", self.samples >= 1, ">= 1"),
-                               ("seed", self.seed >= 0, ">= 0"),
-                               ("amplitude", 0 <= self.amplitude <= 1, "in [0, 1]"),
-                               ("noise_sigma", 0 <= self.noise_sigma <= 1, "in [0, 1]")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(vars(self), (("samples", self.samples >= 1, ">= 1"),
+                                  ("seed", self.seed >= 0, ">= 0"),
+                                  ("amplitude", 0 <= self.amplitude <= 1, "in [0, 1]"),
+                                  ("noise_sigma", 0 <= self.noise_sigma <= 1, "in [0, 1]")))
 
 
 @dataclass
@@ -77,10 +74,10 @@ class Scenario:
     make_unobservable: bool = False
 
     def __post_init__(self):
-        if not 0 < self.pseudo_noise < np.inf:
-            raise ValueError(f"pseudo_noise must be finite and > 0, got {self.pseudo_noise!r}")
-        if self.pseudo_noise > 1:  # past 100% every pseudo load's 3-sigma band crosses zero
-            raise ValueError(f"pseudo_noise must be <= 1, got {self.pseudo_noise!r}")
+        check_fields(vars(self), (
+            ("pseudo_noise", 0 < self.pseudo_noise < np.inf, "finite and > 0"),
+            # past 100% every pseudo load's 3-sigma band crosses zero
+            ("pseudo_noise", self.pseudo_noise <= 1, "<= 1")))
 
 
 @dataclass
@@ -235,57 +232,46 @@ def save_dataset(ds: Dataset, path) -> None:
     ds.template.write_csv(buf)
     meta = dict(ds.meta, schema_version=2, seed=ds.seed, resampled=ds.resampled,
                 pmu_buses=list(ds.pmu_buses))
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            values=ds.values,
-            variances=ds.variances,
-            v_true_pu=ds.v_true_pu,
-            template=np.frombuffer(buf.getvalue().encode(), dtype=np.uint8),
-            meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-        )
+    write_npz(path, meta, dict(values=ds.values, variances=ds.variances, v_true_pu=ds.v_true_pu,
+                               template=np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)))
 
 
 def load_dataset(path, model: FeederModel) -> Dataset:
-    """A ``save_dataset`` file; features stored by schema 1 are ignored. A file
-    that is no ``.npz`` archive, untyped ``pmu_buses``, labels of another slot
-    count (another feeder's dataset), an array whose shape is not (M, template
-    rows) for values and variances or (M, slots) for labels, and non-finite
-    values, variances or labels are a ``ValueError``."""
-    with open_npz(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if not is_bus_list(meta.get("pmu_buses")):
-            raise ValueError("dataset metadata 'pmu_buses' must be a list of ints, "
-                             f"got {meta.get('pmu_buses')!r}")
-        template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
-        values, variances, labels = data["values"], data["variances"], data["v_true_pu"]
-        if labels.ndim == 2 and labels.shape[1] != model.n_slots:
-            raise ValueError(
-                f"dataset labels have {labels.shape[1]} slots but the feeder has "
-                f"{model.n_slots}; was the dataset generated on another feeder?"
-            )
-        arrays = {"values": (values, len(template)), "variances": (variances, len(template)),
-                  "v_true_pu": (labels, model.n_slots)}
-        for name, (a, cols) in arrays.items():
-            if a.ndim != 2 or a.shape[1] != cols:
-                raise ValueError(f"dataset {name} has shape {a.shape}, expected (M, {cols})")
-        m = sorted(len(a) for a, _ in arrays.values())[1]  # the row count two arrays share
-        for name, (a, cols) in arrays.items():
-            if len(a) != m:
-                raise ValueError(f"dataset {name} has shape {a.shape}, expected ({m}, {cols})")
-        if not all(np.isfinite(a).all() for a in (values, variances, labels)):
-            raise ValueError("dataset values, variances and labels must be finite")
-        return Dataset(
-            template=template,
-            pmu_buses=tuple(meta["pmu_buses"]),
-            values=values,
-            variances=variances,
-            features=InputEmbedding(model, template).embed_values(values),
-            v_true_pu=labels,
-            seed=meta["seed"],
-            resampled=meta["resampled"],
-            meta={k: v for k, v in meta.items() if k not in ("schema_version",)},
+    """A ``save_dataset`` file (``read_npz``); features stored by schema 1 are ignored. A
+    ValueError for an unreadable archive, untyped ``pmu_buses``, labels of another slot count,
+    values or variances not (M, template rows), labels not (M, slots), or non-finite arrays."""
+    meta, data = read_npz(path)
+    check_fields(meta, (("pmu_buses", is_bus_list(meta.get("pmu_buses")), "a list of ints"),),
+                 "dataset metadata {!r}")
+    template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
+    values, variances, labels = data["values"], data["variances"], data["v_true_pu"]
+    if labels.ndim == 2 and labels.shape[1] != model.n_slots:
+        raise ValueError(
+            f"dataset labels have {labels.shape[1]} slots but the feeder has "
+            f"{model.n_slots}; was the dataset generated on another feeder?"
         )
+    arrays = {"values": (values, len(template)), "variances": (variances, len(template)),
+              "v_true_pu": (labels, model.n_slots)}
+    for name, (a, cols) in arrays.items():
+        if a.ndim != 2 or a.shape[1] != cols:
+            raise ValueError(f"dataset {name} has shape {a.shape}, expected (M, {cols})")
+    m = sorted(len(a) for a, _ in arrays.values())[1]  # the row count two arrays share
+    for name, (a, cols) in arrays.items():
+        if len(a) != m:
+            raise ValueError(f"dataset {name} has shape {a.shape}, expected ({m}, {cols})")
+    if not all(np.isfinite(a).all() for a in (values, variances, labels)):
+        raise ValueError("dataset values, variances and labels must be finite")
+    return Dataset(
+        template=template,
+        pmu_buses=tuple(meta["pmu_buses"]),
+        values=values,
+        variances=variances,
+        features=InputEmbedding(model, template).embed_values(values),
+        v_true_pu=labels,
+        seed=meta["seed"],
+        resampled=meta["resampled"],
+        meta={k: v for k, v in meta.items() if k not in ("schema_version",)},
+    )
 
 
 def remove_pseudo_until_unobservable(

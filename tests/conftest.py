@@ -1,3 +1,4 @@
+import contextlib
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dsse import load_feeder, solve_power_flow
 from dsse.fixtures import fixture_path
+from dsse.network import read_npz, write_npz
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,12 @@ def two_bus_doc(r=1.0, x=0.0, p=100_000.0, q=0.0, v=2400.0):
         ],
         "loads": [{"bus": 2, "power": {"A": [p, q]}}],
     }
+
+
+@contextlib.contextmanager
+def forged_npz(src, dst=None):
+    """Yield the (meta, arrays) of the ``write_npz`` archive ``src`` for the ``with`` body
+    to edit in place, then write them to ``dst`` (``src`` if None)."""
+    meta, arrays = read_npz(src)
+    yield meta, arrays
+    write_npz(src if dst is None else dst, meta, arrays)

@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import hashlib
 import json
+import pickle
 import re
 
 import numpy as np
 import pytest
 import yaml
 
+from conftest import forged_npz
+from dsse import cli
 from dsse.cli import (
     EXIT_NON_CONVERGED,
     EXIT_OK,
@@ -229,12 +232,10 @@ def test_train_on_a_dataset_with_a_row_off_the_feeder_is_validation_error(workdi
     ds = workdir / "ds13_off.npz"
     assert main(["generate", "--feeder", thirteen, "--pmu", "1", "--out", str(ds),
                  "--samples", "10"]) == EXIT_OK
-    with np.load(ds) as data:
-        arrays = dict(data)
-    text, row, kind = _move_rows(bytes(arrays["template"]).decode(),
-                                 ["p_injection", "q_injection"], 6, "A", (6, "C"))
-    arrays["template"] = np.frombuffer(text.encode(), dtype=np.uint8)
-    np.savez(ds, **arrays)
+    with forged_npz(ds) as (_, arrays):
+        text, row, kind = _move_rows(bytes(arrays["template"]).decode(),
+                                     ["p_injection", "q_injection"], 6, "A", (6, "C"))
+        arrays["template"] = np.frombuffer(text.encode(), dtype=np.uint8)
     out = workdir / "net13_off.npz"
     capsys.readouterr()
     assert main(["train", "--feeder", thirteen, "--dataset", str(ds), "--out", str(out),
@@ -291,16 +292,14 @@ def test_estimate_nonfinite_input_is_validation_error(
 def test_estimate_invalid_checkpoint_is_validation_error(
     workdir, checkpoint_path, six_bus, six_bus_pf, corrupt
 ):
-    with np.load(checkpoint_path) as data:
-        arrays = dict(data)
-    if corrupt == "short-readout_b":
-        arrays["readout_b"] = arrays["readout_b"][:1]
-    elif corrupt == "nan-w0":
-        arrays["w0"] = np.full_like(arrays["w0"], np.nan)
-    else:
-        del arrays["b1"]
     bad = workdir / f"bad_{corrupt}.npz"
-    np.savez(bad, **arrays)
+    with forged_npz(checkpoint_path, bad) as (_, arrays):
+        if corrupt == "short-readout_b":
+            arrays["readout_b"] = arrays["readout_b"][:1]
+        elif corrupt == "nan-w0":
+            arrays["w0"] = np.full_like(arrays["w0"], np.nan)
+        else:
+            del arrays["b1"]
     z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
     zpath = workdir / f"z_bad_{corrupt}.csv"
     z.save(zpath)
@@ -322,13 +321,9 @@ def test_estimate_invalid_checkpoint_is_validation_error(
 def test_estimate_checkpoint_meta_missing_field(
     workdir, checkpoint_path, six_bus, six_bus_pf, capsys, field, message
 ):
-    with np.load(checkpoint_path) as data:
-        arrays = dict(data)
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    del meta[field]
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     bad = workdir / f"no_{field}.npz"
-    np.savez(bad, **arrays)
+    with forged_npz(checkpoint_path, bad) as (meta, _):
+        del meta[field]
     z = synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0)
     zpath = workdir / f"z_no_{field}.csv"
     z.save(zpath)
@@ -353,12 +348,8 @@ def test_estimate_checkpoint_meta_of_the_wrong_type_is_validation_error(
     plan = build_mask_plan(six_bus, partition_at_pmus(six_bus, [3]), block_width=2, prune=False)
     path = workdir / f"mistyped_{field}_{value}.npz"
     save_checkpoint(MaskedNetwork(plan, six_bus, seed=4), path, [3], template)
-    with np.load(path) as data:
-        arrays = dict(data)
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta[field] = value
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    with forged_npz(path) as (meta, _):
+        meta[field] = value
     zpath = workdir / f"z_mistyped_{field}_{value}.csv"
     synthesize(template, six_bus_pf.state, six_bus, 0).save(zpath)
     code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
@@ -372,13 +363,9 @@ def test_estimate_checkpoint_meta_of_the_wrong_type_is_validation_error(
 def test_train_on_a_dataset_with_mistyped_pmu_buses_is_validation_error(
     workdir, dataset_path, capsys, value
 ):
-    with np.load(dataset_path) as data:
-        arrays = dict(data)
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    meta["pmu_buses"] = value
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     bad = workdir / f"ds_pmu_buses_{value}.npz"
-    np.savez(bad, **arrays)
+    with forged_npz(dataset_path, bad) as (meta, _):
+        meta["pmu_buses"] = value
     out = workdir / f"net_pmu_buses_{value}.npz"
     code = main(["train", "--feeder", SIX, "--dataset", str(bad), "--out", str(out),
                  "--epochs", "1"])
@@ -417,15 +404,11 @@ def test_estimate_checkpoint_for_another_plan_is_validation_error(
     workdir, checkpoint_path, six_bus, six_bus_pf, capsys, feeder, pmu_buses, message
 ):
     # checkpoint_path is cut at PMU bus 3; None keeps its pmu_buses
-    with np.load(checkpoint_path) as data:
-        arrays = dict(data)
-    meta = json.loads(bytes(arrays["meta"]).decode())
-    assert meta["pmu_buses"] == [3]
-    if pmu_buses is not None:
-        meta["pmu_buses"] = pmu_buses
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     bad = workdir / f"pmu_{feeder}_{pmu_buses}.npz"
-    np.savez(bad, **arrays)
+    with forged_npz(checkpoint_path, bad) as (meta, _):
+        assert meta["pmu_buses"] == [3]
+        if pmu_buses is not None:
+            meta["pmu_buses"] = pmu_buses
     zpath = workdir / f"z_pmu_{feeder}_{pmu_buses}.csv"
     synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0).save(zpath)
     code = main(["estimate", "--feeder", str(fixture_path(feeder)), "--measurements", str(zpath),
@@ -455,11 +438,9 @@ def test_train_on_a_dataset_of_another_slot_count_names_both(workdir, dataset_pa
 
 
 def test_train_on_a_dataset_with_cut_labels_is_validation_error(workdir, dataset_path, capsys):
-    with np.load(dataset_path) as data:
-        arrays = dict(data)
-    arrays["v_true_pu"] = arrays["v_true_pu"][:10]
     bad = workdir / "ds_cut_labels.npz"
-    np.savez(bad, **arrays)
+    with forged_npz(dataset_path, bad) as (_, arrays):
+        arrays["v_true_pu"] = arrays["v_true_pu"][:10]
     out = workdir / "net_cut_labels.npz"
     code = main(["train", "--feeder", SIX, "--dataset", str(bad), "--out", str(out),
                  "--epochs", "1"])
@@ -575,9 +556,10 @@ def test_missing_file_is_validation_error(workdir):
 
 # the path each argv names in its error (first), then the argv: {dir} is an empty
 # directory, {file} a file holding b"keep", {out} a path that must stay absent,
-# {cut_*} the first 300 bytes of a good archive, {flipped} a good archive with its
-# middle byte (array data) inverted, {empty} an empty file and {npy} one array
-# saved by np.save
+# {orphan} a file path in a directory that does not exist, {cut_*} the first 300
+# bytes of a good archive, {flipped} a good archive with its middle byte (array
+# data) inverted, {empty} an empty file, {npy} one array saved by np.save, {text} a
+# 5-byte text file and {pickle} a pickle.dump file
 PATH_AND_ARCHIVE_ERRORS = {
     "bench-out-file": ("file", ["bench", "--feeder", SIX, "--pmu", "4", "--samples", "40",
                                 "--epochs", "2", "--out", "{file}"]),
@@ -586,6 +568,10 @@ PATH_AND_ARCHIVE_ERRORS = {
     "train-out-dir": ("dir", ["train", "--feeder", SIX, "--dataset", "{dataset}",
                               "--epochs", "2", "--out", "{dir}"]),
     "masks-out-dir": ("dir", ["masks", "--feeder", SIX, "--pmu", "4", "--out", "{dir}"]),
+    "generate-out-orphan": ("orphan", ["generate", "--feeder", SIX, "--pmu", "4",
+                                       "--samples", "20", "--out", "{orphan}"]),
+    "train-out-orphan": ("orphan", ["train", "--feeder", SIX, "--dataset", "{dataset}",
+                                    "--epochs", "2", "--out", "{orphan}"]),
     "generate-feeder-dir": ("dir", ["generate", "--feeder", "{dir}", "--pmu", "4",
                                     "--out", "{out}"]),
     "train-feeder-dir": ("dir", ["train", "--feeder", "{dir}", "--dataset", "{dataset}",
@@ -606,19 +592,35 @@ PATH_AND_ARCHIVE_ERRORS = {
                                           "--out", "{out}"]),
     "estimate-checkpoint-cut": ("cut_checkpoint", ["estimate", "--feeder", SIX, "--measurements",
                                                    "{z}", "--checkpoint", "{cut_checkpoint}"]),
+    "train-dataset-text": ("text", ["train", "--feeder", SIX, "--dataset", "{text}",
+                                    "--out", "{out}"]),
+    "train-dataset-pickle": ("pickle", ["train", "--feeder", SIX, "--dataset", "{pickle}",
+                                        "--out", "{out}"]),
+    "estimate-checkpoint-text": ("text", ["estimate", "--feeder", SIX, "--measurements", "{z}",
+                                          "--checkpoint", "{text}"]),
+    "estimate-checkpoint-pickle": ("pickle", ["estimate", "--feeder", SIX, "--measurements",
+                                              "{z}", "--checkpoint", "{pickle}"]),
 }
 
 
 @pytest.mark.parametrize("case", list(PATH_AND_ARCHIVE_ERRORS))
 def test_path_and_archive_errors_are_validation_errors(
-    workdir, dataset_path, checkpoint_path, six_bus, six_bus_pf, capsys, case
+    workdir, dataset_path, checkpoint_path, six_bus, six_bus_pf, capsys, monkeypatch, case
 ):
+    # an --out that cannot be written fails before the work
+    for name in ("run_scenario", "train", "generate_dataset"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
     base = workdir / "path_errors" / case
     (base / "dir").mkdir(parents=True)
-    paths = {name: base / name for name in ("dir", "file", "out", "empty", "npy", "z",
-                                            "cut_dataset", "cut_checkpoint", "flipped")}
+    paths = {name: base / name for name in ("dir", "file", "out", "empty", "npy", "z", "text",
+                                            "pickle", "cut_dataset", "cut_checkpoint",
+                                            "flipped")}
+    paths["orphan"] = base / "absent" / "out.npz"
     paths["file"].write_bytes(b"keep")
     paths["empty"].write_bytes(b"")
+    paths["text"].write_bytes(b"text\n")
+    with open(paths["pickle"], "wb") as fh:
+        pickle.dump({"meta": {}}, fh)
     with open(paths["npy"], "wb") as fh:
         np.save(fh, np.zeros(3))
     paths["cut_dataset"].write_bytes(dataset_path.read_bytes()[:300])
@@ -633,10 +635,11 @@ def test_path_and_archive_errors_are_validation_errors(
     assert main([a.format(**fill) for a in argv]) == EXIT_VALIDATION
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and fill[named] in captured.err
+    assert "allow_pickle" not in captured.err
     assert captured.out == ""
     assert list(paths["dir"].iterdir()) == []
     assert paths["file"].read_bytes() == b"keep"
-    assert not paths["out"].exists()
+    assert not paths["out"].exists() and not paths["orphan"].parent.exists()
 
 
 def test_bench_writes_report(workdir, capsys):

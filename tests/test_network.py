@@ -1,4 +1,3 @@
-import json
 import resource
 import statistics
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import forged_npz
 from dsse.grid_model import feeder_from_dict
 from dsse.measurements import (
     I_IMAG,
@@ -600,12 +600,8 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(MaskedNetwork(plan, six_bus, seed=19), path, [3],
                         plan_measurements(six_bus, [3]))
-        with np.load(path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta"]).decode())
-        del meta["input_layout"]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        with forged_npz(path) as (meta, _):
+            del meta["input_layout"]
         with pytest.raises(ValueError, match="retrain"):
             load_checkpoint(path, six_bus)
 
@@ -625,13 +621,11 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(MaskedNetwork(plan, six_bus, seed=16), path, [3],
                         plan_measurements(six_bus, [3]))
-        with np.load(path) as data:
-            arrays = dict(data)
-        if corrupt is None:
-            del arrays[name]
-        else:
-            arrays[name] = corrupt(arrays[name])
-        np.savez(path, **arrays)
+        with forged_npz(path) as (_, arrays):
+            if corrupt is None:
+                del arrays[name]
+            else:
+                arrays[name] = corrupt(arrays[name])
         with pytest.raises(ValueError, match=f"parameter {name} "):
             load_checkpoint(path, six_bus)
 

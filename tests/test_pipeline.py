@@ -1,13 +1,12 @@
 import csv
 import hashlib
 import io
-import json
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import two_bus_doc
+from conftest import forged_npz, two_bus_doc
 from dsse import pipeline, wls
 from dsse.grid_model import feeder_from_dict
 from dsse.measurements import measurement_function, plan_measurements
@@ -135,10 +134,8 @@ class TestGenerateDataset:
     def test_non_finite_arrays_rejected(self, six_bus, six_ds, tmp_path, name, bad):
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
-        with np.load(path) as data:
-            arrays = dict(data)
-        arrays[name][3, 1] = bad
-        np.savez(path, **arrays)
+        with forged_npz(path) as (_, arrays):
+            arrays[name][3, 1] = bad
         with pytest.raises(ValueError, match="values, variances and labels must be finite"):
             load_dataset(path, six_bus)
 
@@ -152,10 +149,8 @@ class TestGenerateDataset:
     def test_misshapen_arrays_rejected(self, six_bus, six_ds, tmp_path, name, cut, expected):
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
-        with np.load(path) as data:
-            arrays = dict(data)
-        arrays[name] = arrays[name][cut]
-        np.savez(path, **arrays)
+        with forged_npz(path) as (_, arrays):
+            arrays[name] = arrays[name][cut]
         with pytest.raises(ValueError, match=f"^dataset {name} has shape {expected}$"):
             load_dataset(path, six_bus)
 
@@ -169,10 +164,8 @@ class TestGenerateDataset:
             w.writerow([kind, locus, phase, noise, repr(max_error)])
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
-        with np.load(path) as data:
-            arrays = dict(data)
-        arrays["template"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
-        np.savez(path, **arrays)
+        with forged_npz(path) as (_, arrays):
+            arrays["template"] = np.frombuffer(buf.getvalue().encode(), dtype=np.uint8)
         back = load_dataset(path, six_bus)
         assert back.template.signature() == six_ds.template.signature()
         assert np.isnan(back.template.values()).all()
@@ -182,15 +175,12 @@ class TestGenerateDataset:
     def test_features_are_derived_not_stored(self, six_bus, six_ds, tmp_path):
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
-        with np.load(path) as data:
-            arrays = dict(data)
-        assert "features" not in arrays
-        assert json.loads(bytes(arrays["meta"]).decode())["schema_version"] == 2
-        # a schema-1 file stored features of the old embedding; they are ignored
-        meta = dict(json.loads(bytes(arrays["meta"]).decode()), schema_version=1)
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-        arrays["features"] = np.full_like(six_ds.features, 7.0)
-        np.savez(path, **arrays)
+        with forged_npz(path) as (meta, arrays):
+            assert "features" not in arrays
+            assert meta["schema_version"] == 2
+            # a schema-1 file stored features of the old embedding; they are ignored
+            meta["schema_version"] = 1
+            arrays["features"] = np.full_like(six_ds.features, 7.0)
         back = load_dataset(path, six_bus)
         expected = InputEmbedding(six_bus, six_ds.template).embed_values(six_ds.values)
         assert np.array_equal(back.features, expected)
