@@ -381,17 +381,14 @@ def synthesize(
     x_true: StateVector,
     model: FeederModel,
     rng,
-    noiseless: bool = False,
 ) -> MeasurementSet:
-    """Realize a measurement set: value = h(x_true) + N(0, sigma) per row.
+    """Realize a measurement set: value = h(x_true) + N(0, sigma) per row, variance sigma^2.
 
     ``rng`` is a seed or a ``numpy.random.Generator``; identical seeds give
-    identical sets. ``noiseless=True`` keeps the class variances (R must
-    stay positive definite) but skips the noise draw.
+    identical sets.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     h_true = measurement_function(model, x_true, template)
     sigmas = row_sigmas(model, template, h_true)
-    noise = np.zeros_like(h_true) if noiseless else rng.normal(0.0, 1.0, len(h_true)) * sigmas
-    return template.with_values(h_true + noise, sigmas**2)
+    return template.with_values(h_true + rng.normal(0.0, 1.0, len(h_true)) * sigmas, sigmas**2)

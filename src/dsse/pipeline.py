@@ -238,9 +238,14 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path, model: FeederModel) -> Dataset:
     """A ``save_dataset`` file (``read_npz``); features stored by schema 1 are ignored. A
-    ValueError for an unreadable archive, untyped ``pmu_buses``, labels of another slot count,
-    values or variances not (M, template rows), labels not (M, slots), or non-finite arrays."""
+    ValueError for an unreadable archive, a missing field or array, untyped ``pmu_buses``,
+    labels of another slot count, or misshapen or non-finite values, variances or labels."""
     meta, data = read_npz(path)
+    missing = [f"metadata lacks the field {k!r}" for k in ("seed", "resampled") if k not in meta]
+    missing += [f"lacks the array {k!r}" for k in ("values", "variances", "v_true_pu", "template")
+                if k not in data]
+    if missing:
+        raise ValueError(f"dataset {missing[0]}")
     check_fields(meta, (("pmu_buses", is_bus_list(meta.get("pmu_buses")), "a list of ints"),),
                  "dataset metadata {!r}")
     template = MeasurementSet.read_csv(io.StringIO(bytes(data["template"]).decode()))
@@ -368,41 +373,38 @@ def run_scenario(
     profile: LoadProfileConfig,
     train_config: TrainConfig | None = None,
     block_width: int = BLOCK_WIDTH,
-    estimators=("wls", "pawnn", "p2n2"),
 ):
-    """Benchmark rows for one scenario; all estimators share the test split."""
+    """Benchmark rows for one scenario: WLS, pawnn and p2n2, in that order, on one test split.
+    Each network row comes from its own plan's network, trained and timed once per distinct
+    ``plan.life``: where pruning removes nothing, both rows come from one network."""
     train_config = train_config or TrainConfig()
     template, removed = scenario_template(model, scenario)
     dataset = generate_dataset(model, template, profile, scenario.pmu_buses)
     _, test_idx = split_indices(len(dataset), train_config.train_fraction, train_config.seed)
     truth = dataset.v_true_pu[test_idx]
-
-    partitions = partition_at_pmus(model, scenario.pmu_buses)
-    rows = []
     artifacts = {"template": template, "removed_pseudo": removed, "dataset": dataset,
                  "test_idx": test_idx, "traces": {"true": truth}}
 
-    if "wls" in estimators:
-        estimates, times, status, failures = wls_test_run(model, template, dataset, test_idx)
-        ok = status == "ok"
-        nu = _nu(estimates, truth) if ok else None
-        mean_time = float(np.mean(times)) if times else None
-        rows.append(BenchRow(scenario.name, "wls", nu, mean_time, status, failures))
-        if ok:
-            artifacts["traces"]["wls"] = estimates
+    estimates, times, status, failures = wls_test_run(model, template, dataset, test_idx)
+    ok = status == "ok"
+    rows = [BenchRow(scenario.name, "wls", _nu(estimates, truth) if ok else None,
+                     float(np.mean(times)) if times else None, status, failures)]
+    if ok:
+        artifacts["traces"]["wls"] = estimates
 
-    for kind in ("pawnn", "p2n2"):
-        if kind not in estimators:
-            continue
-        plan = build_mask_plan(
-            model, partitions, block_width=block_width, prune=kind == "p2n2"
-        )
-        net, curve, val_idx = train(
-            plan, model, dataset.features, dataset.v_true_pu, train_config
-        )
-        assert np.array_equal(val_idx, test_idx)
-        outs, times = nn_test_run(net, dataset, test_idx)
-        counts = count_params(plan)
+    partitions = partition_at_pmus(model, scenario.pmu_buses)
+    plans = {kind: build_mask_plan(model, partitions, block_width=block_width,
+                                   prune=kind == "p2n2") for kind in ("pawnn", "p2n2")}
+    counts = count_params(plans["p2n2"])  # the pruned plan's count and its unpruned twin's
+    runs = {}  # plan.life bytes -> (network, test outputs, test times)
+    for kind, plan in plans.items():
+        key = plan.life.tobytes()
+        if key not in runs:
+            net, _, val_idx = train(plan, model, dataset.features, dataset.v_true_pu,
+                                    train_config)
+            assert np.array_equal(val_idx, test_idx)
+            runs[key] = (net, *nn_test_run(net, dataset, test_idx))
+        net, outs, times = runs[key]
         params = counts.p2n2_params if kind == "p2n2" else counts.pawnn_params
         rows.append(BenchRow(scenario.name, kind, _nu(outs, truth), float(np.mean(times)),
                              "ok", 0, params))

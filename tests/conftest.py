@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dsse import load_feeder, solve_power_flow
 from dsse.fixtures import fixture_path
+from dsse.measurements import measurement_function, row_sigmas
 from dsse.network import read_npz, write_npz
 
 
@@ -51,3 +52,10 @@ def forged_npz(src, dst=None):
     meta, arrays = read_npz(src)
     yield meta, arrays
     write_npz(src if dst is None else dst, meta, arrays)
+
+
+def noiseless(template, x_true, model):
+    """``template`` realized at ``x_true`` without noise: values h(x_true) and the class
+    variances ``synthesize`` draws its noise with (R stays positive definite)."""
+    h = measurement_function(model, x_true, template)
+    return template.with_values(h, row_sigmas(model, template, h) ** 2)

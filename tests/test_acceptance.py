@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import noiseless
 from dsse import powerflow
 from dsse.grid_model import feeder_from_dict
 from dsse.measurements import RowEvaluator, plan_measurements, synthesize
@@ -55,8 +56,8 @@ def two_bus_doc(r, x, p, q):
 def six_bench(six_bus):
     """One benchmark pass over the 6-bus fixture: the full-measurement
     scenario and the degraded scenario with pseudo rows removed, both
-    evaluated with WLS and the pruned network. Shared by the
-    unobservability and speed gates."""
+    evaluated with WLS and both networks (PMU label 4's plans differ, so
+    two are trained). Shared by the unobservability and speed gates."""
     t0 = time.perf_counter()
     pmu = [six_bus.bus_by_label(4)]
     profile = LoadProfileConfig(samples=1500, seed=0, amplitude=0.1, noise_sigma=0.04)
@@ -64,9 +65,7 @@ def six_bench(six_bus):
     s1, _, s3 = standard_scenarios(pmu)
     out = {}
     for s in (s1, s3):
-        rows, artifacts = run_scenario(
-            six_bus, s, profile, tc, block_width=8, estimators=("wls", "p2n2")
-        )
+        rows, artifacts = run_scenario(six_bus, s, profile, tc, block_width=8)
         out[s.name] = {r.estimator: r for r in rows}
         out[s.name]["artifacts"] = artifacts
     return out, time.perf_counter() - t0
@@ -133,7 +132,7 @@ class TestPartitionOracle:
 class TestWlsCorrectness:
     def test_noiseless_recovery_within_1e8_pu(self, six_bus, six_bus_pf):
         template = plan_measurements(six_bus, [six_bus.bus_by_label(4)])
-        z = synthesize(template, six_bus_pf.state, six_bus, 0, noiseless=True)
+        z = noiseless(template, six_bus_pf.state, six_bus)
         report = estimate(six_bus, z)
         assert report.converged
         err = np.max(np.abs(report.x_hat.rect - six_bus_pf.state.rect))
@@ -194,10 +193,7 @@ class TestNoiseRobustnessOrdering:
         s1, s2, _ = standard_scenarios(pmu)
         nus = {}
         for s in (s1, s2):
-            rows, _ = run_scenario(
-                thirteen_bus, s, profile, tc, block_width=8,
-                estimators=("wls", "p2n2"),
-            )
+            rows, _ = run_scenario(thirteen_bus, s, profile, tc, block_width=8)
             for r in rows:
                 assert r.status == "ok"
                 nus[(s.name, r.estimator)] = r.nu

@@ -359,10 +359,13 @@ class TestSparseRows:
 
 
 class TestSynthesis:
-    def test_noiseless_values_equal_h(self, six_bus, six_plan, six_bus_pf):
-        z = synthesize(six_plan, six_bus_pf.state, six_bus, 0, noiseless=True)
+    def test_values_are_h_plus_seeded_noise(self, six_bus, six_plan, six_bus_pf):
+        z = synthesize(six_plan, six_bus_pf.state, six_bus, 7)
         h = measurement_function(six_bus, six_bus_pf.state, six_plan)
-        assert np.array_equal(z.values(), h)
+        sigmas = row_sigmas(six_bus, six_plan, h)
+        draws = np.random.default_rng(7).normal(0.0, 1.0, len(h))
+        assert np.array_equal(z.values(), h + draws * sigmas)
+        assert np.array_equal(z.variances(), sigmas**2)
         assert np.all(z.variances() > 0)
 
     def test_deterministic_per_seed(self, six_bus, six_plan, six_bus_pf):
@@ -408,11 +411,11 @@ class TestSynthesis:
     def test_pseudo_sigma_scales_with_value(self, six_bus, six_bus_pf):
         h30 = synthesize(
             plan_measurements(six_bus, [3], pseudo_noise=0.3),
-            six_bus_pf.state, six_bus, 0, noiseless=True,
+            six_bus_pf.state, six_bus, 0,
         )
         h50 = synthesize(
             plan_measurements(six_bus, [3], pseudo_noise=0.5),
-            six_bus_pf.state, six_bus, 0, noiseless=True,
+            six_bus_pf.state, six_bus, 0,
         )
         for noise, s30, s50 in zip(h30.noise_kind, h30.variances(), h50.variances()):
             if noise == "pseudo_power":

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 
@@ -10,7 +11,7 @@ from conftest import forged_npz, two_bus_doc
 from dsse import pipeline, wls
 from dsse.grid_model import feeder_from_dict
 from dsse.measurements import measurement_function, plan_measurements
-from dsse.network import InputEmbedding, TrainConfig
+from dsse.network import InputEmbedding, TrainConfig, train
 from dsse.pipeline import (
     BenchRow,
     Dataset,
@@ -152,6 +153,22 @@ class TestGenerateDataset:
         with forged_npz(path) as (_, arrays):
             arrays[name] = arrays[name][cut]
         with pytest.raises(ValueError, match=f"^dataset {name} has shape {expected}$"):
+            load_dataset(path, six_bus)
+
+    @pytest.mark.parametrize("name, expected", [
+        ("seed", "metadata lacks the field 'seed'"),
+        ("resampled", "metadata lacks the field 'resampled'"),
+        ("values", "lacks the array 'values'"),
+        ("variances", "lacks the array 'variances'"),
+        ("v_true_pu", "lacks the array 'v_true_pu'"),
+        ("template", "lacks the array 'template'"),
+    ])
+    def test_missing_field_or_array_rejected(self, six_bus, six_ds, tmp_path, name, expected):
+        path = tmp_path / "ds.npz"
+        save_dataset(six_ds, path)
+        with forged_npz(path) as (meta, arrays):
+            del (meta if name in meta else arrays)[name]
+        with pytest.raises(ValueError, match=f"^dataset {expected}$"):
             load_dataset(path, six_bus)
 
     def test_loads_five_column_template(self, six_bus, six_ds, tmp_path):
@@ -456,15 +473,29 @@ def test_tight_zero_injection_keeps_observability(
         estimate(model, synthesize(reduced, pf.state, model, 0))
 
 
+def run_counting_train(model, pmu, monkeypatch):
+    """``run_scenario`` on scenario 1 at ``pmu``: its rows, its artifacts and the plans it
+    trained a network on."""
+    plans = []
+
+    def counting_train(plan, *args):
+        plans.append(plan)
+        return train(plan, *args)
+
+    monkeypatch.setattr(pipeline, "train", counting_train)
+    rows, artifacts = run_scenario(model, Scenario("scenario1", pmu), SMALL_PROFILE, SMALL_TRAIN)
+    return rows, artifacts, plans
+
+
 @pytest.fixture(scope="module")
 def six_results(six_bus):
-    scenario = Scenario("scenario1", (3,), pseudo_noise=0.3)
-    return run_scenario(six_bus, scenario, SMALL_PROFILE, SMALL_TRAIN)
+    with pytest.MonkeyPatch.context() as mp:  # bus index 3, label 4: pruning changes the plan
+        return run_counting_train(six_bus, (3,), mp)
 
 
 class TestRunScenario:
     def test_row_schema(self, six_results):
-        rows, artifacts = six_results
+        rows, _, _ = six_results
         assert [r.estimator for r in rows] == ["wls", "pawnn", "p2n2"]
         for r in rows:
             assert r.scenario == "scenario1"
@@ -473,7 +504,7 @@ class TestRunScenario:
             assert r.mean_time_s > 0
 
     def test_nn_beats_nothing_burned(self, six_results):
-        rows, _ = six_results
+        rows, _, _ = six_results
         by = {r.estimator: r for r in rows}
         # same data, same seed: the pruned and unpruned nets stay close
         assert by["p2n2"].nu < 10 * by["pawnn"].nu
@@ -481,9 +512,7 @@ class TestRunScenario:
 
     def test_unobservable_scenario_marks_wls_failed(self, six_bus):
         scenario = Scenario("scenario3", (3,), pseudo_noise=0.3, make_unobservable=True)
-        rows, artifacts = run_scenario(
-            six_bus, scenario, SMALL_PROFILE, SMALL_TRAIN, estimators=("wls", "p2n2")
-        )
+        rows, artifacts = run_scenario(six_bus, scenario, SMALL_PROFILE, SMALL_TRAIN)
         by = {r.estimator: r for r in rows}
         assert by["wls"].status == "unobservable"
         assert by["wls"].nu is None
@@ -495,14 +524,25 @@ class TestRunScenario:
         scenario = Scenario("scenario1", (3,), pseudo_noise=0.3)
         monkeypatch.setattr(wls, "MAX_ITER", 1)
         rows, artifacts = run_scenario(
-            six_bus, scenario, LoadProfileConfig(samples=20, seed=3), SMALL_TRAIN,
-            estimators=("wls",),
+            six_bus, scenario, LoadProfileConfig(samples=20, seed=3), SMALL_TRAIN
         )
-        (row,) = rows
+        (row,) = [r for r in rows if r.estimator == "wls"]
         assert row.status == "nonconverged"
         assert row.nu is None
         assert row.failures == len(artifacts["test_idx"]) > 0
         assert format_report(rows).splitlines()[2].split()[2] == "-"
+
+    def test_equal_plans_train_one_network(self, six_bus, monkeypatch):
+        # at PMU label 3 pruning removes nothing: both rows come from one network
+        pmu = (six_bus.bus_by_label(3),)
+        (_, pawnn, p2n2), _, plans = run_counting_train(six_bus, pmu, monkeypatch)
+        assert len(plans) == 1
+        assert pawnn == dataclasses.replace(p2n2, estimator="pawnn")
+
+    def test_distinct_plans_train_one_network_each(self, six_results):
+        (_, pawnn, p2n2), _, plans = six_results
+        assert [plan.pruned for plan in plans] == [False, True]
+        assert (pawnn.params, p2n2.params) == (3216, 2560)
 
 
 class TestReport:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import noiseless
 from dsse import load_feeder, wls
 from dsse.fixtures import fixture_path
 from dsse.measurements import (
@@ -53,7 +54,7 @@ def direct_voltage_rows(model, state, sigma=1.0):
 
 class TestObjective:
     def test_zero_at_truth_noiseless(self, six_bus, six_plan, six_bus_pf):
-        z = synthesize(six_plan, six_bus_pf.state, six_bus, 0, noiseless=True)
+        z = noiseless(six_plan, six_bus_pf.state, six_bus)
         assert objective(six_bus, z, six_bus_pf.state) == 0.0
 
     def test_single_row_formula(self, six_bus):
@@ -90,7 +91,7 @@ class TestEstimate:
         )
 
     def test_noiseless_plan_recovers_truth(self, six_bus, six_plan, six_bus_pf):
-        z = synthesize(six_plan, six_bus_pf.state, six_bus, 0, noiseless=True)
+        z = noiseless(six_plan, six_bus_pf.state, six_bus)
         report = estimate(six_bus, z)
         err = np.max(np.abs(report.x_hat.values - six_bus_pf.state.values))
         assert err / six_bus.base_voltage < 1e-8
