@@ -85,7 +85,7 @@ class BenchRow:
     scenario: str
     estimator: str
     nu: float | None
-    mean_time_s: float | None
+    median_time_s: float | None
     status: str
     failures: int = 0
     params: int | None = None
@@ -388,7 +388,7 @@ def run_scenario(
     estimates, times, status, failures = wls_test_run(model, template, dataset, test_idx)
     ok = status == "ok"
     rows = [BenchRow(scenario.name, "wls", _nu(estimates, truth) if ok else None,
-                     float(np.mean(times)) if times else None, status, failures)]
+                     float(np.median(times)) if times else None, status, failures)]
     if ok:
         artifacts["traces"]["wls"] = estimates
 
@@ -406,7 +406,7 @@ def run_scenario(
             runs[key] = (net, *nn_test_run(net, dataset, test_idx))
         net, outs, times = runs[key]
         params = counts.p2n2_params if kind == "p2n2" else counts.pawnn_params
-        rows.append(BenchRow(scenario.name, kind, _nu(outs, truth), float(np.mean(times)),
+        rows.append(BenchRow(scenario.name, kind, _nu(outs, truth), float(np.median(times)),
                              "ok", 0, params))
         artifacts["traces"][kind] = outs
         artifacts[f"net_{kind}"] = net
@@ -414,14 +414,14 @@ def run_scenario(
 
 
 def format_report(rows) -> str:
-    header = f"{'scenario':<12} {'estimator':<9} {'nu':>12} {'mean_time_s':>12} {'status':<13} {'params':>8}"
+    header = f"{'scenario':<12} {'estimator':<9} {'nu':>12} {'median_time_s':>13} {'status':<13} {'params':>8}"
     lines = [header, "-" * len(header)]
     for r in rows:
         nu = f"{r.nu:.6f}" if r.nu is not None else "-"
-        tm = f"{r.mean_time_s:.6f}" if r.mean_time_s is not None else "-"
+        tm = f"{r.median_time_s:.6f}" if r.median_time_s is not None else "-"
         params = str(r.params) if r.params is not None else "-"
         lines.append(
-            f"{r.scenario:<12} {r.estimator:<9} {nu:>12} {tm:>12} {r.status:<13} {params:>8}"
+            f"{r.scenario:<12} {r.estimator:<9} {nu:>12} {tm:>13} {r.status:<13} {params:>8}"
         )
     return "\n".join(lines) + "\n"
 

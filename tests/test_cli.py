@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import oracles
 from conftest import forged_npz
 from dsse import cli
 from dsse.cli import (
@@ -24,7 +25,8 @@ from dsse.fixtures import fixture_path
 from dsse.measurements import PSEUDO_NOISE, MeasurementSet, plan_measurements, synthesize
 from dsse.network import (InputEmbedding, MaskedNetwork, TrainConfig, evaluate, load_checkpoint,
                           save_checkpoint, split_indices)
-from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, partition_at_pmus
+from dsse.grid_model import dump_feeder
+from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, export_mask_plan, partition_at_pmus
 from dsse.pipeline import (LoadProfileConfig, Scenario, load_dataset,
                            remove_pseudo_until_unobservable)
 
@@ -69,12 +71,17 @@ def test_generate_writes_loadable_dataset(dataset_path, six_bus):
     assert len(ds) == 120
 
 
-def test_masks_export(workdir):
-    out = workdir / "plan.json"
-    assert main(["masks", "--feeder", SIX, "--pmu", "4", "--out", str(out)]) == EXIT_OK
-    doc = json.loads(out.read_text())
-    assert doc["depth"] == 3
-    assert doc["pruned"] is True
+def test_masks_export(workdir, six_bus):
+    partitions = partition_at_pmus(six_bus, [3])  # label 4
+    for flags, pruned in (([], True), (["--no-prune"], False)):
+        out, ref = workdir / f"plan_{pruned}.json", workdir / f"plan_{pruned}_ref.json"
+        assert main(["masks", "--feeder", SIX, "--pmu", "4", *flags, "--out", str(out)]) == EXIT_OK
+        export_mask_plan(build_mask_plan(six_bus, partitions, block_width=BLOCK_WIDTH,
+                                         prune=pruned), ref)
+        assert out.read_bytes() == ref.read_bytes()
+        doc = json.loads(out.read_text())
+        assert doc["depth"] == 3
+        assert doc["pruned"] is pruned
 
 
 def test_checkpoint_meta_bytes_pinned(workdir, dataset_path):
@@ -101,13 +108,22 @@ def test_checkpoint_meta_bytes_pinned(workdir, dataset_path):
      "66a7055627585772c0bad44128cc514eecf638d4009bae9180e46a68270a7a83"),
     ("thirteen_bus", ["1", "12"], 2**64 + 5,
      "3e942dbaeba030afe8470043f639a39a649a2b419595a323db0c42a09adcfd6c"),
+    # mutual terms a third of the self term on every branch: one Zbus group
+    ("six_bus_coupled", ["4"], 1,
+     "ab24d560a781e8dfcafe7b371a53af09087d1d8f430de423006c2e2c3e231876"),
 ], ids=["six_bus-1", "six_bus-2**32+7", "thirteen_bus-1", "thirteen_bus-2**32+7",
-        "six_bus-2**64+5", "thirteen_bus-2**64+5"])
-def test_generate_file_bytes_pinned(workdir, feeder, pmu, seed, digest):
+        "six_bus-2**64+5", "thirteen_bus-2**64+5", "six_bus_coupled-1"])
+def test_generate_file_bytes_pinned(workdir, six_bus, feeder, pmu, seed, digest):
     # the whole file: array bytes, and each array's .npy header (dtype, shape,
     # memory order); np.savez dates every entry 1980-01-01
+    if feeder == "six_bus_coupled":
+        model, path = oracles.fully_coupled(six_bus), workdir / "coupled.yaml"
+        assert [len(g) for g, _ in model.zbus_groups] == [15]
+        dump_feeder(model, path)
+    else:
+        path = fixture_path(feeder)
     out = workdir / f"pinned_{feeder}_{seed}.npz"
-    assert main(["generate", "--feeder", str(fixture_path(feeder)), "--pmu", *pmu,
+    assert main(["generate", "--feeder", str(path), "--pmu", *pmu,
                  "--samples", "200", "--seed", str(seed), "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -643,19 +659,25 @@ def test_path_and_archive_errors_are_validation_errors(
 
 
 def test_bench_writes_report(workdir, capsys):
-    out = workdir / "bench"
-    code = main(
-        [
-            "bench", "--feeder", SIX, "--pmu", "4", "--out", str(out),
-            "--samples", "120", "--seed", "2", "--epochs", "8",
-        ]
-    )
-    assert code == EXIT_OK
-    assert (out / "summary.txt").exists()
-    assert (out / "summary.csv").exists()
-    assert (out / "trace_scenario1.csv").exists()
-    text = capsys.readouterr().out
-    assert "scenario3" in text and "unobservable" in text
+    # pruning changes the 6-bus plan at PMU 4 and nothing at 13-bus PMUs 1 and 12,
+    # where one network gives the pawnn and p2n2 rows and their trace columns
+    for feeder, pmu, samples, epochs, one_net in (("six_bus", ["4"], "120", "8", False),
+                                                  ("thirteen_bus", ["1", "12"], "60", "2", True)):
+        out = workdir / f"bench_{feeder}"
+        assert main(["bench", "--feeder", str(fixture_path(feeder)), "--pmu", *pmu,
+                     "--out", str(out), "--samples", samples, "--seed", "2",
+                     "--epochs", epochs]) == EXIT_OK
+        assert (out / "summary.txt").exists()
+        with open(out / "summary.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 9
+        traces = sorted(out.glob("trace_*.csv"))
+        assert [p.name for p in traces] == [f"trace_scenario{k}.csv" for k in (1, 2, 3)]
+        for path in traces:
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert ([r["pawnn"] for r in rows] == [r["p2n2"] for r in rows]) is one_net
+        text = capsys.readouterr().out
+        assert "scenario3" in text and "unobservable" in text
 
 
 @pytest.mark.parametrize(

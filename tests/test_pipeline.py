@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from conftest import forged_npz, two_bus_doc
-from dsse import pipeline, wls
+from dsse import cli, pipeline, wls
+from dsse.fixtures import fixture_path
 from dsse.grid_model import feeder_from_dict
 from dsse.measurements import measurement_function, plan_measurements
 from dsse.network import InputEmbedding, TrainConfig, train
@@ -163,13 +164,20 @@ class TestGenerateDataset:
         ("v_true_pu", "lacks the array 'v_true_pu'"),
         ("template", "lacks the array 'template'"),
     ])
-    def test_missing_field_or_array_rejected(self, six_bus, six_ds, tmp_path, name, expected):
+    def test_missing_field_or_array_rejected(self, six_bus, six_ds, tmp_path, capsys, name,
+                                             expected):
         path = tmp_path / "ds.npz"
         save_dataset(six_ds, path)
         with forged_npz(path) as (meta, arrays):
             del (meta if name in meta else arrays)[name]
         with pytest.raises(ValueError, match=f"^dataset {expected}$"):
             load_dataset(path, six_bus)
+        # dsse train on that file: the same message, exit 2 and no checkpoint
+        out = tmp_path / "net.npz"
+        assert cli.main(["train", "--feeder", str(fixture_path("six_bus")), "--dataset",
+                         str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: dataset {expected}\n"
+        assert not out.exists()
 
     def test_loads_five_column_template(self, six_bus, six_ds, tmp_path):
         # files written before the template CSV shared MeasurementSet's
@@ -501,7 +509,7 @@ class TestRunScenario:
             assert r.scenario == "scenario1"
             assert r.status == "ok"
             assert r.nu is not None and np.isfinite(r.nu)
-            assert r.mean_time_s > 0
+            assert r.median_time_s > 0
 
     def test_nn_beats_nothing_burned(self, six_results):
         rows, _, _ = six_results
@@ -543,6 +551,21 @@ class TestRunScenario:
         (_, pawnn, p2n2), _, plans = six_results
         assert [plan.pruned for plan in plans] == [False, True]
         assert (pawnn.params, p2n2.params) == (3216, 2560)
+
+    def test_one_slow_sample_does_not_move_a_row_time(self, six_bus, monkeypatch):
+        # every sample but the first takes 0.1 ms and the first, descheduled, 100 ms
+        def one_slow(run):
+            def timed(*args):
+                out = list(run(*args))
+                out[1] = [0.1] + [1e-4] * (len(out[1]) - 1)  # the per-sample times
+                return tuple(out)
+            return timed
+
+        for name in ("wls_test_run", "nn_test_run"):
+            monkeypatch.setattr(pipeline, name, one_slow(getattr(pipeline, name)))
+        scenario = Scenario("scenario1", (six_bus.bus_by_label(3),))
+        rows, _ = run_scenario(six_bus, scenario, SMALL_PROFILE, SMALL_TRAIN)
+        assert [r.median_time_s for r in rows] == [1e-4] * 3
 
 
 class TestReport:
@@ -589,8 +612,8 @@ class TestReport:
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.iterdir()}
         assert digests == {
-            "summary.csv": "4edda59f5a6ceca0ee8df47b2fc668a5ba6aeaa43f64c37251ca9d3bdf6b9d4d",
-            "summary.txt": "1366afc4eeca4a23718eb5656bbbcb48d683a846f77282a0bee771f795752e88",
+            "summary.csv": "393ac0cac8236c452c29404014844d12352dc2486ce2b38d10444b25ed45468d",
+            "summary.txt": "a04841daf7ddbf1fe8af77be22995c26477c73092263c1bd93962df484e12b99",
             "trace_s1.csv": "a304c74f776544af048f080ee7d0dbc2dbe5bbd0f9d851e162df78d5076e775b",
             "trace_s3.csv": "71f69a6f9336d57f87465a2fcafd3f35a63485b4f3a7958216ca871c07e33d9d",
         }
