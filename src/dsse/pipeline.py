@@ -36,7 +36,7 @@ from numpy.random import PCG64, Generator
 from dsse.grid_model import FeederModel, check_fields, is_bus_list
 # solve_power_flow and synthesize go unused here; benchmarks/tracing.py patches them
 from dsse.measurements import (PSEUDO_NOISE, MeasurementSet, RowEvaluator, jacobian_rows,
-                               plan_measurements, row_sigmas, synthesize)  # noqa: F401
+                               plan_measurements, row_sigmas, synthesize, unit_bases)  # noqa: F401
 from dsse.network import (InputEmbedding, TrainConfig, Workspace, nu, read_npz, split_indices,
                           train, write_npz)
 from dsse.partitioning import BLOCK_WIDTH, build_mask_plan, count_params, partition_at_pmus
@@ -284,19 +284,19 @@ def remove_pseudo_until_unobservable(
 ) -> tuple[MeasurementSet, int]:
     """Drop pseudo P/Q rows (highest bus first) until ``check_observable``,
     the test WLS applies, rejects the template; returns the reduced template
-    and the removal count. A template that stays observable without any
-    pseudo row (none to remove, say) is a ``ValueError``."""
-    flat = slack_state(model)
+    and the removal count. Each step tests rows of one per-unit flat-start
+    Jacobian (a row does not depend on the others). A template that stays
+    observable without any pseudo row (none to remove, say) is a ``ValueError``."""
+    H = jacobian_rows(model, slack_state(model), template) / unit_bases(model, template)[:, None]
     pseudo = template.noise_kind == "pseudo_power"
     loci = set(zip(template.locus[pseudo].tolist(), template.phase[pseudo].tolist()))
     keep = np.ones(len(template), dtype=bool)
     for locus, phase in sorted(loci, reverse=True):
         keep &= ~(pseudo & (template.locus == locus) & (template.phase == phase))
-        reduced = template.select(keep)
         try:
-            check_observable(model, reduced, jacobian_rows(model, flat, reduced))
+            check_observable(H[keep])
         except UnobservableError:
-            return reduced, len(template) - len(reduced)
+            return template.select(keep), int(np.count_nonzero(~keep))
     cause = (f"it stays observable with all {int(pseudo.sum())} pseudo rows removed"
              if pseudo.any() else "it has no pseudo rows")
     raise ValueError(f"cannot make the template unobservable: {cause}; "

@@ -1,10 +1,10 @@
 """Weighted-least-squares state estimation via Gauss-Newton iterations.
 
 Minimizes J(x) = [z - h(x)]^T R^-1 [z - h(x)] over the rectangular voltage
-state. ``check_observable`` tests each template once per model: the
-flat-start Jacobian, each row made per-unit by its unit base, must have full
-column rank, or the estimator raises ``UnobservableError`` (scenario 3 uses
-the same test). The evaluator, flat start, its Jacobian, that outcome and an
+state. ``check_observable`` tests each template once per model: the flat-start
+Jacobian, each row made per-unit by its unit base, must have full column rank,
+or the estimator raises ``UnobservableError`` (scenario 3 tests row subsets of
+one such matrix). The evaluator, flat start, its Jacobian, that outcome and an
 upper-triangular 0/1 mask are compiled once and shared by every set
 ``with_values`` realizes from the template. Each step recomputes only what the
 state changes (the evaluator's injection rows of H; its PMU rows are compiled),
@@ -57,13 +57,13 @@ def objective(model: FeederModel, z: MeasurementSet, x: StateVector) -> float:
     return float(np.sum(r * r / z.variances()))
 
 
-def check_observable(model: FeederModel, template: MeasurementSet, H: np.ndarray) -> float:
-    """Margin s_min / s_max of the flat-start Jacobian ``H`` of ``template``
-    with each row made per-unit by its unit base, so that neither the row
-    weights nor the units move it. Raises ``UnobservableError`` when the
-    margin is at most max(H.shape) * eps, numpy's default rank tolerance:
-    H then lacks full column rank."""
-    s = np.linalg.svd(H / unit_bases(model, template)[:, None], compute_uv=False)
+def check_observable(H: np.ndarray) -> float:
+    """Margin s_min / s_max of ``H``, a template's flat-start Jacobian with
+    each row divided by its unit base, so that neither the row weights nor
+    the units move it. Raises ``UnobservableError`` when the margin is at
+    most max(H.shape) * eps, numpy's default rank tolerance: H then lacks
+    full column rank."""
+    s = np.linalg.svd(H, compute_uv=False)
     margin = float(s[-1] / s[0]) if len(s) == H.shape[1] and s[0] > 0 else 0.0
     if margin <= max(H.shape) * np.finfo(float).eps:
         raise UnobservableError(f"observability margin {margin:.3e}: rank-deficient Jacobian")
@@ -78,7 +78,7 @@ def _compile(model: FeederModel, template: MeasurementSet) -> tuple:
     upper = np.triu(np.ones((H.shape[1], H.shape[1])))
     upper.flags.writeable = False
     try:
-        margin = check_observable(model, template, H)
+        margin = check_observable(H / unit_bases(model, template)[:, None])
     except UnobservableError as exc:
         margin = exc
     return ev, flat, H, margin, upper

@@ -31,7 +31,7 @@ import scipy.optimize
 
 from dsse import powerflow, wls
 from dsse.grid_model import FeederModel
-from dsse.measurements import MeasurementSet, RowEvaluator, synthesize
+from dsse.measurements import MeasurementSet, RowEvaluator, synthesize, unit_bases
 from dsse.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -590,7 +590,7 @@ def reference_estimate(model: FeederModel, z: MeasurementSet) -> WlsReport:
 
     flat = slack_state(model)
     H = reference_jacobian(ev, flat)
-    margin = check_observable(model, z, H)
+    margin = check_observable(H / unit_bases(model, z)[:, None])
     x = flat
     j_cur = reference_objective(model, z, x, ev)
     base = model.base_voltage

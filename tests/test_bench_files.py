@@ -1,8 +1,14 @@
 """Every committed BENCH_*.json (written by tools/bench.py) read back: its schema,
-its units against BENCHMARK.json, and a provenance that names a commit."""
+its units against BENCHMARK.json, and a provenance that names a commit. Also, the
+recorder stops its child when it is stopped."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -50,3 +56,46 @@ def test_bench_file(path):
     tier1 = doc["tier1"]
     assert tier1["passed"] > 0 and tier1["failed"] >= 0 and tier1["wall_s"] > 0
     assert len(tier1["slowest"]) == 5
+
+
+def running(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_stops_the_recorder_and_its_child(tmp_path):
+    root = tmp_path / "root"
+    (root / "benchmarks").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1,
+                                                     "workloads": [{"name": "stub"}]}))
+    (root / "benchmarks" / "run.py").write_text(
+        "import os, time\n"
+        "open('pid.tmp', 'w').write(str(os.getpid()))\n"
+        "os.replace('pid.tmp', 'child.pid')\n"
+        "time.sleep(60)\n")
+    recorder = subprocess.Popen([sys.executable, str(ROOT / "tools" / "bench.py"),
+                                 "--out", str(tmp_path / "out.json"), "--root", str(root)])
+    pid_file, child = root / "child.pid", None
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert recorder.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        recorder.send_signal(signal.SIGTERM)
+        recorder.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running(child)
+        assert recorder.returncode == 128 + signal.SIGTERM
+        assert not (tmp_path / "out.json").exists()
+    finally:
+        if child is not None and running(child):
+            os.kill(child, signal.SIGKILL)
+        if recorder.poll() is None:
+            recorder.kill()
+            recorder.wait()

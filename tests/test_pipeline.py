@@ -11,7 +11,8 @@ from conftest import forged_npz, two_bus_doc
 from dsse import cli, pipeline, wls
 from dsse.fixtures import fixture_path
 from dsse.grid_model import feeder_from_dict
-from dsse.measurements import measurement_function, plan_measurements
+from dsse.measurements import (MeasurementSet, RowEvaluator, jacobian_rows, measurement_function,
+                               plan_measurements)
 from dsse.network import InputEmbedding, TrainConfig, train
 from dsse.pipeline import (
     BenchRow,
@@ -30,12 +31,24 @@ from dsse.pipeline import (
     scenario_template,
     standard_scenarios,
 )
-from dsse.powerflow import NotConvergedError, StateVector, solve_batch, solve_power_flow
+from dsse.powerflow import (NotConvergedError, StateVector, slack_state, solve_batch,
+                            solve_power_flow)
 from dsse.wls import UnobservableError, estimate
 
 
 SMALL_PROFILE = LoadProfileConfig(samples=200, seed=3)
 SMALL_TRAIN = TrainConfig(epochs=25, seed=3, patience=25)
+
+
+def removal_order(template):
+    """Scenario 3's keep masks, one per step: pseudo P/Q rows leave one
+    (bus, phase) pair at a time, highest first."""
+    pseudo = template.noise_kind == "pseudo_power"
+    keep = np.ones(len(template), dtype=bool)
+    for locus, phase in sorted(set(zip(template.locus[pseudo].tolist(),
+                                       template.phase[pseudo].tolist())), reverse=True):
+        keep &= ~(pseudo & (template.locus == locus) & (template.phase == phase))
+        yield keep.copy()
 
 
 class TestLoadProfiles:
@@ -418,6 +431,52 @@ class TestScenarios:
         rows = [r for r, key in enumerate(keys) if key in kept] + last_pair
         H = jacobian_rows(six_bus, slack_state(six_bus), template.select(rows))
         assert np.linalg.matrix_rank(H) == 2 * six_bus.n_slots
+
+    @pytest.mark.parametrize("models", ["six_bus", "thirteen_bus", "random_trees"])
+    def test_jacobian_rows_do_not_depend_on_the_other_rows(self, request, models):
+        # the removal search tests rows of one flat-start Jacobian in place of
+        # the Jacobian of each reduced template: at every step of its order,
+        # with a PMU at each bus, the two agree byte for byte
+        if models == "random_trees":
+            rng = np.random.default_rng(30)
+            models = [oracles.random_tree_model(rng, n) for n in (3, 8, 17, 39)]
+        else:
+            models = [request.getfixturevalue(models)]
+        for model in models:
+            flat = slack_state(model)
+            for pmu in range(len(model.buses)):
+                template = plan_measurements(model, [pmu])
+                H = jacobian_rows(model, flat, template)
+                steps = list(removal_order(template))
+                assert steps  # every load is a pseudo row
+                for keep in steps:
+                    reduced = jacobian_rows(model, flat, template.select(keep))
+                    assert H[keep].shape == reduced.shape
+                    assert H[keep].tobytes() == reduced.tobytes()
+
+    @pytest.mark.parametrize("feeder, pmu_labels, digest", [
+        ("six_bus", (4,), "140baec4f0f611f3b99318a4183d02bd1a8b31e2f57c0ba0f2ecb3e3e5c59536"),
+        ("thirteen_bus", (1, 12),
+         "706304701f9ffb1cdc3bed2a582b88a6147a94722e2a41c7c79dc0ea654ce79c"),
+    ], ids=["six_bus", "thirteen_bus"])
+    def test_removal_builds_one_evaluator_and_one_template(self, request, monkeypatch, feeder,
+                                                           pmu_labels, digest):
+        model = request.getfixturevalue(feeder)
+        template = plan_measurements(model, [model.bus_by_label(b) for b in pmu_labels])
+        calls = {"init": 0, "select": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(RowEvaluator, "__init__", counted("init", RowEvaluator.__init__))
+        monkeypatch.setattr(MeasurementSet, "select", counted("select", MeasurementSet.select))
+        reduced, removed = remove_pseudo_until_unobservable(model, template)
+        assert calls == {"init": 1, "select": 1}
+        # the same rows as a search that rebuilt the Jacobian at each of its 7 steps
+        assert removed == 14 and reduced.signature() == digest
 
     def test_scenario_template_row_classes(self, six_bus):
         template, removed = scenario_template(

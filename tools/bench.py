@@ -10,7 +10,7 @@ Run from the repository root:
 Each workload of ``BENCHMARK.json`` runs at SEEDS with ``--trace 0`` for
 ``run_seconds``, and once more with ``--trace 1`` at the first seed. The
 tier-1 suite runs once, and its wall time, test counts and five slowest
-tests are recorded.
+tests are recorded. A SIGTERM stops the recorder and the run it has started.
 
 Per workload the file holds ``run.py``'s provenance line, the median and
 quartiles over the seeds of each end-to-end metric with its unit, each seed's
@@ -22,6 +22,7 @@ committed file back.
 import argparse
 import json
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -81,7 +82,13 @@ def measure_tier1(root):
             "skipped": counts.get("skipped", 0), "summary": lines[-1], "slowest": slowest}
 
 
+def stop(signum, frame):
+    """Raise SystemExit, so that ``subprocess.run`` kills the running child."""
+    sys.exit(128 + signum)
+
+
 def main(argv=None):
+    signal.signal(signal.SIGTERM, stop)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
