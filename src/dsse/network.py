@@ -3,9 +3,12 @@
 Layer recursion: k_t = leaky_relu(W_t k_{t-1} + b_t) with k_0 the embedded
 measurement vector, each row's per-unit value in its own (bus, phase, kind)
 cell. W_t is gated by the plan's bus mask expanded to F x F blocks (F x C
-for the input layer). All parameters are views of one flat vector ``theta``,
-gated by one float vector ``mask`` laid out like it; masked entries are zero
-from initialisation on and ADAM updates only the live ones. A per-slot linear
+for the input layer). The input layer reads only the feature cells
+``inputs``: every cell in a fresh network, and in one from ``train`` the
+cells its data fills, so no pass multiplies cells that are 0 in every
+sample. All parameters are views of one flat vector ``theta``, gated by one
+float vector ``mask`` laid out like it; masked entries are zero from
+initialisation on and ADAM updates only the live ones. A per-slot linear
 head reads bus b from layer ``exit_layer[b]``, all slots in slot order.
 
 Gradients are hand-rolled reverse mode into one array laid out like
@@ -70,7 +73,8 @@ class InputEmbedding:
 class MaskedNetwork:
     """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts,
     as views of one vector ``theta``; ``mask`` is laid out like it, and
-    ``live`` indexes its unmasked entries."""
+    ``live`` indexes its unmasked entries. ``inputs`` lists the feature
+    cells W_0's columns read, in order."""
 
     def __init__(self, plan: MaskPlan, model: FeederModel, seed: int = 0):
         self.plan = plan
@@ -80,13 +84,15 @@ class MaskedNetwork:
         # set by ``train``: the curve index of the epoch whose parameters it
         # kept (None for the initialisation) and their held-out loss
         self.best_epoch = self.best_loss = None
-        # a slot's cell in a (bus, rank) grid, its rank being its place among
-        # its bus's slots (slots are bus-major); and per exit layer, a column
-        # that selects the buses read from it
+        # the slot in each cell of a (bus, rank) grid, a slot's rank being its
+        # place among its bus's slots (slots are bus-major) and an empty cell
+        # holding -1; and per exit layer, a column that selects the buses read
+        # from it
         self.slot_bus = np.array([b for b, _ in self.slots])
         rank = np.arange(len(self.slots)) - np.searchsorted(self.slot_bus, self.slot_bus)
         self.ranks = int(rank.max()) + 1
-        self.slot_cell = self.slot_bus * self.ranks + rank
+        self.cell_slot = np.full(self.n_buses * self.ranks, -1)
+        self.cell_slot[self.slot_bus * self.ranks + rank] = np.arange(len(self.slots))
         self.exit_buses = {e: (plan.exit_layer == e)[:, None]
                            for e in np.unique(plan.exit_layer).tolist()}
 
@@ -94,14 +100,14 @@ class MaskedNetwork:
         # after), depth biases and the readout; ``mask`` is 1.0 at its live entries
         n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
         cells = [INPUT_CHANNELS] + [f] * (depth - 1)  # input cells per bus, layer by layer
-        shapes = [(n * f, n * c) for c in cells] + [(n * f,)] * depth + [(slots, f), (slots,)]
-        ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
-        self._spans = [(end - np.prod(shape), end, shape) for shape, end in zip(shapes, ends)]
-        self.theta, self.mask = np.zeros(ends[-1]), np.ones(ends[-1])
-        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
+        self.inputs = np.arange(n * INPUT_CHANNELS)
+        self._lay_out([(n * f, n * c) for c in cells] + [(n * f,)] * depth
+                      + [(slots, f), (slots,)])
+        self.theta, self.mask = np.zeros(self._spans[-1][1]), np.ones(self._spans[-1][1])
+        weights, biases, readout_w, readout_b = self._views(self.theta)
         weight_masks, bias_masks, _, _ = self._views(self.mask)
         rng = np.random.default_rng(seed)
-        for mask, c, w, wm, bm in zip(plan.masks, cells, self.weights, weight_masks, bias_masks):
+        for mask, c, w, wm, bm in zip(plan.masks, cells, weights, weight_masks, bias_masks):
             wm[...] = np.kron(mask, np.ones((f, c)))
             fan_in = wm.sum(axis=1)
             live = bm[...] = fan_in > 0  # a row without live weights has no live bias
@@ -109,11 +115,46 @@ class MaskedNetwork:
                 2.0 / fan_in[live]
             )[:, None]
             w *= wm
-        self.readout_w[...] = rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f)
-        self.readout_b[...] = 1.0  # magnitudes sit near 1 p.u.
-        self.live = np.flatnonzero(self.mask)
+        readout_w[...] = rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f)
+        readout_b[...] = 1.0  # magnitudes sit near 1 p.u.
+        self._bind()
 
     # -- parameter plumbing ------------------------------------------------
+
+    def _lay_out(self, shapes):
+        """Each parameter array's (start, stop, shape) in ``theta``, in order."""
+        ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
+        self._spans = [(end - np.prod(shape), end, shape) for shape, end in zip(shapes, ends)]
+
+    def _bind(self):
+        """Point the parameter views at ``theta`` and index ``mask``'s live entries."""
+        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
+        self.live = np.flatnonzero(self.mask)
+
+    def keep_inputs(self, cells) -> None:
+        """Read only the feature cells ``cells``, increasing ints among ``inputs``:
+        W_0 keeps their columns, with their values and masks, and drops the
+        rest. ``theta`` is laid out anew, so earlier views, gradients and
+        workspaces no longer fit. ValueError for any other ``cells``."""
+        cells = np.asarray(cells)
+        if cells.ndim != 1 or cells.size and cells.dtype.kind not in "iu":
+            raise ValueError(f"input cells must be a list of ints, got {cells.tolist()!r}")
+        if np.any(np.diff(cells) <= 0) or not np.isin(cells, self.inputs).all():
+            raise ValueError(f"input cells must increase and be among the network's "
+                             f"{len(self.inputs)} inputs, got {cells.tolist()!r}")
+        cols = np.searchsorted(self.inputs, cells)
+        (_, stop, (rows, _)), *rest = self._spans
+        self._lay_out([(rows, len(cols))] + [shape for _, _, shape in rest])
+        start, end = self._spans[1][0], self._spans[-1][1]
+        # compacted within their own buffers: freeing a large block mid-training
+        # would raise glibc's mmap threshold, and keep later scratch resident
+        for flat in (self.theta, self.mask):
+            w0 = flat[:stop].reshape(rows, -1)[:, cols]
+            flat[start:end] = flat[stop:]
+            flat[:start] = w0.ravel()
+        self.theta, self.mask = self.theta[:end], self.mask[:end]
+        self.inputs = self.inputs[cols]
+        self._bind()
 
     def _views(self, flat):
         """(weights, biases, readout_w, readout_b) as views of a theta-like vector."""
@@ -144,13 +185,14 @@ class MaskedNetwork:
     # -- evaluation --------------------------------------------------------
 
     def _forward(self, x, ws):
-        """Outputs for the rows of ``x``, a fresh array. Leaves each layer's
-        pre-activation and activation, and the slots' gathered blocks, in
-        ``ws``, which must have exactly ``len(x)`` rows."""
+        """Outputs for the rows of ``x``, a fresh array. Leaves the ``inputs``
+        columns of ``x``, each layer's pre-activation and activation, and the
+        slots' gathered blocks, in ``ws``, which must have exactly ``len(x)``
+        rows."""
         n = len(x)
         if n != ws.rows:
             raise ValueError(f"a pass over {n} rows needs a workspace of {n} rows, not {ws.rows}")
-        k = x
+        k = x.take(self.inputs, axis=1, out=ws.x, mode="clip")
         for t, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = np.matmul(k, w.T, out=ws.pre[t])
             z += b
@@ -168,7 +210,8 @@ class MaskedNetwork:
         """Per (bus, phase) voltage magnitudes (p.u.) for feature vector(s), a
         fresh array. Scratch arrays come from ``workspace`` (either kind), or
         from one made for this call."""
-        single = np.asarray(x).ndim == 1
+        x = np.asarray(x, dtype=float)
+        single = x.ndim == 1
         x = np.atleast_2d(x)
         ws = Workspace(self, len(x), backward=False) if workspace is None else workspace
         out = self._forward(x, ws)
@@ -180,7 +223,7 @@ class MaskedNetwork:
         ``theta`` (``out`` if given). Masked entries get exactly 0. Scratch
         arrays come from ``workspace`` (a backward one), or from one made
         for this call."""
-        x = np.atleast_2d(x)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
         targets = np.atleast_2d(targets)
         n = len(x)
         if n == 0:
@@ -196,17 +239,18 @@ class MaskedNetwork:
         g_w, g_b, g_rw, g_rb = self._views(grad)
         d_out = 2.0 * diff
         d_act = ws.d_act  # d_act[t]: gradient w.r.t. ws.act[t]
-        for d in d_act:
-            d.fill(0.0)
         np.sum(d_out, axis=0, out=g_rb)
         np.einsum("bs,bsf->sf", d_out, ws.block, out=g_rw)
-        # the gathered block is spent: hold the slots' gradients in its place,
-        # then on the (bus, rank) grid, whose empty cells stay +0
-        ws.grid[:, self.slot_cell] = np.multiply(d_out[:, :, None], self.readout_w, out=ws.block)
+        # the slots' gradients, then on the (bus, rank) grid, whose empty cells
+        # take the slot buffer's last row, which stays +0
+        slot_grad = ws.slot_grad[:-1].reshape(n, -1, self.f)
+        np.multiply(d_out[:, :, None], self.readout_w, out=slot_grad)
+        ws.slot_grad.take(ws.grid_rows, axis=0, out=ws.grid, mode="clip")
         grid = ws.grid.reshape(n, self.n_buses, self.ranks, self.f)
         for e, buses in self.exit_buses.items():
             # the slots of one bus share its block: add them in rank order
             d_block = d_act[e - 1].reshape(n, self.n_buses, self.f)
+            d_block.fill(0.0)
             for r in range(self.ranks):
                 np.add(d_block, grid[:, :, r], out=d_block, where=buses)
 
@@ -216,10 +260,14 @@ class MaskedNetwork:
             # then the product that carries the gradient down a layer
             slope = np.greater_equal(pre, 0, out=pre, casting="unsafe")
             d *= np.maximum(slope, LEAKY_SLOPE, out=slope)  # now w.r.t. pre[t]
-            np.matmul(d.T, ws.act[t - 1] if t else x, out=g_w[t])
+            np.matmul(d.T, ws.act[t - 1] if t else ws.x, out=g_w[t])
             np.sum(d, axis=0, out=g_b[t])
-            if t:  # nothing reads the input's gradient
+            # nothing reads the input's gradient; a layer that feeds a readout
+            # adds this one's to the readouts', any other takes it as it is
+            if t in self.exit_buses:
                 d_act[t - 1] += np.matmul(d, self.weights[t], out=pre)
+            elif t:
+                np.matmul(d, self.weights[t], out=d_act[t - 1])
         np.multiply(grad, self.mask, out=grad)
         return loss, g_w + g_b + [g_rw, g_rb]
 
@@ -228,22 +276,32 @@ class Workspace:
     """Scratch arrays for passes of ``net`` over exactly ``rows`` samples; a
     pass over any other count is a ValueError. Activations are slices of one
     array ``acts``. A ``backward`` workspace keeps an activation slice, a
-    pre-activation and a gradient buffer per layer, as ``loss_and_gradients``
-    needs. A forward-only one, all ``forward`` needs, gives its own slice only
-    to layers that feed a readout; the other layers share one, and every layer
-    shares one pre-activation buffer. ``cells[b, s]`` is the row of ``acts``,
-    seen as rows of F, that holds slot s's bus at its exit layer for sample b,
-    so one gather fills ``block`` and one product reads every slot out."""
+    pre-activation and a gradient buffer per layer, and the readout's slot
+    and (bus, rank) gradients, as ``loss_and_gradients`` needs. A forward-only
+    one, all ``forward`` needs, gives its own slice only to layers that feed a
+    readout; the other layers share one, and every layer shares one
+    pre-activation buffer. Either kind holds the ``inputs`` columns of a pass's
+    rows in ``x``. ``cells[b, s]`` is the row of ``acts``, seen as rows of F,
+    that holds slot s's bus at its exit layer for sample b, so one gather
+    fills ``block`` and one product reads every slot out. A workspace fits
+    ``net`` as laid out when it was made (``keep_inputs``)."""
 
     def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
         shape = (rows, net.n_buses * net.f)
         depth = net.plan.depth
         self.rows = rows
         self.backward = backward
+        self.x = np.empty((rows, len(net.inputs)))
         if backward:
             layer_slice = np.arange(depth)
             self.pre, self.d_act = ([np.empty(shape) for _ in range(depth)] for _ in range(2))
-            self.grid = np.zeros((rows, net.n_buses * net.ranks, net.f))
+            # slot s of sample b in row b * slots + s, and one more row of zeros
+            # that every empty grid cell reads
+            slots = len(net.slots)
+            self.slot_grad = np.zeros((rows * slots + 1, net.f))
+            self.grid_rows = np.where(net.cell_slot >= 0, np.arange(rows)[:, None] * slots
+                                      + net.cell_slot, rows * slots)
+            self.grid = np.empty((rows, net.n_buses * net.ranks, net.f))
         else:
             exits = np.array(list(net.exit_buses))
             layer_slice = np.full(depth, len(exits))
@@ -305,8 +363,10 @@ def train(
     Splits ``features``/``targets`` per ``train_fraction`` with a seeded
     shuffle, trains on the first part, tracks loss on the held-out part,
     and returns the parameters at the best held-out loss. Deterministic
-    per seed. Returns (network, curve, heldout_indices). Raises
-    TrainingDiverged once a minibatch loss is not finite.
+    per seed. The network reads only the columns of ``features`` that are
+    nonzero in some row (``keep_inputs``). Returns (network, curve,
+    heldout_indices). Raises TrainingDiverged once a minibatch loss is not
+    finite.
 
     All scratch arrays -- a workspace per minibatch size and one held-out,
     ADAM's vectors and the best-epoch snapshot -- are allocated once per call.
@@ -316,6 +376,7 @@ def train(
     train_idx, val_idx = split_indices(len(features), config.train_fraction, config.seed)
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("dataset too small for the configured split")
+    net.keep_inputs(np.flatnonzero(features.any(axis=0)))
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 
@@ -428,11 +489,12 @@ def read_npz(path) -> tuple[dict, dict]:
 def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSet) -> None:
     """Write ``net``'s parameters and a ``meta`` of ``kind`` (p2n2 if the plan is pruned,
     else pawnn), ``pmu_buses``, ``block_width``, ``plan_signature``, ``template_signature``
-    (of ``template``), ``input_layout``, ``n_buses`` and ``slots`` (``write_npz``)."""
+    (of ``template``), ``input_layout``, ``inputs``, ``n_buses`` and ``slots``
+    (``write_npz``)."""
     meta = dict(kind="p2n2" if net.plan.pruned else "pawnn",
                 pmu_buses=sorted({int(b) for b in pmu_buses}), block_width=net.f,
                 plan_signature=net.plan.signature(), template_signature=template.signature(),
-                input_layout=INPUT_LAYOUT, n_buses=net.n_buses,
+                input_layout=INPUT_LAYOUT, inputs=net.inputs.tolist(), n_buses=net.n_buses,
                 slots=[[int(b), p] for b, p in net.slots])
     write_npz(path, meta, dict(zip(net.parameter_names(), net.parameters())))
 
@@ -440,8 +502,9 @@ def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSe
 def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
     """(network, meta) from a ``save_checkpoint`` file (``read_npz``); the plan rebuilt on
     ``model`` from ``pmu_buses``, ``block_width`` and ``kind`` must hash to ``plan_signature``.
+    The network reads the feature cells ``inputs``, or every cell if the field is absent.
     ValueError for an unreadable archive, a missing stamp, a missing or mistyped field,
-    another plan or a bad array."""
+    another plan, bad ``inputs`` or a bad array."""
     meta, arrays = read_npz(path)
     if meta.get("input_layout") != INPUT_LAYOUT:
         raise ValueError(f"checkpoint predates input layout {INPUT_LAYOUT}; retrain it")
@@ -458,5 +521,9 @@ def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
     if meta["plan_signature"] != plan.signature():
         raise ValueError("checkpoint plan hash does not match the feeder's plan")
     net = MaskedNetwork(plan, model, seed=0)
+    if "inputs" in meta:
+        check_fields(meta, (("inputs", is_bus_list(meta["inputs"]), "a list of ints"),),
+                     "checkpoint metadata {!r}")
+        net.keep_inputs(meta["inputs"])
     net.set_parameters([arrays.get(name) for name in net.parameter_names()])
     return net, meta

@@ -192,10 +192,11 @@ def count_params(plan: MaskPlan) -> ParamCount:
     pair in its row F biases: p2n2 has F^2 * sum(life) + F * sum_i max_j
     life[i, j], pawnn depth * (F^2 * nnz(life) + F * N). This is a plan
     size, not the network's trainable count: the input layer really has
-    F x 18 weights per pair, and the readout is left out. At F = 8 the 13-bus
-    p2n2 plan (PMUs at buses 1 and 12) reads 14,832 where the network trains
-    18,071 live parameters (``len(net.live)``), and the 6-bus plan (PMU at
-    bus 4) 2,560 against 4,002.
+    F weights per pair for each input cell, and the readout is left out. At
+    F = 8 the 13-bus p2n2 plan (PMUs at buses 1 and 12) reads 14,832 where
+    the network ``train`` returns has 14,615 live parameters (``len(net.live)``;
+    18,071 over all 18 cells per bus), and the 6-bus plan (PMU at bus 4)
+    2,560 against 2,946 (4,002).
     """
     f, life = plan.block_width, plan.life
     pawnn = plan.depth * (f * f * np.count_nonzero(life) + f * plan.n_buses)

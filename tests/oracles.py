@@ -384,19 +384,19 @@ def exit_routing(net: MaskedNetwork) -> list:
 
 
 def reference_forward(net: MaskedNetwork, x):
-    """Dense forward pass of ``net``: (outputs, pre-activations, activations)."""
-    x = np.atleast_2d(x)
+    """Dense forward pass of ``net`` on the ``net.inputs`` columns of ``x``:
+    (outputs, pre-activations, activations, the first being those columns)."""
+    k = np.take(np.atleast_2d(x), net.inputs, axis=1)  # C order, as x[:, inputs] is not
     pre = []
-    acts = [x]
-    k = x
+    acts = [k]
     for w, b in zip(net.weights, net.biases):
         z = k @ w.T + b
         pre.append(z)
         k = np.where(z >= 0, z, LEAKY_SLOPE * z)
         acts.append(k)
-    out = np.empty((x.shape[0], len(net.slots)))
+    out = np.empty((len(k), len(net.slots)))
     for e, sel, bus in exit_routing(net):
-        block = acts[e].reshape(len(x), net.n_buses, net.f)[:, bus]
+        block = acts[e].reshape(len(k), net.n_buses, net.f)[:, bus]
         out[:, sel] = np.einsum("bsf,sf->bs", block, net.readout_w[sel]) + net.readout_b[sel]
     return out, pre, acts
 
@@ -436,13 +436,15 @@ def reference_train(plan, model, features, targets, config=None):
     """ADAM training as ``dsse.network.train`` specifies it, run on each
     parameter array separately over every dense entry, with the masks
     re-applied after every update and the gradients of
-    ``reference_loss_and_gradients``. Returns (network, curve,
+    ``reference_loss_and_gradients``, on a network that reads the columns of
+    ``features`` nonzero in some row. Returns (network, curve,
     heldout_indices)."""
     config = config or TrainConfig()
     net = MaskedNetwork(plan, model, seed=config.seed)
     train_idx, val_idx = split_indices(len(features), config.train_fraction, config.seed)
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("dataset too small for the configured split")
+    net.keep_inputs([c for c in range(features.shape[1]) if np.any(features[:, c])])
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 

@@ -92,7 +92,7 @@ def test_checkpoint_meta_bytes_pinned(workdir, dataset_path):
                  "--out", str(out)]) == EXIT_OK
     with np.load(out) as data:
         assert hashlib.sha256(bytes(data["meta"])).hexdigest() == (
-            "8354a2f97034777dba55541b5ee148673b435962e97802ff4005d239633a8cb2")
+            "85fc9a4490b68868bf21b7c2d5969dd4624cddcd1536298d59977071aee2961a")
 
 
 @pytest.mark.parametrize("feeder, pmu, seed, digest", [
@@ -373,6 +373,28 @@ def test_estimate_checkpoint_meta_of_the_wrong_type_is_validation_error(
     assert code == EXIT_VALIDATION
     assert capsys.readouterr().err == (
         f"error: checkpoint metadata {field!r} must be {rule}, got {value!r}\n")
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ([5, 3], "input cells must increase"),
+    ([3, 3], "input cells must increase"),
+    ([0, 108], "input cells must increase"),
+    ([1.5], "'inputs' must be a list of ints"),
+    ([True], "'inputs' must be a list of ints"),
+    ("3", "'inputs' must be a list of ints"),
+], ids=["unsorted", "repeated", "past-the-end", "float", "bool", "string"])
+def test_estimate_checkpoint_with_bad_inputs_is_validation_error(
+    workdir, checkpoint_path, six_bus, six_bus_pf, capsys, inputs, message
+):
+    bad = workdir / f"inputs_{'_'.join(map(str, inputs))}.npz"
+    with forged_npz(checkpoint_path, bad) as (meta, _):
+        meta["inputs"] = inputs
+    zpath = workdir / "z_bad_inputs.csv"
+    synthesize(plan_measurements(six_bus, [3]), six_bus_pf.state, six_bus, 0).save(zpath)
+    code = main(["estimate", "--feeder", SIX, "--measurements", str(zpath),
+                 "--checkpoint", str(bad)])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["3", 3, [True]], ids=["string", "int", "bool"])

@@ -443,6 +443,95 @@ class TestTraining:
             train(plan, six_bus, x, y, config)
 
 
+class TestInputs:
+    """A network reads the feature cells ``inputs``; ``train`` keeps those its data fills."""
+
+    @pytest.mark.parametrize("fixture, labels, cells", [
+        ("six_bus", (4,), (54, 54, 40)),
+        ("thirteen_bus", (1, 12), (80, 80, 66)),
+    ])
+    def test_train_keeps_the_embedded_cells(self, request, fixture, labels, cells):
+        model = request.getfixturevalue(fixture)
+        pmu = [model.bus_by_label(label) for label in labels]
+        plan = make_plan(model, pmu, 8)
+        for scenario, count in zip(standard_scenarios(pmu), cells, strict=True):
+            template, _ = scenario_template(model, scenario)
+            ds = generate_dataset(model, template, LoadProfileConfig(samples=20, seed=1), pmu)
+            net, _, _ = train(plan, model, ds.features, ds.v_true_pu, TrainConfig(epochs=1))
+            embedded = InputEmbedding(model, template).embed_values(np.ones(len(template)))
+            assert net.inputs.tolist() == np.flatnonzero(embedded).tolist()
+            assert len(net.inputs) == count, scenario.name
+            assert net.weights[0].shape == (model.n_buses * 8, count)
+
+    @pytest.mark.parametrize("fixture, labels", [("six_bus", (4,)), ("thirteen_bus", (1, 12))])
+    def test_restricted_network_matches_the_full_one(self, request, fixture, labels):
+        # the same products with the empty cells' terms left out: equal up to
+        # the rounding of a shorter sum
+        model = request.getfixturevalue(fixture)
+        pmu = [model.bus_by_label(label) for label in labels]
+        template = plan_measurements(model, pmu)
+        cells = np.flatnonzero(InputEmbedding(model, template).embed_values(np.ones(len(template))))
+        plan = make_plan(model, pmu, 8)
+        full, part = MaskedNetwork(plan, model, seed=0), MaskedNetwork(plan, model, seed=0)
+        part.keep_inputs(cells)
+        dropped = model.n_buses * 8 * (len(full.inputs) - len(cells))
+        assert len(part.theta) == len(full.theta) - dropped
+        rng = np.random.default_rng(0)
+        for rows in (1, 7, 64, 300):
+            x = np.zeros((rows, len(full.inputs)))
+            x[:, cells] = rng.normal(0, 1, (rows, len(cells)))
+            y = rng.normal(1, 0.1, (rows, len(full.slots)))
+            out, part_out = full.forward(x), part.forward(x)
+            assert np.abs(part_out - out).max() <= 1e-15 * np.abs(out).max()
+            loss, grads = full.loss_and_gradients(x, y)
+            part_loss, _ = part.loss_and_gradients(x, y, out=(grad := np.empty_like(part.theta)))
+            assert abs(part_loss - loss) <= 1e-15 * loss
+            grads[0] = grads[0][:, cells]
+            kept = np.concatenate([g.ravel() for g in grads])
+            assert np.abs(grad - kept).max() <= 1e-15 * np.abs(kept).max()
+            assert not np.any(grad[part.mask == 0])
+
+    def test_keep_inputs_keeps_the_columns_and_the_rest_of_theta(self, six_bus):
+        plan = make_plan(six_bus, [3], 2)
+        full, net = MaskedNetwork(plan, six_bus, seed=1), MaskedNetwork(plan, six_bus, seed=1)
+        net.keep_inputs([0, 5, 40])
+        net.keep_inputs(np.array([5, 40]))  # a subset of the kept cells
+        assert net.inputs.tolist() == [5, 40]
+        assert net.weights[0].tobytes() == full.weights[0][:, [5, 40]].tobytes()
+        assert oracles.parameter_masks(net)[0].tolist() == (
+            oracles.parameter_masks(full)[0][:, [5, 40]].tolist())
+        for p, q in zip(net.parameters()[1:], full.parameters()[1:], strict=True):
+            assert np.shares_memory(p, net.theta) and p.tobytes() == q.tobytes()
+        assert net.live.tolist() == np.flatnonzero(net.mask).tolist()
+
+    @pytest.mark.parametrize("cells", [
+        [5, 3], [3, 3], [0, 108], [-1, 2], np.array([1.0, 2.0]), np.array([True, False]),
+        [[1, 2]], ["a"],
+    ], ids=["unsorted", "repeated", "past-the-end", "negative", "floats", "bools", "nested",
+            "strings"])
+    def test_bad_cells_rejected(self, six_bus, cells):
+        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
+        theta = net.theta
+        with pytest.raises(ValueError, match="input cells must"):
+            net.keep_inputs(cells)
+        assert net.theta is theta and len(net.inputs) == 6 * INPUT_CHANNELS
+
+    def test_integer_features_read_as_floats(self, six_bus):
+        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
+        net.keep_inputs([0, 7, 9])
+        x = np.arange(3 * 6 * INPUT_CHANNELS).reshape(3, -1) % 5
+        assert net.forward(x).tobytes() == net.forward(x.astype(float)).tobytes()
+        assert net.forward(x[0]).tobytes() == net.forward(x[0].astype(float)).tobytes()
+        loss, _ = net.loss_and_gradients(x, np.ones((3, six_bus.n_slots)))
+        assert loss == net.loss_and_gradients(x.astype(float), np.ones((3, six_bus.n_slots)))[0]
+
+    def test_cells_outside_a_restricted_network_rejected(self, six_bus):
+        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
+        net.keep_inputs([2, 4])
+        with pytest.raises(ValueError, match="among the network's 2 inputs"):
+            net.keep_inputs([3])
+
+
 def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
@@ -584,6 +673,31 @@ class TestCheckpoint:
             assert np.array_equal(back.forward(x), net.forward(x))
             assert (meta["kind"], meta["pmu_buses"], meta["block_width"]) == (kind, [3], 2)
             assert meta["template_signature"] == template.signature()
+
+    def test_roundtrip_keeps_inputs(self, six_bus, tmp_path):
+        template = plan_measurements(six_bus, [3])
+        ds = generate_dataset(six_bus, template, LoadProfileConfig(samples=30, seed=2), [3])
+        net, _, _ = train(make_plan(six_bus, [3], 2), six_bus, ds.features, ds.v_true_pu,
+                          TrainConfig(epochs=2))
+        path = tmp_path / "trained.npz"
+        save_checkpoint(net, path, [3], template)
+        back, meta = load_checkpoint(path, six_bus)
+        assert meta["inputs"] == back.inputs.tolist() == net.inputs.tolist()
+        assert len(net.inputs) < 6 * INPUT_CHANNELS
+        assert back.theta.tobytes() == net.theta.tobytes()
+        assert back.forward(ds.features).tobytes() == net.forward(ds.features).tobytes()
+
+    def test_checkpoint_without_inputs_reads_every_cell(self, six_bus, tmp_path):
+        # a file written before networks carried ``inputs`` has W_0 over every cell
+        plan = make_plan(six_bus, [3], 2)
+        net = MaskedNetwork(plan, six_bus, seed=20)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(net, path, [3], plan_measurements(six_bus, [3]))
+        with forged_npz(path) as (meta, _):
+            del meta["inputs"]
+        back, _ = load_checkpoint(path, six_bus)
+        assert back.inputs.tolist() == list(range(6 * INPUT_CHANNELS))
+        assert back.theta.tobytes() == net.theta.tobytes()
 
     def test_plan_mismatch_rejected(self, six_bus, tmp_path):
         # a network saved with PMU buses other than those its plan was cut at
