@@ -9,7 +9,9 @@ cells its data fills, so no pass multiplies cells that are 0 in every
 sample. All parameters are views of one flat vector ``theta``, gated by one
 float vector ``mask`` laid out like it; masked entries are zero from
 initialisation on and ADAM updates only the live ones. A per-slot linear
-head reads bus b from layer ``exit_layer[b]``, all slots in slot order.
+head reads bus b from layer ``exit_layer[b]``, all slots in slot order: per
+exit layer e, one product of the layer's activations with a readout matrix
+that holds each slot exiting at e's ``readout_w`` row at its bus's block.
 
 Gradients are hand-rolled reverse mode into one array laid out like
 ``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
@@ -84,21 +86,18 @@ class MaskedNetwork:
         # set by ``train``: the curve index of the epoch whose parameters it
         # kept (None for the initialisation) and their held-out loss
         self.best_epoch = self.best_loss = None
-        # the slot in each cell of a (bus, rank) grid, a slot's rank being its
-        # place among its bus's slots (slots are bus-major) and an empty cell
-        # holding -1; and per exit layer, a column that selects the buses read
-        # from it
-        self.slot_bus = np.array([b for b, _ in self.slots])
-        rank = np.arange(len(self.slots)) - np.searchsorted(self.slot_bus, self.slot_bus)
-        self.ranks = int(rank.max()) + 1
-        self.cell_slot = np.full(self.n_buses * self.ranks, -1)
-        self.cell_slot[self.slot_bus * self.ranks + rank] = np.arange(len(self.slots))
-        self.exit_buses = {e: (plan.exit_layer == e)[:, None]
-                           for e in np.unique(plan.exit_layer).tolist()}
+        n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
+        # the layers that feed a readout, and where each slot's ``readout_w``
+        # row sits in a workspace's stacked readout matrices: in its exit
+        # layer's matrix, its own row and its bus's F-block
+        slot_bus = np.array([b for b, _ in self.slots])
+        self.exits = np.unique(plan.exit_layer).tolist()
+        slot_exit = np.searchsorted(self.exits, plan.exit_layer[slot_bus])
+        start = ((slot_exit * slots + np.arange(slots)) * n + slot_bus) * f
+        self.readout_cells = start[:, None] + np.arange(f)
 
         # theta: depth weight matrices (F x C blocks at the input layer, F x F
         # after), depth biases and the readout; ``mask`` is 1.0 at its live entries
-        n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
         cells = [INPUT_CHANNELS] + [f] * (depth - 1)  # input cells per bus, layer by layer
         self.inputs = np.arange(n * INPUT_CHANNELS)
         self._lay_out([(n * f, n * c) for c in cells] + [(n * f,)] * depth
@@ -187,8 +186,7 @@ class MaskedNetwork:
     def _forward(self, x, ws):
         """Outputs for the rows of ``x``, a fresh array. Leaves the ``inputs``
         columns of ``x``, each layer's pre-activation and activation, and the
-        slots' gathered blocks, in ``ws``, which must have exactly ``len(x)``
-        rows."""
+        readout matrices, in ``ws``, which must have exactly ``len(x)`` rows."""
         n = len(x)
         if n != ws.rows:
             raise ValueError(f"a pass over {n} rows needs a workspace of {n} rows, not {ws.rows}")
@@ -199,10 +197,13 @@ class MaskedNetwork:
             k = ws.act[t]
             np.multiply(z, LEAKY_SLOPE, out=k)
             np.maximum(z, k, out=k)  # leaky ReLU, exact for 0 < slope < 1
-        # each slot's bus at its exit layer; "clip" writes straight into a
-        # contiguous out, where "raise" stages a copy; cells are valid either way
-        np.take(ws.acts.reshape(-1, self.f), ws.cells, axis=0, out=ws.block, mode="clip")
-        y = np.einsum("bsf,sf->bs", ws.block, self.readout_w)
+        # one product per exit layer with the readout matrix of the current
+        # ``readout_w``, summed in layer order
+        ws.readout.put(self.readout_cells, self.readout_w)
+        (e, r), *rest = zip(self.exits, ws.readout)
+        y = np.matmul(ws.act[e - 1], r.T)
+        for e, r in rest:
+            y += np.matmul(ws.act[e - 1], r.T)
         y += self.readout_b
         return y
 
@@ -239,20 +240,13 @@ class MaskedNetwork:
         g_w, g_b, g_rw, g_rb = self._views(grad)
         d_out = 2.0 * diff
         d_act = ws.d_act  # d_act[t]: gradient w.r.t. ws.act[t]
-        np.sum(d_out, axis=0, out=g_rb)
-        np.einsum("bs,bsf->sf", d_out, ws.block, out=g_rw)
-        # the slots' gradients, then on the (bus, rank) grid, whose empty cells
-        # take the slot buffer's last row, which stays +0
-        slot_grad = ws.slot_grad[:-1].reshape(n, -1, self.f)
-        np.multiply(d_out[:, :, None], self.readout_w, out=slot_grad)
-        ws.slot_grad.take(ws.grid_rows, axis=0, out=ws.grid, mode="clip")
-        grid = ws.grid.reshape(n, self.n_buses, self.ranks, self.f)
-        for e, buses in self.exit_buses.items():
-            # the slots of one bus share its block: add them in rank order
-            d_block = d_act[e - 1].reshape(n, self.n_buses, self.f)
-            d_block.fill(0.0)
-            for r in range(self.ranks):
-                np.add(d_block, grid[:, :, r], out=d_block, where=buses)
+        d_out.sum(axis=0, out=g_rb)
+        # per exit layer, every slot against every block, and the layer's
+        # gradient through the readout matrix; g_rw takes each slot's own block
+        for e, r, g in zip(self.exits, ws.readout, ws.readout_grad):
+            np.matmul(d_out.T, ws.act[e - 1], out=g)
+            np.matmul(d_out, r, out=d_act[e - 1])
+        ws.readout_grad.take(self.readout_cells, out=g_rw, mode="clip")
 
         for t in range(self.plan.depth - 1, -1, -1):
             d, pre = d_act[t], ws.pre[t]
@@ -261,10 +255,10 @@ class MaskedNetwork:
             slope = np.greater_equal(pre, 0, out=pre, casting="unsafe")
             d *= np.maximum(slope, LEAKY_SLOPE, out=slope)  # now w.r.t. pre[t]
             np.matmul(d.T, ws.act[t - 1] if t else ws.x, out=g_w[t])
-            np.sum(d, axis=0, out=g_b[t])
+            d.sum(axis=0, out=g_b[t])
             # nothing reads the input's gradient; a layer that feeds a readout
             # adds this one's to the readouts', any other takes it as it is
-            if t in self.exit_buses:
+            if t in self.exits:
                 d_act[t - 1] += np.matmul(d, self.weights[t], out=pre)
             elif t:
                 np.matmul(d, self.weights[t], out=d_act[t - 1])
@@ -276,15 +270,16 @@ class Workspace:
     """Scratch arrays for passes of ``net`` over exactly ``rows`` samples; a
     pass over any other count is a ValueError. Activations are slices of one
     array ``acts``. A ``backward`` workspace keeps an activation slice, a
-    pre-activation and a gradient buffer per layer, and the readout's slot
-    and (bus, rank) gradients, as ``loss_and_gradients`` needs. A forward-only
-    one, all ``forward`` needs, gives its own slice only to layers that feed a
-    readout; the other layers share one, and every layer shares one
-    pre-activation buffer. Either kind holds the ``inputs`` columns of a pass's
-    rows in ``x``. ``cells[b, s]`` is the row of ``acts``, seen as rows of F,
-    that holds slot s's bus at its exit layer for sample b, so one gather
-    fills ``block`` and one product reads every slot out. A workspace fits
-    ``net`` as laid out when it was made (``keep_inputs``)."""
+    pre-activation and a gradient buffer per layer, and per exit layer the
+    readout's (slots x n_buses*F) gradient, as ``loss_and_gradients`` needs.
+    A forward-only one, all ``forward`` needs, gives its own slice only to
+    layers that feed a readout; the other layers share one, and every layer
+    shares one pre-activation buffer. Either kind holds the ``inputs`` columns
+    of a pass's rows in ``x``, and per exit layer e a readout matrix
+    ``readout[i]`` (i = ``net.exits.index(e)``), zero except that each slot
+    exiting at e has its ``readout_w`` row at its bus's F-block. Every pass
+    writes the current ``readout_w`` into it, so it cannot go stale. A
+    workspace fits ``net`` as laid out when it was made (``keep_inputs``)."""
 
     def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
         shape = (rows, net.n_buses * net.f)
@@ -292,26 +287,18 @@ class Workspace:
         self.rows = rows
         self.backward = backward
         self.x = np.empty((rows, len(net.inputs)))
+        self.readout = np.zeros((len(net.exits), len(net.slots), shape[1]))
         if backward:
             layer_slice = np.arange(depth)
             self.pre, self.d_act = ([np.empty(shape) for _ in range(depth)] for _ in range(2))
-            # slot s of sample b in row b * slots + s, and one more row of zeros
-            # that every empty grid cell reads
-            slots = len(net.slots)
-            self.slot_grad = np.zeros((rows * slots + 1, net.f))
-            self.grid_rows = np.where(net.cell_slot >= 0, np.arange(rows)[:, None] * slots
-                                      + net.cell_slot, rows * slots)
-            self.grid = np.empty((rows, net.n_buses * net.ranks, net.f))
+            self.readout_grad = np.empty_like(self.readout)
         else:
-            exits = np.array(list(net.exit_buses))
+            exits = np.array(net.exits)
             layer_slice = np.full(depth, len(exits))
             layer_slice[exits - 1] = np.arange(len(exits))
             self.pre = [np.empty(shape)] * depth
         self.acts = np.empty((layer_slice.max() + 1,) + shape)
         self.act = [self.acts[i] for i in layer_slice.tolist()]
-        slot_slice = layer_slice[net.plan.exit_layer[net.slot_bus] - 1]
-        self.cells = (slot_slice * rows + np.arange(rows)[:, None]) * net.n_buses + net.slot_bus
-        self.block = np.empty((rows, len(net.slots), net.f))
 
 
 @dataclass
@@ -409,15 +396,15 @@ def train(
             epoch_loss = 0.0
             for start in range(0, len(order), config.batch_size):
                 batch = order[start : start + config.batch_size]
-                xb = np.take(x_tr, batch, axis=0, out=x_batch[: len(batch)], mode="clip")
-                yb = np.take(y_tr, batch, axis=0, out=y_batch[: len(batch)], mode="clip")
+                xb = x_tr.take(batch, axis=0, out=x_batch[: len(batch)], mode="clip")
+                yb = y_tr.take(batch, axis=0, out=y_batch[: len(batch)], mode="clip")
                 loss, _ = net.loss_and_gradients(xb, yb, out=grad, workspace=step_ws[len(batch)])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(f"loss became {loss} at epoch {epoch}")
                 epoch_loss += loss
                 step += 1
                 # ADAM in two scratch vectors, each reused once spent
-                np.take(grad, live, out=g, mode="clip")
+                grad.take(live, out=g, mode="clip")
                 g *= 1.0 / len(batch)  # per-sample scale so lr is batch-size free
                 m *= ADAM_BETA1
                 m += np.multiply(g, 1 - ADAM_BETA1, out=s)
@@ -431,7 +418,7 @@ def train(
                 denom += ADAM_EPS
                 update = np.multiply(m_hat, config.learning_rate, out=m_hat)
                 update /= denom
-                theta_live = np.take(net.theta, live, out=g, mode="clip")
+                theta_live = net.theta.take(live, out=g, mode="clip")
                 theta_live -= update
                 net.theta[live] = theta_live
             vl = val_loss()

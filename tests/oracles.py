@@ -3,9 +3,11 @@
 Everything here is deliberately written with different algorithms and
 different libraries than the code under test: the power flow is a dense
 Newton-Raphson solve on the full nodal equations (scipy), graph questions
-go through networkx, derivative checks use central finite differences, and
+go through networkx, derivative checks use central finite differences,
 and the reference trainer is the network's dense, array-by-array training
-path: ADAM over every entry, masks re-applied after each update. The
+path: ADAM over every entry, masks re-applied after each update. Its
+readout is one dense product per exit layer with a matrix written slot by
+slot; the gather-and-``einsum`` readout it replaced is kept beside it. The
 reference generator is the per-sample dataset loop that batched generation
 replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
 The reference batch power flow is the sweep before Zbus was split into its
@@ -383,9 +385,71 @@ def exit_routing(net: MaskedNetwork) -> list:
             for e in np.unique(slot_exit).tolist()]
 
 
-def reference_forward(net: MaskedNetwork, x):
+def readout_matrices(net: MaskedNetwork) -> list:
+    """(exit layer, slot indices, their buses, R) per exit layer: R is a
+    (slots x n_buses*F) matrix of zeros, but for each slot exiting there,
+    whose ``readout_w`` row sits at its bus's F-block, written slot by slot."""
+    out = []
+    for e, sel, bus in exit_routing(net):
+        r = np.zeros((len(net.slots), net.n_buses * net.f))
+        for s, b in zip(sel, bus):
+            r[s, b * net.f : (b + 1) * net.f] = net.readout_w[s]
+        out.append((e, sel, bus, r))
+    return out
+
+
+def dense_readout(net: MaskedNetwork, acts):
+    """The readout as masked dense products: acts[e] @ R^T summed over the exit
+    layers in order, plus ``readout_b``."""
+    (e, _, _, r), *rest = readout_matrices(net)
+    out = acts[e] @ r.T
+    for e, _, _, r in rest:
+        out = out + acts[e] @ r.T
+    return out + net.readout_b
+
+
+def dense_readout_backward(net: MaskedNetwork, acts, d_out, d_acts):
+    """``readout_w``'s gradient, each slot's own block of the dense product
+    d_out^T @ acts[e]; each exit layer's d_acts[e] is set to d_out @ R."""
+    g_rw = np.empty_like(net.readout_w)
+    for e, sel, bus, r in readout_matrices(net):
+        g = d_out.T @ acts[e]
+        for s, b in zip(sel, bus):
+            g_rw[s] = g[s, b * net.f : (b + 1) * net.f]
+        d_acts[e] = d_out @ r
+    return g_rw
+
+
+def einsum_readout(net: MaskedNetwork, acts):
+    """The readout as it was before its dense products: per exit layer, the
+    slots' blocks gathered and read out by one ``einsum``."""
+    out = np.empty((len(acts[0]), len(net.slots)))
+    for e, sel, bus in exit_routing(net):
+        block = acts[e].reshape(len(out), net.n_buses, net.f)[:, bus]
+        out[:, sel] = np.einsum("bsf,sf->bs", block, net.readout_w[sel]) + net.readout_b[sel]
+    return out
+
+
+def einsum_readout_backward(net: MaskedNetwork, acts, d_out, d_acts):
+    """``einsum_readout``'s gradients: ``readout_w``'s by ``einsum``, each exit
+    layer's scattered slot by slot into d_acts[e] with ``np.add.at``."""
+    g_rw = np.empty_like(net.readout_w)
+    for e, sel, bus in exit_routing(net):
+        block = acts[e].reshape(len(d_out), net.n_buses, net.f)[:, bus]
+        g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
+        d_block = d_acts[e].reshape(len(d_out), net.n_buses, net.f)
+        np.add.at(d_block, (slice(None), bus), d_out[:, sel, None] * net.readout_w[sel])
+    return g_rw
+
+
+READOUTS = {"dense": (dense_readout, dense_readout_backward),
+            "einsum": (einsum_readout, einsum_readout_backward)}
+
+
+def reference_forward(net: MaskedNetwork, x, readout="dense"):
     """Dense forward pass of ``net`` on the ``net.inputs`` columns of ``x``:
-    (outputs, pre-activations, activations, the first being those columns)."""
+    (outputs, pre-activations, activations, the first being those columns).
+    ``readout`` names the readout's form in ``READOUTS``."""
     k = np.take(np.atleast_2d(x), net.inputs, axis=1)  # C order, as x[:, inputs] is not
     pre = []
     acts = [k]
@@ -394,32 +458,23 @@ def reference_forward(net: MaskedNetwork, x):
         pre.append(z)
         k = np.where(z >= 0, z, LEAKY_SLOPE * z)
         acts.append(k)
-    out = np.empty((len(k), len(net.slots)))
-    for e, sel, bus in exit_routing(net):
-        block = acts[e].reshape(len(k), net.n_buses, net.f)[:, bus]
-        out[:, sel] = np.einsum("bsf,sf->bs", block, net.readout_w[sel]) + net.readout_b[sel]
-    return out, pre, acts
+    return READOUTS[readout][0](net, acts), pre, acts
 
 
-def reference_loss_and_gradients(net: MaskedNetwork, x, targets):
+def reference_loss_and_gradients(net: MaskedNetwork, x, targets, readout="dense"):
     """Summed squared error and per-array gradients of ``net``, each weight
-    gradient a dense product multiplied by its mask, and the readout's
-    gradient scattered slot by slot with ``np.add.at``."""
+    gradient a dense product multiplied by its mask, and the readout's as
+    ``readout`` (a name in ``READOUTS``) computes it."""
     x = np.atleast_2d(x)
     targets = np.atleast_2d(targets)
-    out, pre, acts = reference_forward(net, x)
+    out, pre, acts = reference_forward(net, x, readout)
     diff = out - targets
     loss = float(np.sum(diff * diff))
 
     d_out = 2.0 * diff
     d_acts = [np.zeros_like(a) for a in acts]
-    g_rw = np.empty_like(net.readout_w)
+    g_rw = READOUTS[readout][1](net, acts, d_out, d_acts)
     g_rb = d_out.sum(axis=0)
-    for e, sel, bus in exit_routing(net):
-        block = acts[e].reshape(len(x), net.n_buses, net.f)[:, bus]
-        g_rw[sel] = np.einsum("bs,bsf->sf", d_out[:, sel], block)
-        d_block = d_acts[e].reshape(len(x), net.n_buses, net.f)
-        np.add.at(d_block, (slice(None), bus), d_out[:, sel, None] * net.readout_w[sel])
 
     g_w = [np.zeros_like(w) for w in net.weights]
     g_b = [np.zeros_like(b) for b in net.biases]

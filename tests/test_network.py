@@ -287,6 +287,30 @@ class TestGradients:
         for g, ref in zip(grads, ref_grads, strict=True):
             assert g.tobytes() == ref.tobytes()
 
+    # the oracle's dense readout against the gather-and-einsum one it replaced:
+    # the same sums, each in the order its products take
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    @pytest.mark.parametrize("feeder, labels, prune", [
+        ("thirteen_bus", (1, 12), True),
+        ("thirteen_bus", (1, 12), False),
+        ("six_bus", (4,), True),
+    ], ids=["p2n2", "pawnn", "six_bus-two_exits"])
+    def test_dense_readout_matches_einsum_readout(self, request, feeder, labels, prune, rows):
+        model = request.getfixturevalue(feeder)
+        pmu = [model.bus_by_label(label) for label in labels]
+        net = MaskedNetwork(make_plan(model, pmu, 8, prune=prune), model, seed=6)
+        rng = np.random.default_rng(rows)
+        x = rng.normal(0, 1, (rows, net.weights[0].shape[1]))
+        y = rng.normal(1, 0.1, (rows, model.n_slots))
+        dense, einsum = (oracles.reference_forward(net, x, readout)[0]
+                         for readout in ("dense", "einsum"))
+        assert np.abs(dense - einsum).max() <= 1e-15 * np.abs(einsum).max()
+        loss, grads = oracles.reference_loss_and_gradients(net, x, y, "dense")
+        ref_loss, ref_grads = oracles.reference_loss_and_gradients(net, x, y, "einsum")
+        assert abs(loss - ref_loss) <= 1e-15 * ref_loss
+        for g, ref in zip(grads, ref_grads, strict=True):
+            assert np.abs(g - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_perfect_fit_means_zero_gradients(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
         net = MaskedNetwork(plan, six_bus, seed=6)
@@ -582,6 +606,34 @@ class TestWorkspace:
             assert now.tobytes() == then.tobytes()
         assert not np.shares_memory(out, net13.forward(x, ws))
 
+    @pytest.mark.parametrize("fixture, labels", [("thirteen_bus", (1, 12)), ("six_bus", (4,))])
+    def test_workspaces_made_before_new_parameters_match_fresh_ones(self, request, fixture,
+                                                                    labels):
+        # the readout matrices are written from ``readout_w`` by every pass, so
+        # workspaces used before ``set_parameters`` or an in-place step on theta
+        # (what a ``train`` step does) give the bytes of fresh ones
+        model = request.getfixturevalue(fixture)
+        pmu = [model.bus_by_label(label) for label in labels]
+        net = MaskedNetwork(make_plan(model, pmu, 8), model, seed=6)
+        old_fwd, old_bwd = Workspace(net, 7, backward=False), Workspace(net, 7)
+        x, y = self.data(net, 7)
+        net.forward(x, old_fwd)
+        net.loss_and_gradients(x, y, workspace=old_bwd)
+        rng = np.random.default_rng(3)
+        for update in ("set_parameters", "step"):
+            if update == "set_parameters":
+                net.set_parameters([rng.normal(0, 1, p.shape) for p in net.parameters()])
+            else:
+                net.theta[net.live] -= rng.normal(0, 0.1, len(net.live))
+            fresh_loss, fresh_grads = net.loss_and_gradients(x, y, workspace=Workspace(net, 7))
+            loss, grads = net.loss_and_gradients(x, y, workspace=old_bwd)
+            assert loss == fresh_loss
+            for g, fresh in zip(grads, fresh_grads, strict=True):
+                assert g.tobytes() == fresh.tobytes()
+            fresh_out = net.forward(x, Workspace(net, 7, backward=False)).tobytes()
+            assert net.forward(x, old_fwd).tobytes() == fresh_out
+            assert net.forward(x, old_bwd).tobytes() == fresh_out
+
     def test_misfit_workspace_rejected(self, net13):
         x, y = self.data(net13, 10)
         for rows in (8, 12):  # fewer rows than the pass, and more
@@ -658,6 +710,13 @@ class TestEvaluate:
         assert rep.nu == pytest.approx(1e-4)
 
 
+def one_entry_inf(a):
+    """``a`` with its first entry inf, whatever its sign or value."""
+    a = a.copy()
+    a.flat[0] = np.inf
+    return a
+
+
 class TestCheckpoint:
     def test_roundtrip(self, six_bus, tmp_path):
         template = plan_measurements(six_bus, [3])
@@ -725,7 +784,7 @@ class TestCheckpoint:
             ("readout_b", lambda a: a[:1]),
             ("w1", lambda a: np.zeros((1, 1))),
             ("b0", lambda a: np.full_like(a, np.nan)),
-            ("readout_w", lambda a: np.where(a > 0, np.inf, a)),
+            ("readout_w", one_entry_inf),
             ("w0", None),
         ],
         ids=["short-readout_b", "tiny-w1", "nan-b0", "inf-readout_w", "missing-w0"],
