@@ -7,19 +7,26 @@ for the input layer). The input layer reads only the feature cells
 ``inputs``: every cell in a fresh network, and in one from ``train`` the
 cells its data fills, so no pass multiplies cells that are 0 in every
 sample. All parameters are views of one flat vector ``theta``, gated by one
-float vector ``mask`` laid out like it; masked entries are zero from
+int vector ``mask`` laid out like it; masked entries are zero from
 initialisation on and ADAM updates only the live ones. A per-slot linear
 head reads bus b from layer ``exit_layer[b]``, all slots in slot order: per
 exit layer e, one product of the layer's activations with a readout matrix
 that holds each slot exiting at e's ``readout_w`` row at its bus's block.
 
+Hidden units run in the plan's banded bus order (``MaskPlan.order``): a
+hidden layer's forward product and both gradients run as a few dense
+panels over that order (``panels``), the forward ones on a unit-major
+copy of the layer's input; the input layer is one product.
+Checkpoints keep every array in bus order.
+
 Gradients are hand-rolled reverse mode into one array laid out like
-``theta``, exactly 0 at masked entries. Targets and outputs are per-unit
-voltage magnitudes.
+``theta``, exactly +0.0 at masked entries, also where no panel writes.
+Targets and outputs are per-unit voltage magnitudes.
 
 Every pass writes its intermediates into a ``Workspace`` with ``out=``,
 keeping the operands and order of the plain expressions, so results are
-bit-for-bit those of freshly allocated arrays. ``train`` allocates its
+bit-for-bit those of freshly allocated arrays, and each panel gives the
+bytes of the whole masked product on the unit order. ``train`` allocates its
 workspaces, ADAM's vectors and the best-epoch snapshot once per call; a
 caller of ``forward`` or ``loss_and_gradients`` that passes no workspace
 gets one for that call. Returned arrays are fresh, except gradients
@@ -40,6 +47,14 @@ from dsse.partitioning import MaskPlan, build_mask_plan, partition_at_pmus
 
 LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LIVE = -1  # a live ``mask`` entry: all bits set, so ANDed with a float's bits it keeps it
+# one more product costs about this many multiply-adds: about 2 us a call at
+# 25-40 multiply-adds per ns (OpenBLAS 0.3.31, one thread, 2-core x86-64)
+PRODUCT_COST = 80_000
+# OpenBLAS groups a product's terms by their offset, so only panels whose
+# edges fall on multiples of this sum as the whole product does
+PANEL_ALIGN = 8
+WHOLE = [(slice(None), slice(None))]  # the panels of a layer that is one product
 
 # input cells per bus and phase, one per row kind code (``KIND_CODE``)
 CHANNELS_PER_PHASE = 6
@@ -74,9 +89,10 @@ class InputEmbedding:
 
 class MaskedNetwork:
     """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts,
-    as views of one vector ``theta``; ``mask`` is laid out like it, and
-    ``live`` indexes its unmasked entries. ``inputs`` lists the feature
-    cells W_0's columns read, in order."""
+    as views of one vector ``theta``; ``mask`` is laid out like it (LIVE or
+    0), and ``live`` indexes its live entries. Hidden unit u is channel u % F
+    of bus ``order[u // F]``, and ``units[u]`` its index in bus order.
+    ``inputs`` lists the feature cells W_0's columns read, in order."""
 
     def __init__(self, plan: MaskPlan, model: FeederModel, seed: int = 0):
         self.plan = plan
@@ -87,35 +103,44 @@ class MaskedNetwork:
         # kept (None for the initialisation) and their held-out loss
         self.best_epoch = self.best_loss = None
         n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
+        self.order = plan.order
+        self.units = (self.order[:, None] * f + np.arange(f)).ravel()
         # the layers that feed a readout, and where each slot's ``readout_w``
         # row sits in a workspace's stacked readout matrices: in its exit
         # layer's matrix, its own row and its bus's F-block
         slot_bus = np.array([b for b, _ in self.slots])
         self.exits = np.unique(plan.exit_layer).tolist()
         slot_exit = np.searchsorted(self.exits, plan.exit_layer[slot_bus])
-        start = ((slot_exit * slots + np.arange(slots)) * n + slot_bus) * f
+        block = np.argsort(self.order)[slot_bus]  # a bus's block in unit order
+        start = ((slot_exit * slots + np.arange(slots)) * n + block) * f
         self.readout_cells = start[:, None] + np.arange(f)
+        self._panels = {}  # by row count
 
         # theta: depth weight matrices (F x C blocks at the input layer, F x F
-        # after), depth biases and the readout; ``mask`` is 1.0 at its live entries
+        # after), depth biases and the readout; ``mask`` is LIVE at its live entries
         cells = [INPUT_CHANNELS] + [f] * (depth - 1)  # input cells per bus, layer by layer
         self.inputs = np.arange(n * INPUT_CHANNELS)
         self._lay_out([(n * f, n * c) for c in cells] + [(n * f,)] * depth
                       + [(slots, f), (slots,)])
-        self.theta, self.mask = np.zeros(self._spans[-1][1]), np.ones(self._spans[-1][1])
+        self.theta, self.mask = np.zeros(self._spans[-1][1]), np.full(self._spans[-1][1], LIVE)
         weights, biases, readout_w, readout_b = self._views(self.theta)
         weight_masks, bias_masks, _, _ = self._views(self.mask)
         rng = np.random.default_rng(seed)
         for mask, c, w, wm, bm in zip(plan.masks, cells, weights, weight_masks, bias_masks):
-            wm[...] = np.kron(mask, np.ones((f, c)))
-            fan_in = wm.sum(axis=1)
-            live = bm[...] = fan_in > 0  # a row without live weights has no live bias
+            wm[...] = np.kron(mask, np.full((f, c), LIVE))
+            fan_in = np.count_nonzero(wm, axis=1)
+            live = fan_in > 0  # a row without live weights has no live bias
+            bm[...] = LIVE * live
             w[live] = rng.normal(0.0, 1.0, (int(live.sum()), w.shape[1])) * np.sqrt(
                 2.0 / fan_in[live]
             )[:, None]
-            w *= wm
         readout_w[...] = rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f)
         readout_b[...] = 1.0  # magnitudes sit near 1 p.u.
+        for flat in (self.theta, self.mask) if (self.order != np.arange(n)).any() else ():
+            arrays = self._arrays(flat)  # drawn in bus order, kept in unit order
+            for a, new in zip(arrays, self._unit_axes(arrays, self.units)):
+                a[...] = new
+        np.bitwise_and(self.theta.view(np.int64), self.mask, out=self.theta.view(np.int64))
         self._bind()
 
     # -- parameter plumbing ------------------------------------------------
@@ -155,11 +180,22 @@ class MaskedNetwork:
         self.inputs = self.inputs[cols]
         self._bind()
 
+    def _arrays(self, flat):
+        """The parameter arrays, in ``parameters()`` order, as views of a theta-like vector."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._spans]
+
     def _views(self, flat):
         """(weights, biases, readout_w, readout_b) as views of a theta-like vector."""
-        v = [flat[start:stop].reshape(shape) for start, stop, shape in self._spans]
-        t = self.plan.depth
+        v, t = self._arrays(flat), self.plan.depth
         return v[:t], v[t : 2 * t], v[2 * t], v[2 * t + 1]
+
+    def _unit_axes(self, params, index):
+        """Arrays in ``parameters()`` order with every hidden-unit axis indexed by
+        ``index``, one at a time: ``units`` takes bus order to unit order, its
+        ``argsort`` back."""
+        for i, p in enumerate(map(np.asarray, params)):
+            yield p[np.ix_(index, index)] if 0 < i < self.plan.depth else (
+                p[index] if i < 2 * self.plan.depth else p)
 
     def parameters(self):
         return self.weights + self.biases + [self.readout_w, self.readout_b]
@@ -168,20 +204,41 @@ class MaskedNetwork:
         t = range(self.plan.depth)
         return [f"w{i}" for i in t] + [f"b{i}" for i in t] + ["readout_w", "readout_b"]
 
-    def set_parameters(self, params):
-        """Copy arrays in ``parameters()`` order, times their masks, into
-        ``theta``. Raises ValueError, naming the array, unless every array
-        is present (not None), has the plan's shape and is finite."""
+    def set_parameters(self, params, bus_order: bool = False):
+        """Copy arrays in ``parameters()`` order into ``theta``, masked entries
+        as 0. With ``bus_order`` their hidden-unit axes run in bus order, as
+        checkpoints keep them. Raises ValueError, naming the array, unless
+        every array is present (not None), has the plan's shape and is finite."""
         for name, p, new in zip(self.parameter_names(), self.parameters(), params, strict=True):
             if new is None or np.shape(new) != p.shape:
                 raise ValueError(f"parameter {name} is missing or not of shape {p.shape}")
             if np.asarray(new).dtype.kind not in "biuf" or not np.isfinite(new).all():
                 raise ValueError(f"parameter {name} must hold finite real numbers")
-        for p, new in zip(self.parameters(), params):
+        for p, new in zip(self.parameters(), self._unit_axes(params, self.units) if bus_order
+                          else params):
             p[...] = new
-        self.theta *= self.mask
+        np.bitwise_and(self.theta.view(np.int64), self.mask, out=self.theta.view(np.int64))
 
     # -- evaluation --------------------------------------------------------
+
+    def panels(self, rows: int):
+        """Per layer, the (panels, gaps) a pass over ``rows`` rows multiplies. A
+        panel is a (rows, columns) pair of unit slices, which the input
+        gradient reads as (columns, rows): the masks are symmetric. Gaps are
+        the rows in no panel. A hidden layer takes its cut into the k panels
+        that minimise rows * area + k * PRODUCT_COST, and WHOLE, one product,
+        for k = 1, as the input layer does and every layer if F % PANEL_ALIGN."""
+        if rows not in self._panels:
+            f, n, layers = self.f, self.n_buses, [(WHOLE, [])]
+            for cuts, areas in zip(self.plan.panels[1:], self.plan.panel_areas[1:]):
+                cut = cuts[min(range(len(cuts)),
+                               key=lambda k: rows * f * f * areas[k] + PRODUCT_COST * k)]
+                stops, starts = zip(*[(r1, r0) for r0, r1, _, _ in cut])
+                layers.append((WHOLE, []) if len(cut) == 1 or f % PANEL_ALIGN else (
+                    [(slice(f * r0, f * r1), slice(f * c0, f * c1)) for r0, r1, c0, c1 in cut],
+                    [slice(f * a, f * b) for a, b in zip((0,) + stops, starts + (n,)) if a < b]))
+            self._panels[rows] = layers
+        return self._panels[rows]
 
     def _forward(self, x, ws):
         """Outputs for the rows of ``x``, a fresh array. Leaves the ``inputs``
@@ -191,10 +248,20 @@ class MaskedNetwork:
         if n != ws.rows:
             raise ValueError(f"a pass over {n} rows needs a workspace of {n} rows, not {ws.rows}")
         k = x.take(self.inputs, axis=1, out=ws.x, mode="clip")
-        for t, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = np.matmul(k, w.T, out=ws.pre[t])
+        layers = zip(self.weights, self.biases, ws.pre, ws.act, ws.panels)
+        for w, b, z, act, (panels, gaps) in layers:
+            if panels is WHOLE:
+                np.matmul(k, w.T, out=z)
+            else:
+                if ws.kt is not None:  # a unit-major copy: BLAS then sums each panel's
+                    np.copyto(ws.kt, k.T)  # terms in the order of the whole product's
+                    k = ws.kt.T
+                for rows, cols in panels:
+                    np.matmul(k[:, cols], w[rows, cols].T, out=z[:, rows])
+                for rows in gaps:  # exactly 0, as the whole product gives them
+                    z[:, rows] = 0.0
             z += b
-            k = ws.act[t]
+            k = act
             np.multiply(z, LEAKY_SLOPE, out=k)
             np.maximum(z, k, out=k)  # leaky ReLU, exact for 0 < slope < 1
         # one product per exit layer with the readout matrix of the current
@@ -254,15 +321,27 @@ class MaskedNetwork:
             # then the product that carries the gradient down a layer
             slope = np.greater_equal(pre, 0, out=pre, casting="unsafe")
             d *= np.maximum(slope, LEAKY_SLOPE, out=slope)  # now w.r.t. pre[t]
-            np.matmul(d.T, ws.act[t - 1] if t else ws.x, out=g_w[t])
+            a, g, w = ws.act[t - 1] if t else ws.x, g_w[t], self.weights[t]
+            panels = ws.panels[t][0]
+            if panels is WHOLE:
+                np.matmul(d.T, a, out=g)
+                down = [(d, w, d_act[t - 1], pre)] if t else []
+            else:  # a panel's rows are the input gradient's columns
+                for rows, cols in panels:
+                    np.matmul(d[:, rows].T, a[:, cols], out=g[rows, cols])
+                down = [(d[:, cols], w[cols, rows], d_act[t - 1][:, rows], pre[:, rows])
+                        for rows, cols in panels]
             d.sum(axis=0, out=g_b[t])
             # nothing reads the input's gradient; a layer that feeds a readout
-            # adds this one's to the readouts', any other takes it as it is
-            if t in self.exits:
-                d_act[t - 1] += np.matmul(d, self.weights[t], out=pre)
-            elif t:
-                np.matmul(d, self.weights[t], out=d_act[t - 1])
-        np.multiply(grad, self.mask, out=grad)
+            # adds this one's to the readouts', any other takes it as it is.
+            # A column in no panel keeps the readouts' gradient, or its 0
+            for d_in, w_in, below, scratch in down:
+                if t in self.exits:
+                    below += np.matmul(d_in, w_in, out=scratch)
+                else:
+                    np.matmul(d_in, w_in, out=below)
+        # +0.0 at every masked entry, also where no panel wrote
+        np.bitwise_and(grad.view(np.int64), self.mask, out=grad.view(np.int64))
         return loss, g_w + g_b + [g_rw, g_rb]
 
 
@@ -274,23 +353,28 @@ class Workspace:
     readout's (slots x n_buses*F) gradient, as ``loss_and_gradients`` needs.
     A forward-only one, all ``forward`` needs, gives its own slice only to
     layers that feed a readout; the other layers share one, and every layer
-    shares one pre-activation buffer. Either kind holds the ``inputs`` columns
-    of a pass's rows in ``x``, and per exit layer e a readout matrix
-    ``readout[i]`` (i = ``net.exits.index(e)``), zero except that each slot
-    exiting at e has its ``readout_w`` row at its bus's F-block. Every pass
-    writes the current ``readout_w`` into it, so it cannot go stale. A
-    workspace fits ``net`` as laid out when it was made (``keep_inputs``)."""
+    shares one pre-activation buffer. Either kind holds the ``panels`` of its
+    row count, the ``inputs`` columns of a pass's rows in ``x``, the input of
+    a layer cut into panels unit-major in ``kt`` (None for one row, which is
+    unit-major already), and per exit layer e a
+    readout matrix ``readout[i]`` (i = ``net.exits.index(e)``), zero except
+    that each slot exiting at e has its ``readout_w`` row at its bus's
+    F-block. Every pass writes the current ``readout_w`` into it, so it
+    cannot go stale. A workspace fits ``net`` as laid out when it was made
+    (``keep_inputs``)."""
 
     def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
         shape = (rows, net.n_buses * net.f)
         depth = net.plan.depth
         self.rows = rows
         self.backward = backward
+        self.panels = net.panels(rows)
         self.x = np.empty((rows, len(net.inputs)))
         self.readout = np.zeros((len(net.exits), len(net.slots), shape[1]))
         if backward:
             layer_slice = np.arange(depth)
-            self.pre, self.d_act = ([np.empty(shape) for _ in range(depth)] for _ in range(2))
+            self.pre = [np.empty(shape) for _ in range(depth)]
+            self.d_act = [np.zeros(shape) for _ in range(depth)]
             self.readout_grad = np.empty_like(self.readout)
         else:
             exits = np.array(net.exits)
@@ -299,6 +383,8 @@ class Workspace:
             self.pre = [np.empty(shape)] * depth
         self.acts = np.empty((layer_slice.max() + 1,) + shape)
         self.act = [self.acts[i] for i in layer_slice.tolist()]
+        # the last layer's slice, which only the last leaky ReLU writes
+        self.kt = self.act[-1].reshape(shape[::-1]) if rows > 1 else None
 
 
 @dataclass
@@ -368,8 +454,10 @@ def train(
     x_val, y_val = features[val_idx], targets[val_idx]
 
     # scratch for the call: minibatch and held-out passes, and ADAM on the
-    # live entries of theta only (masked ones stay zero), all in place
+    # live entries of theta only (masked ones stay zero), all in place; ``p``
+    # holds the live entries, and each step writes them back to theta
     live = net.live
+    p = net.theta[live]
     m = np.zeros(len(live))
     v = np.zeros(len(live))
     g = np.empty(len(live))
@@ -418,9 +506,8 @@ def train(
                 denom += ADAM_EPS
                 update = np.multiply(m_hat, config.learning_rate, out=m_hat)
                 update /= denom
-                theta_live = net.theta.take(live, out=g, mode="clip")
-                theta_live -= update
-                net.theta[live] = theta_live
+                p -= update
+                net.theta[live] = p
             vl = val_loss()
             curve.append((epoch, epoch_loss / max(len(x_tr), 1), vl))
             if vl < best_loss - 1e-12:
@@ -483,7 +570,8 @@ def save_checkpoint(net: MaskedNetwork, path, pmu_buses, template: MeasurementSe
                 plan_signature=net.plan.signature(), template_signature=template.signature(),
                 input_layout=INPUT_LAYOUT, inputs=net.inputs.tolist(), n_buses=net.n_buses,
                 slots=[[int(b), p] for b, p in net.slots])
-    write_npz(path, meta, dict(zip(net.parameter_names(), net.parameters())))
+    bus_order = net._unit_axes(net.parameters(), np.argsort(net.units))
+    write_npz(path, meta, dict(zip(net.parameter_names(), bus_order)))
 
 
 def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
@@ -512,5 +600,5 @@ def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
         check_fields(meta, (("inputs", is_bus_list(meta["inputs"]), "a list of ints"),),
                      "checkpoint metadata {!r}")
         net.keep_inputs(meta["inputs"])
-    net.set_parameters([arrays.get(name) for name in net.parameter_names()])
+    net.set_parameters([arrays.get(name) for name in net.parameter_names()], bus_order=True)
     return net, meta

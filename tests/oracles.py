@@ -6,8 +6,10 @@ Newton-Raphson solve on the full nodal equations (scipy), graph questions
 go through networkx, derivative checks use central finite differences,
 and the reference trainer is the network's dense, array-by-array training
 path: ADAM over every entry, masks re-applied after each update. Its
-readout is one dense product per exit layer with a matrix written slot by
-slot; the gather-and-``einsum`` readout it replaced is kept beside it. The
+products are whole masked products on the network's unit order, where the
+network multiplies panels; its readout is one dense product per exit layer
+with a matrix written slot by slot; the gather-and-``einsum`` readout it
+replaced is kept beside it. The
 reference generator is the per-sample dataset loop that batched generation
 replaced: one load dict, ``solve_power_flow`` and ``synthesize`` per sample.
 The reference batch power flow is the sweep before Zbus was split into its
@@ -42,6 +44,7 @@ from dsse.network import (
     InputEmbedding,
     MaskedNetwork,
     TrainConfig,
+    WHOLE,
     TrainingDiverged,
     split_indices,
 )
@@ -157,6 +160,30 @@ def reference_mask_plan(
         masks.append(mask)
     # the layers are nested, so a pair's layer count is its lifetime
     return MaskPlan(np.sum(masks, axis=0), block_width, True)
+
+
+def bandwidth(pattern, order) -> int:
+    """The largest |i - j| over the live entries of ``pattern`` laid out in ``order``."""
+    i, j = np.nonzero(np.asarray(pattern)[np.ix_(order, order)])
+    return int(np.abs(i - j).max())
+
+
+def brute_force_cut_areas(mask) -> list:
+    """For k = 1, 2, ...: the least total area of k bounding rectangles over
+    runs of consecutive live rows of ``mask``, each run from its first live
+    row to its last, found by trying every way to cut the live rows."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    best = {}
+    for cuts in itertools.product((False, True), repeat=len(rows) - 1):
+        ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [len(rows)]
+        area, start = 0, 0
+        for end in ends:
+            run = rows[start:end]
+            cols = np.flatnonzero(mask[run].any(axis=0))
+            area += (run[-1] + 1 - run[0]) * (cols[-1] + 1 - cols[0])
+            start = end
+        best[len(ends)] = min(best.get(len(ends), area), area)
+    return [best[k] for k in sorted(best)]
 
 
 def random_tree_model(rng: np.random.Generator, n: int) -> FeederModel:
@@ -377,16 +404,19 @@ def parameter_masks(net: MaskedNetwork) -> list:
 
 
 def exit_routing(net: MaskedNetwork) -> list:
-    """(exit layer, slot indices, their buses) per exit layer, worked out from
-    the plan's ``exit_layer`` and the network's slots."""
+    """(exit layer, slot indices, their buses' block positions) per exit layer,
+    worked out from the plan's ``exit_layer``, the network's slots and its unit
+    order: bus ``net.order[i]`` has the i-th F-block of every hidden layer."""
     slot_bus = np.array([b for b, _ in net.slots])
     slot_exit = net.plan.exit_layer[slot_bus]
-    return [(e, np.flatnonzero(slot_exit == e), slot_bus[slot_exit == e])
+    block = {int(b): i for i, b in enumerate(net.order)}
+    slot_block = np.array([block[b] for b in slot_bus.tolist()])
+    return [(e, np.flatnonzero(slot_exit == e), slot_block[slot_exit == e])
             for e in np.unique(slot_exit).tolist()]
 
 
 def readout_matrices(net: MaskedNetwork) -> list:
-    """(exit layer, slot indices, their buses, R) per exit layer: R is a
+    """(exit layer, slot indices, their buses' blocks, R) per exit layer: R is a
     (slots x n_buses*F) matrix of zeros, but for each slot exiting there,
     whose ``readout_w`` row sits at its bus's F-block, written slot by slot."""
     out = []
@@ -453,8 +483,11 @@ def reference_forward(net: MaskedNetwork, x, readout="dense"):
     k = np.take(np.atleast_2d(x), net.inputs, axis=1)  # C order, as x[:, inputs] is not
     pre = []
     acts = [k]
-    for w, b in zip(net.weights, net.biases):
-        z = k @ w.T + b
+    for w, b, (panels, _) in zip(net.weights, net.biases, net.panels(len(k))):
+        # a layer the network cuts into panels reads a unit-major copy of its
+        # input, as the network's products do: BLAS sums in an order that
+        # depends on the operands' layout
+        z = (k if panels is WHOLE else np.ascontiguousarray(k.T).T) @ w.T + b
         pre.append(z)
         k = np.where(z >= 0, z, LEAKY_SLOPE * z)
         acts.append(k)
@@ -463,8 +496,8 @@ def reference_forward(net: MaskedNetwork, x, readout="dense"):
 
 def reference_loss_and_gradients(net: MaskedNetwork, x, targets, readout="dense"):
     """Summed squared error and per-array gradients of ``net``, each weight
-    gradient a dense product multiplied by its mask, and the readout's as
-    ``readout`` (a name in ``READOUTS``) computes it."""
+    gradient a dense product with 0.0 at its masked entries, and the
+    readout's as ``readout`` (a name in ``READOUTS``) computes it."""
     x = np.atleast_2d(x)
     targets = np.atleast_2d(targets)
     out, pre, acts = reference_forward(net, x, readout)
@@ -481,8 +514,8 @@ def reference_loss_and_gradients(net: MaskedNetwork, x, targets, readout="dense"
     masks = parameter_masks(net)
     for t in range(net.plan.depth - 1, -1, -1):
         d_pre = d_acts[t + 1] * np.where(pre[t] >= 0, 1.0, LEAKY_SLOPE)
-        g_w[t] = (d_pre.T @ acts[t]) * masks[t]
-        g_b[t] = d_pre.sum(axis=0) * masks[net.plan.depth + t]
+        g_w[t] = np.where(masks[t], d_pre.T @ acts[t], 0.0)
+        g_b[t] = np.where(masks[net.plan.depth + t], d_pre.sum(axis=0), 0.0)
         d_acts[t] += d_pre @ net.weights[t]
     return loss, g_w + g_b + [g_rw, g_rb]
 

@@ -18,9 +18,11 @@ from dsse.measurements import (
     synthesize,
     unit_bases,
 )
+from dsse import network
 from dsse.network import (
     CHANNELS_PER_PHASE,
     INPUT_CHANNELS,
+    WHOLE,
     InputEmbedding,
     MaskedNetwork,
     TrainConfig,
@@ -28,6 +30,7 @@ from dsse.network import (
     Workspace,
     evaluate,
     load_checkpoint,
+    read_npz,
     save_checkpoint,
     split_indices,
     train,
@@ -554,6 +557,81 @@ class TestInputs:
         net.keep_inputs([2, 4])
         with pytest.raises(ValueError, match="among the network's 2 inputs"):
             net.keep_inputs([3])
+
+
+PANEL_PLANS = pytest.mark.parametrize("feeder, labels, prune", [
+    ("thirteen_bus", (1, 12), True),
+    ("thirteen_bus", (1, 12), False),
+    ("six_bus", (4,), True),
+], ids=["p2n2", "pawnn", "six_bus-p2n2"])
+
+
+class TestPanels:
+    """Hidden layers multiply panels over the plan's banded unit order, with
+    the bytes of the whole masked products on that order."""
+
+    def net(self, request, feeder, labels, prune):
+        model = request.getfixturevalue(feeder)
+        pmu = [model.bus_by_label(label) for label in labels]
+        return MaskedNetwork(make_plan(model, pmu, 8, prune=prune), model, seed=6)
+
+    # a cost of 0 cuts each hidden layer into one panel per live row, so the
+    # 6-bus plan's third layer skips its two dead rows and columns at every count
+    @pytest.mark.parametrize("cost", [network.PRODUCT_COST, 0])
+    @PANEL_PLANS
+    def test_passes_match_whole_products_bytewise(self, request, monkeypatch, feeder, labels,
+                                                  prune, cost):
+        monkeypatch.setattr(network, "PRODUCT_COST", cost)
+        net = self.net(request, feeder, labels, prune)
+        for rows in (1, 7, 44, 64, 300):
+            rng = np.random.default_rng(rows)
+            x = rng.normal(0, 1, (rows, net.weights[0].shape[1]))
+            y = rng.normal(1, 0.1, (rows, len(net.slots)))
+            # entries in no panel must come out 0 too, and rows in no panel
+            # must not keep what a workspace held
+            grad = np.full_like(net.theta, np.nan)
+            ws, forward_ws = Workspace(net, rows), Workspace(net, rows, backward=False)
+            for pre in ws.pre + forward_ws.pre:
+                pre.fill(np.nan)
+            loss, grads = net.loss_and_gradients(x, y, out=grad, workspace=ws)
+            ref_loss, ref_grads = oracles.reference_loss_and_gradients(net, x, y)
+            assert loss == ref_loss
+            for g, ref in zip(grads, ref_grads, strict=True):
+                assert g.tobytes() == ref.tobytes()
+            out = net.forward(x, forward_ws)
+            assert out.tobytes() == oracles.reference_forward(net, x)[0].tobytes()
+        if feeder == "thirteen_bus" or not cost:
+            assert any(panels is not WHOLE for panels, _ in net.panels(300))
+
+    @PANEL_PLANS
+    def test_one_row_takes_one_product_per_layer(self, request, feeder, labels, prune):
+        net = self.net(request, feeder, labels, prune)
+        assert net.panels(1) == [(WHOLE, [])] * net.plan.depth
+        assert all(panels is WHOLE for panels, _ in net.panels(1))
+        if feeder == "thirteen_bus":  # a 64-row pass cuts every hidden layer in three
+            assert [len(panels) for panels, _ in net.panels(64)] == [1] + [3] * 5
+
+    @PANEL_PLANS
+    def test_checkpoint_keeps_bus_order(self, request, tmp_path, feeder, labels, prune):
+        net = self.net(request, feeder, labels, prune)
+        model, plan, f = request.getfixturevalue(feeder), net.plan, net.f
+        pmu = [model.bus_by_label(label) for label in labels]
+        net.keep_inputs(np.arange(0, len(net.inputs), 2))
+        net.theta[net.live] += np.random.default_rng(0).normal(0, 0.1, len(net.live))
+        path = tmp_path / "net.npz"
+        save_checkpoint(net, path, pmu, plan_measurements(model, pmu))
+        _, arrays = read_npz(path)
+        cells = [INPUT_CHANNELS] + [f] * (plan.depth - 1)
+        for t, (mask, c) in enumerate(zip(plan.masks, cells)):
+            keep = np.kron(mask, np.ones((f, c), dtype=bool))
+            keep = keep[:, net.inputs] if t == 0 else keep
+            w, b = arrays[f"w{t}"], arrays[f"b{t}"]
+            assert w[keep].all() and not w[~keep].any()
+            assert b[keep.any(axis=1)].all() and not b[~keep.any(axis=1)].any()
+        back, _ = load_checkpoint(path, model)
+        assert back.theta.tobytes() == net.theta.tobytes()
+        x = np.random.default_rng(1).normal(0, 1, (5, INPUT_CHANNELS * model.n_buses))
+        assert back.forward(x).tobytes() == net.forward(x).tobytes()
 
 
 def minor_faults():

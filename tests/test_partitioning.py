@@ -227,6 +227,7 @@ class TestMaskPlan:
         (np.array([[1, 1], [1, 0]]), 1),  # a bus with no exit layer
         (np.ones(3, dtype=int), 1),  # not a matrix
         (np.ones((2, 2), dtype=int), 0),  # no channels
+        (np.array([[1, 2], [1, 1]]), 1),  # not symmetric
     ])
     def test_rejects_what_is_not_a_lifetime_matrix(self, life, width):
         with pytest.raises(ValueError):
@@ -273,6 +274,61 @@ class TestMaskPlan:
         parts = partition_at_pmus(six_bus, [3])
         with pytest.raises(ValueError):
             build_mask_plan(six_bus, parts, block_width=0)
+
+
+class TestPanels:
+    """The reverse Cuthill-McKee order and each layer's cuts into panels."""
+
+    # the 6-bus feeder is as narrow in file order, which it keeps
+    @pytest.mark.parametrize("feeder, pmu_labels, order, band, file_band", [
+        ("six_bus", (4,), [0, 1, 2, 3, 4, 5], 2, 2),
+        ("thirteen_bus", (1, 12), [12, 10, 8, 9, 7, 4, 6, 3, 5, 2, 11, 1, 0], 3, 10),
+    ])
+    def test_rcm_order_and_bandwidth_pinned(self, request, feeder, pmu_labels, order, band,
+                                            file_band):
+        model = request.getfixturevalue(feeder)
+        pmu = [model.bus_by_label(b) for b in pmu_labels]
+        for prune in (True, False):
+            plan = build_mask_plan(model, partition_at_pmus(model, pmu), prune=prune)
+            assert plan.order.tolist() == order
+            assert oracles.bandwidth(plan.adjacency, plan.order) == band
+            assert oracles.bandwidth(plan.adjacency, np.arange(model.n_buses)) == file_band
+
+    def test_rcm_order_visits_every_component_and_narrows_the_band(self):
+        adjacency = np.eye(5, dtype=bool)
+        adjacency[0, 4] = adjacency[4, 0] = adjacency[1, 3] = adjacency[3, 1] = True
+        order = partitioning.rcm_order(adjacency)
+        assert sorted(order.tolist()) == list(range(5))
+        assert oracles.bandwidth(adjacency, order) == 1 < oracles.bandwidth(adjacency, range(5))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 10), st.data(), st.booleans())
+    def test_cuts_cover_live_entries_with_least_area(self, n, data, prune):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        m = oracles.random_tree_model(rng, n)
+        k = data.draw(st.integers(1, n))
+        plan = build_mask_plan(m, partition_at_pmus(m, sorted(rng.choice(n, size=k,
+                                                                      replace=False).tolist())),
+                               prune=prune)
+        assert sorted(plan.order.tolist()) == list(range(n))
+        for mask, cuts, areas in zip(plan.masks, plan.panels, plan.panel_areas, strict=True):
+            banded = mask[np.ix_(plan.order, plan.order)]
+            assert np.array_equal(banded, banded.T)  # a cut by rows is one by columns
+            assert [sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in cut) for cut in cuts] == (
+                list(areas)) == oracles.brute_force_cut_areas(banded)
+            for count, cut in enumerate(cuts, 1):
+                covered = np.zeros(banded.shape, dtype=int)
+                for r0, r1, c0, c1 in cut:
+                    covered[r0:r1, c0:c1] += 1
+                    assert banded[r0].any() and banded[r1 - 1].any()  # runs end on live rows
+                assert len(cut) == count and covered.max() == 1
+                assert not np.any(banded & (covered == 0))
+
+    def test_six_bus_third_layer_drops_its_dead_rows(self, six_plan):
+        # the two leaves exit at layer 2, so layer 3 has neither their rows nor their columns
+        assert six_plan.panels[2][0] == ((0, 4, 0, 4),)
+        dead = six_plan.order[4:]
+        assert not six_plan.masks[2][dead].any() and not six_plan.masks[2][:, dead].any()
 
 
 def assert_same_plan(got, want):
