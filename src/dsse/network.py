@@ -13,10 +13,11 @@ head reads bus b from layer ``exit_layer[b]``, all slots in slot order: per
 exit layer e, one product of the layer's activations with a readout matrix
 that holds each slot exiting at e's ``readout_w`` row at its bus's block.
 
-Hidden units run in the plan's banded bus order (``MaskPlan.order``): a
-hidden layer's forward product and both gradients run as a few dense
-panels over that order (``panels``), the forward ones on a unit-major
-copy of the layer's input; the input layer is one product.
+Hidden units run in a banded bus order, the ``rcm_order`` of the plan's
+adjacency (``order``): a hidden layer's forward product and both gradients
+run as a few dense panels over that order, the least-cost cut of its mask
+for a pass's row count (``panels``), the forward ones on a unit-major copy
+of the layer's input; the input layer is one product.
 Checkpoints keep every array in bus order.
 
 Gradients are hand-rolled reverse mode into one array laid out like
@@ -43,7 +44,8 @@ import numpy as np
 
 from dsse.grid_model import PHASES, FeederModel, check_fields, is_bus_list
 from dsse.measurements import MeasurementSet, row_index, unit_bases
-from dsse.partitioning import MaskPlan, build_mask_plan, partition_at_pmus
+from dsse.partitioning import (MaskPlan, build_mask_plan, least_cost_cut, partition_at_pmus,
+                               rcm_order)
 
 LEAKY_SLOPE = 0.01
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -103,7 +105,7 @@ class MaskedNetwork:
         # kept (None for the initialisation) and their held-out loss
         self.best_epoch = self.best_loss = None
         n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
-        self.order = plan.order
+        self.order = rcm_order(plan.adjacency)
         self.units = (self.order[:, None] * f + np.arange(f)).ravel()
         # the layers that feed a readout, and where each slot's ``readout_w``
         # row sits in a workspace's stacked readout matrices: in its exit
@@ -225,18 +227,26 @@ class MaskedNetwork:
         """Per layer, the (panels, gaps) a pass over ``rows`` rows multiplies. A
         panel is a (rows, columns) pair of unit slices, which the input
         gradient reads as (columns, rows): the masks are symmetric. Gaps are
-        the rows in no panel. A hidden layer takes its cut into the k panels
-        that minimise rows * area + k * PRODUCT_COST, and WHOLE, one product,
-        for k = 1, as the input layer does and every layer if F % PANEL_ALIGN."""
+        the rows in no panel. A hidden layer takes the ``least_cost_cut`` of
+        its mask in ``order`` at rows * F^2 per bus pair of area and
+        PRODUCT_COST per panel, and WHOLE, one product, where that is one
+        panel, as the input layer does. So does every layer if F %
+        PANEL_ALIGN, and every one where rows * (F * n)^2 <= PRODUCT_COST,
+        which no cut into two panels can beat."""
         if rows not in self._panels:
-            f, n, layers = self.f, self.n_buses, [(WHOLE, [])]
-            for cuts, areas in zip(self.plan.panels[1:], self.plan.panel_areas[1:]):
-                cut = cuts[min(range(len(cuts)),
-                               key=lambda k: rows * f * f * areas[k] + PRODUCT_COST * k)]
-                stops, starts = zip(*[(r1, r0) for r0, r1, _, _ in cut])
-                layers.append((WHOLE, []) if len(cut) == 1 or f % PANEL_ALIGN else (
-                    [(slice(f * r0, f * r1), slice(f * c0, f * c1)) for r0, r1, c0, c1 in cut],
-                    [slice(f * a, f * b) for a, b in zip((0,) + stops, starts + (n,)) if a < b]))
+            f, n, depth = self.f, self.n_buses, self.plan.depth
+            layers = [(WHOLE, [])] * depth
+            if not (f % PANEL_ALIGN or rows * (f * n) ** 2 <= PRODUCT_COST):
+                banded = self.plan.life[np.ix_(self.order, self.order)]
+                for t in range(1, depth):
+                    cut = least_cost_cut(banded > t, rows * f * f, PRODUCT_COST)
+                    if len(cut) > 1:
+                        stops, starts = zip(*[(r1, r0) for r0, r1, _, _ in cut])
+                        layers[t] = (
+                            [(slice(f * r0, f * r1), slice(f * c0, f * c1))
+                             for r0, r1, c0, c1 in cut],
+                            [slice(f * a, f * b) for a, b in zip((0,) + stops, starts + (n,))
+                             if a < b])
             self._panels[rows] = layers
         return self._panels[rows]
 

@@ -26,15 +26,15 @@ both; a bus's exit layer on the diagonal; zero where no branch joins i and
 j). ``MaskPlan`` derives all else from it once: layer t's mask is
 ``life >= t``, the depth its largest entry, the exit layers its diagonal.
 The unpruned plan sets every live entry to the network depth.
-It also derives a reverse Cuthill-McKee bus order (Cuthill & McKee, 1969;
-file order if no narrower), and the cuts of each mask into panels.
+Two functions serve a network's panel layout and read no plan: ``rcm_order``,
+a reverse Cuthill-McKee bus order (Cuthill & McKee, 1969; file order if no
+narrower), and ``least_cost_cut``, the cheapest cut of a mask into panels.
 ``export_mask_plan`` writes each layer's live entries as sorted (layer, i, j)
 triplets, so a pair's deepest listed layer is its lifetime.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -60,11 +60,8 @@ class MaskPlan:
     (``life > 0``), ``depth`` (the largest lifetime), ``masks[t-1]``
     (``life >= t``, gating the weight matrix feeding layer ``t``; layer 0 is
     the input), ``exit_layer`` (the diagonal: the layer whose activations
-    feed bus b's readout), ``order`` (``rcm_order`` of ``adjacency``) and
-    ``panels[t][k-1]``, the ``panel_cuts`` of ``masks[t]`` laid out in
-    ``order`` into k panels, by rows and so (``life`` is symmetric) by
-    columns, with their total areas in ``panel_areas[t][k-1]``. None of
-    these enters ``signature()``.
+    feed bus b's readout). ``life`` must be symmetric, so a network can cut
+    a mask by rows and use the cut for its columns.
     """
 
     def __init__(self, life, block_width: int, pruned: bool):
@@ -83,10 +80,6 @@ class MaskPlan:
         self.depth = int(life.max())
         self.masks = [life >= t for t in range(1, self.depth + 1)]
         self.exit_layer = life.diagonal().copy()
-        self.order = rcm_order(self.adjacency)
-        banded = life[np.ix_(self.order, self.order)]
-        self.panels, self.panel_areas = zip(*[panel_cuts(banded >= t)
-                                              for t in range(1, self.depth + 1)])
 
     def signature(self) -> str:
         payload = json.dumps(
@@ -124,41 +117,32 @@ def rcm_order(adjacency) -> np.ndarray:
     return orders[int(band[1] <= band[0])]
 
 
-def panel_cuts(mask) -> tuple:
-    """(cuts, areas): for k = 1, 2, ... up to the live row count, the cut of
-    ``mask``'s live rows into k runs whose bounding rectangles have the least
-    total area, as k (row start, row stop, column start, column stop) tuples,
-    and that area. A run spans its first live row to its last, its first
-    live column to its last."""
-    return _panel_cuts(mask.shape, np.asarray(mask, dtype=bool).tobytes())
-
-
-@functools.lru_cache(maxsize=256)  # a plan's layers, and one feeder's plans, share masks
-def _panel_cuts(shape, packed) -> tuple:
-    mask = np.frombuffer(packed, dtype=bool).reshape(shape)
+def least_cost_cut(mask, area_cost, run_cost) -> tuple:
+    """The cut of the bool ``mask``'s live rows into runs that minimises
+    ``area_cost`` times the total area of their bounding rectangles plus
+    ``run_cost`` per run, as (row start, row stop, column start, column stop)
+    tuples. A run spans its first live row to its last, its first live
+    column to its last. Costs are whole numbers below 2**53, so float64 sums
+    them exactly."""
     rows, width = np.flatnonzero(mask.any(axis=1)), mask.shape[1]
     m, live = len(rows), mask[rows]
     later = np.arange(m) >= np.arange(m)[:, None]  # [i, j]: run i..j of live rows
     lo = np.minimum.accumulate(np.where(later, live.argmax(axis=1), width), axis=1)
     hi = np.maximum.accumulate(np.where(later, width - live[:, ::-1].argmax(axis=1), 0), axis=1)
-    area = np.where(later, (rows + 1 - rows[:, None]) * (hi - lo), np.inf)
-    # best[j]: the least area covering the first j live rows with k runs;
-    # starts[k-1][j]: where the last of them begins
-    best, starts, areas = np.r_[0.0, np.full(m, np.inf)], [], []
-    for _ in range(m):
-        total = best[:m, None] + area
-        starts.append([0] + total.argmin(axis=0).tolist())
-        best = np.concatenate(([np.inf], total.min(axis=0)))
-        areas.append(int(best[m]))
-    rows, lo, hi, cuts = rows.tolist(), lo.tolist(), hi.tolist(), []
-    for k in range(1, m + 1):
-        j, cut = m, []
-        for start in starts[k - 1 :: -1]:
-            i = start[j]
-            cut.insert(0, (rows[i], rows[j - 1] + 1, lo[i][j - 1], hi[i][j - 1]))
-            j = i
-        cuts.append(tuple(cut))
-    return tuple(cuts), tuple(areas)
+    cost = np.where(later, (rows + 1 - rows[:, None]) * (hi - lo) * float(area_cost) + run_cost,
+                    np.inf)
+    # best[j]: the least cost of the first j live rows; start[j]: where its last run begins
+    best, start = np.zeros(m + 1), [0] * (m + 1)
+    for j in range(1, m + 1):
+        total = best[:j] + cost[:j, j - 1]
+        start[j] = int(total.argmin())
+        best[j] = total[start[j]]
+    cut, j = [], m
+    while j:
+        i = start[j]
+        cut.append((int(rows[i]), int(rows[j - 1]) + 1, int(lo[i, j - 1]), int(hi[i, j - 1])))
+        j = i
+    return tuple(cut[::-1])
 
 
 @dataclass(frozen=True)

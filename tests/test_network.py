@@ -567,23 +567,30 @@ PANEL_PLANS = pytest.mark.parametrize("feeder, labels, prune", [
 
 
 class TestPanels:
-    """Hidden layers multiply panels over the plan's banded unit order, with
+    """Hidden layers multiply panels over the network's banded unit order, with
     the bytes of the whole masked products on that order."""
 
-    def net(self, request, feeder, labels, prune):
+    def net(self, request, feeder, labels, prune, f=8):
         model = request.getfixturevalue(feeder)
         pmu = [model.bus_by_label(label) for label in labels]
-        return MaskedNetwork(make_plan(model, pmu, 8, prune=prune), model, seed=6)
+        return MaskedNetwork(make_plan(model, pmu, f, prune=prune), model, seed=6)
 
-    # a cost of 0 cuts each hidden layer into one panel per live row, so the
-    # 6-bus plan's third layer skips its two dead rows and columns at every count
+    # a cost of 0 cuts each hidden layer into its least area, so the 6-bus
+    # plan's third layer skips its two dead rows and columns at every count;
+    # at F = 16 the 13-bus plan with PMUs at 5, 6 and 10 has several cuts of
+    # equal least cost at 34 rows
     @pytest.mark.parametrize("cost", [network.PRODUCT_COST, 0])
-    @PANEL_PLANS
+    @pytest.mark.parametrize("feeder, labels, prune, f", [
+        ("thirteen_bus", (1, 12), True, 8),
+        ("thirteen_bus", (1, 12), False, 8),
+        ("six_bus", (4,), True, 8),
+        ("thirteen_bus", (5, 6, 10), True, 16),
+    ], ids=["p2n2", "pawnn", "six_bus-p2n2", "tie-f16"])
     def test_passes_match_whole_products_bytewise(self, request, monkeypatch, feeder, labels,
-                                                  prune, cost):
+                                                  prune, f, cost):
         monkeypatch.setattr(network, "PRODUCT_COST", cost)
-        net = self.net(request, feeder, labels, prune)
-        for rows in (1, 7, 44, 64, 300):
+        net = self.net(request, feeder, labels, prune, f)
+        for rows in (1, 7, 34, 44, 64, 300):
             rng = np.random.default_rng(rows)
             x = rng.normal(0, 1, (rows, net.weights[0].shape[1]))
             y = rng.normal(1, 0.1, (rows, len(net.slots)))
@@ -602,6 +609,28 @@ class TestPanels:
             assert out.tobytes() == oracles.reference_forward(net, x)[0].tobytes()
         if feeder == "thirteen_bus" or not cost:
             assert any(panels is not WHOLE for panels, _ in net.panels(300))
+
+    @PANEL_PLANS
+    def test_cuts_are_least_cost(self, request, monkeypatch, feeder, labels, prune):
+        net = self.net(request, feeder, labels, prune)
+        f, n, cost = net.f, net.n_buses, network.PRODUCT_COST
+        brute = [oracles.brute_force_cut_areas(mask[np.ix_(net.order, net.order)])
+                 for mask in net.plan.masks[1:]]
+
+        def never(*args):
+            raise AssertionError("a pass that one product serves ran the cut")
+
+        cut = network.least_cost_cut
+        for rows in range(1, 301):
+            small = rows * (f * n) ** 2 <= cost
+            monkeypatch.setattr(network, "least_cost_cut", never if small else cut)
+            for (panels, _), areas in zip(net.panels(rows)[1:], brute, strict=True):
+                got = (rows * f * f * areas[0] + cost if panels is WHOLE else
+                       sum(rows * (r.stop - r.start) * (c.stop - c.start) + cost
+                           for r, c in panels))
+                assert got == min(rows * f * f * area + cost * k
+                                  for k, area in enumerate(areas, 1))
+        assert (f * n) ** 2 <= cost < 300 * (f * n) ** 2  # both kinds of row count ran
 
     @PANEL_PLANS
     def test_one_row_takes_one_product_per_layer(self, request, feeder, labels, prune):

@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 import oracles
 from dsse import partitioning
 from dsse.grid_model import feeder_from_dict
+from dsse.network import MaskedNetwork
 from dsse.partitioning import (
     MaskPlan,
     Partition,
     build_mask_plan,
     count_params,
     export_mask_plan,
+    least_cost_cut,
     partition_at_pmus,
+    rcm_order,
     resolution_depth,
 )
 
@@ -277,7 +280,7 @@ class TestMaskPlan:
 
 
 class TestPanels:
-    """The reverse Cuthill-McKee order and each layer's cuts into panels."""
+    """The reverse Cuthill-McKee order and the least-cost cuts into panels."""
 
     # the 6-bus feeder is as narrow in file order, which it keeps
     @pytest.mark.parametrize("feeder, pmu_labels, order, band, file_band", [
@@ -290,8 +293,9 @@ class TestPanels:
         pmu = [model.bus_by_label(b) for b in pmu_labels]
         for prune in (True, False):
             plan = build_mask_plan(model, partition_at_pmus(model, pmu), prune=prune)
-            assert plan.order.tolist() == order
-            assert oracles.bandwidth(plan.adjacency, plan.order) == band
+            net_order = MaskedNetwork(plan, model).order
+            assert net_order.tolist() == order
+            assert oracles.bandwidth(plan.adjacency, net_order) == band
             assert oracles.bandwidth(plan.adjacency, np.arange(model.n_buses)) == file_band
 
     def test_rcm_order_visits_every_component_and_narrows_the_band(self):
@@ -310,24 +314,29 @@ class TestPanels:
         plan = build_mask_plan(m, partition_at_pmus(m, sorted(rng.choice(n, size=k,
                                                                       replace=False).tolist())),
                                prune=prune)
-        assert sorted(plan.order.tolist()) == list(range(n))
-        for mask, cuts, areas in zip(plan.masks, plan.panels, plan.panel_areas, strict=True):
-            banded = mask[np.ix_(plan.order, plan.order)]
+        order = rcm_order(plan.adjacency)
+        assert sorted(order.tolist()) == list(range(n))
+        for mask in plan.masks:
+            banded = mask[np.ix_(order, order)]
             assert np.array_equal(banded, banded.T)  # a cut by rows is one by columns
-            assert [sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in cut) for cut in cuts] == (
-                list(areas)) == oracles.brute_force_cut_areas(banded)
-            for count, cut in enumerate(cuts, 1):
+            brute = oracles.brute_force_cut_areas(banded)
+            for run_cost in (0, 1, 7, 1e12):
+                cut = least_cost_cut(banded, 1, run_cost)
+                assert sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in cut) + (
+                    run_cost * len(cut)) == min(area + run_cost * count
+                                                for count, area in enumerate(brute, 1))
                 covered = np.zeros(banded.shape, dtype=int)
                 for r0, r1, c0, c1 in cut:
                     covered[r0:r1, c0:c1] += 1
                     assert banded[r0].any() and banded[r1 - 1].any()  # runs end on live rows
-                assert len(cut) == count and covered.max() == 1
-                assert not np.any(banded & (covered == 0))
+                assert covered.max() == 1 and not np.any(banded & (covered == 0))
 
     def test_six_bus_third_layer_drops_its_dead_rows(self, six_plan):
         # the two leaves exit at layer 2, so layer 3 has neither their rows nor their columns
-        assert six_plan.panels[2][0] == ((0, 4, 0, 4),)
-        dead = six_plan.order[4:]
+        order = rcm_order(six_plan.adjacency)
+        assert least_cost_cut(six_plan.masks[2][np.ix_(order, order)], 1, 1e12) == (
+            (0, 4, 0, 4),)
+        dead = order[4:]
         assert not six_plan.masks[2][dead].any() and not six_plan.masks[2][:, dead].any()
 
 
