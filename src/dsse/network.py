@@ -4,14 +4,15 @@ Layer recursion: k_t = leaky_relu(W_t k_{t-1} + b_t) with k_0 the embedded
 measurement vector, each row's per-unit value in its own (bus, phase, kind)
 cell. W_t is gated by the plan's bus mask expanded to F x F blocks (F x C
 for the input layer). The input layer reads only the feature cells
-``inputs``: every cell in a fresh network, and in one from ``train`` the
-cells its data fills, so no pass multiplies cells that are 0 in every
-sample. All parameters are views of one flat vector ``theta``, gated by one
-int vector ``mask`` laid out like it; masked entries are zero from
-initialisation on and ADAM updates only the live ones. A per-slot linear
-head reads bus b from layer ``exit_layer[b]``, all slots in slot order: per
-exit layer e, one product of the layer's activations with a readout matrix
-that holds each slot exiting at e's ``readout_w`` row at its bus's block.
+``inputs`` the network is built with: every cell by default, and in one
+from ``train`` the cells its data fills, so no pass multiplies cells that
+are 0 in every sample. All parameters are views of one flat vector
+``theta``, gated by one int vector ``mask`` laid out like it; masked
+entries are zero from initialisation on and ADAM updates only the live
+ones. A per-slot linear head reads bus b from layer ``exit_layer[b]``, all
+slots in slot order: per exit layer e, one product of the layer's
+activations with a readout matrix that holds each slot exiting at e's
+``readout_w`` row at its bus's block.
 
 Hidden units run in a banded bus order, the ``rcm_order`` of the plan's
 adjacency (``order``): a hidden layer's forward product and both gradients
@@ -89,14 +90,28 @@ class InputEmbedding:
         return out
 
 
+def check_batch(model, features, targets=None) -> None:
+    """ValueError unless ``features`` is (rows, n_buses * INPUT_CHANNELS) and ``targets``,
+    if given, (rows, slots), for ``model`` a FeederModel or a MaskedNetwork."""
+    rows, width, slots = len(features), model.n_buses * INPUT_CHANNELS, len(model.slots)
+    if np.shape(features) != (rows, width):
+        raise ValueError(f"features must be of shape {(rows, width)}, got {np.shape(features)}")
+    if targets is not None and np.shape(targets) != (rows, slots):
+        raise ValueError(f"targets must be of shape {(rows, slots)}, got {np.shape(targets)}")
+
+
 class MaskedNetwork:
     """Parameters {W_t, b_t} conforming to a MaskPlan, plus linear readouts,
     as views of one vector ``theta``; ``mask`` is laid out like it (LIVE or
     0), and ``live`` indexes its live entries. Hidden unit u is channel u % F
     of bus ``order[u // F]``, and ``units[u]`` its index in bus order.
-    ``inputs`` lists the feature cells W_0's columns read, in order."""
+    ``inputs``, increasing ints below n_buses * INPUT_CHANNELS (every cell
+    if None; ValueError for any other), are the feature cells W_0's columns
+    read. Each weight row is drawn over every cell, in bus order, and then
+    kept in this layout: a network over some cells holds those columns of
+    the one over all of them."""
 
-    def __init__(self, plan: MaskPlan, model: FeederModel, seed: int = 0):
+    def __init__(self, plan: MaskPlan, model: FeederModel, seed: int = 0, inputs=None):
         self.plan = plan
         self.n_buses = model.n_buses
         self.f = plan.block_width
@@ -105,6 +120,12 @@ class MaskedNetwork:
         # kept (None for the initialisation) and their held-out loss
         self.best_epoch = self.best_loss = None
         n, f, depth, slots = self.n_buses, self.f, plan.depth, len(self.slots)
+        cells = np.arange(n * INPUT_CHANNELS) if inputs is None else np.asarray(inputs)
+        if (cells.ndim != 1 or cells.size and cells.dtype.kind not in "iu"
+                or np.any(np.diff(cells, prepend=-1, append=n * INPUT_CHANNELS) <= 0)):
+            raise ValueError(f"input cells must increase and be ints in [0, {n * INPUT_CHANNELS}),"
+                             f" got {cells.tolist()!r}")
+        self.inputs = cells.astype(int)
         self.order = rcm_order(plan.adjacency)
         self.units = (self.order[:, None] * f + np.arange(f)).ravel()
         # the layers that feed a readout, and where each slot's ``readout_w``
@@ -119,76 +140,40 @@ class MaskedNetwork:
         self._panels = {}  # by row count
 
         # theta: depth weight matrices (F x C blocks at the input layer, F x F
-        # after), depth biases and the readout; ``mask`` is LIVE at its live entries
-        cells = [INPUT_CHANNELS] + [f] * (depth - 1)  # input cells per bus, layer by layer
-        self.inputs = np.arange(n * INPUT_CHANNELS)
-        self._lay_out([(n * f, n * c) for c in cells] + [(n * f,)] * depth
-                      + [(slots, f), (slots,)])
-        self.theta, self.mask = np.zeros(self._spans[-1][1]), np.full(self._spans[-1][1], LIVE)
-        weights, biases, readout_w, readout_b = self._views(self.theta)
-        weight_masks, bias_masks, _, _ = self._views(self.mask)
+        # after), depth biases and the readout, in unit order and with W_0's
+        # ``inputs`` columns only; ``mask`` is LIVE at its live entries
+        widths = [INPUT_CHANNELS] + [f] * (depth - 1)  # input cells per bus, layer by layer
+        cols = [self.inputs] + [self.units] * (depth - 1)  # W_t's columns, as bus-order cells
+        shapes = [(n * f, len(c)) for c in cols] + [(n * f,)] * depth + [(slots, f), (slots,)]
+        ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
+        self._spans = [(end - np.prod(shape), end, shape) for shape, end in zip(shapes, ends)]
+        self.theta, self.mask = np.zeros(ends[-1]), np.zeros(ends[-1], dtype=int)
+        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
+        weight_masks, bias_masks, readout_wm, readout_bm = self._views(self.mask)
         rng = np.random.default_rng(seed)
-        for mask, c, w, wm, bm in zip(plan.masks, cells, weights, weight_masks, bias_masks):
-            wm[...] = np.kron(mask, np.full((f, c), LIVE))
-            fan_in = np.count_nonzero(wm, axis=1)
+        unit_row = np.argsort(self.units)  # bus-order row r is unit row unit_row[r]
+        for mask, c, col, w, wm, bm in zip(plan.masks, widths, cols, self.weights,
+                                           weight_masks, bias_masks):
+            # a live row's normals are drawn in bus order over every cell, so
+            # the random stream does not depend on the order or ``inputs``;
+            # they go to its unit row, in the columns ``col``
+            fan_in = np.repeat(mask.sum(axis=1) * c, f)
             live = fan_in > 0  # a row without live weights has no live bias
-            bm[...] = LIVE * live
-            w[live] = rng.normal(0.0, 1.0, (int(live.sum()), w.shape[1])) * np.sqrt(
-                2.0 / fan_in[live]
-            )[:, None]
-        readout_w[...] = rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f)
-        readout_b[...] = 1.0  # magnitudes sit near 1 p.u.
-        for flat in (self.theta, self.mask) if (self.order != np.arange(n)).any() else ():
-            arrays = self._arrays(flat)  # drawn in bus order, kept in unit order
-            for a, new in zip(arrays, self._unit_axes(arrays, self.units)):
-                a[...] = new
+            scale = np.sqrt(2.0 / fan_in[live])[:, None]
+            w[unit_row[live]] = rng.normal(0.0, 1.0, (int(live.sum()), n * c))[:, col] * scale
+            wm.reshape(n, f, len(col))[...] = (LIVE * mask[np.ix_(self.order, col // c)])[:, None]
+            bm[...] = LIVE * live[self.units]
+        self.readout_w[...] = rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f)
+        self.readout_b[...] = 1.0  # magnitudes sit near 1 p.u.
+        readout_wm[...] = readout_bm[...] = LIVE
         np.bitwise_and(self.theta.view(np.int64), self.mask, out=self.theta.view(np.int64))
-        self._bind()
+        self.live = np.flatnonzero(self.mask)
 
     # -- parameter plumbing ------------------------------------------------
 
-    def _lay_out(self, shapes):
-        """Each parameter array's (start, stop, shape) in ``theta``, in order."""
-        ends = np.cumsum([np.prod(shape) for shape in shapes]).tolist()
-        self._spans = [(end - np.prod(shape), end, shape) for shape, end in zip(shapes, ends)]
-
-    def _bind(self):
-        """Point the parameter views at ``theta`` and index ``mask``'s live entries."""
-        self.weights, self.biases, self.readout_w, self.readout_b = self._views(self.theta)
-        self.live = np.flatnonzero(self.mask)
-
-    def keep_inputs(self, cells) -> None:
-        """Read only the feature cells ``cells``, increasing ints among ``inputs``:
-        W_0 keeps their columns, with their values and masks, and drops the
-        rest. ``theta`` is laid out anew, so earlier views, gradients and
-        workspaces no longer fit. ValueError for any other ``cells``."""
-        cells = np.asarray(cells)
-        if cells.ndim != 1 or cells.size and cells.dtype.kind not in "iu":
-            raise ValueError(f"input cells must be a list of ints, got {cells.tolist()!r}")
-        if np.any(np.diff(cells) <= 0) or not np.isin(cells, self.inputs).all():
-            raise ValueError(f"input cells must increase and be among the network's "
-                             f"{len(self.inputs)} inputs, got {cells.tolist()!r}")
-        cols = np.searchsorted(self.inputs, cells)
-        (_, stop, (rows, _)), *rest = self._spans
-        self._lay_out([(rows, len(cols))] + [shape for _, _, shape in rest])
-        start, end = self._spans[1][0], self._spans[-1][1]
-        # compacted within their own buffers: freeing a large block mid-training
-        # would raise glibc's mmap threshold, and keep later scratch resident
-        for flat in (self.theta, self.mask):
-            w0 = flat[:stop].reshape(rows, -1)[:, cols]
-            flat[start:end] = flat[stop:]
-            flat[:start] = w0.ravel()
-        self.theta, self.mask = self.theta[:end], self.mask[:end]
-        self.inputs = self.inputs[cols]
-        self._bind()
-
-    def _arrays(self, flat):
-        """The parameter arrays, in ``parameters()`` order, as views of a theta-like vector."""
-        return [flat[start:stop].reshape(shape) for start, stop, shape in self._spans]
-
     def _views(self, flat):
         """(weights, biases, readout_w, readout_b) as views of a theta-like vector."""
-        v, t = self._arrays(flat), self.plan.depth
+        v, t = [flat[a:b].reshape(shape) for a, b, shape in self._spans], self.plan.depth
         return v[:t], v[t : 2 * t], v[2 * t], v[2 * t + 1]
 
     def _unit_axes(self, params, index):
@@ -287,10 +272,11 @@ class MaskedNetwork:
     def forward(self, x: np.ndarray, workspace: Workspace | None = None) -> np.ndarray:
         """Per (bus, phase) voltage magnitudes (p.u.) for feature vector(s), a
         fresh array. Scratch arrays come from ``workspace`` (either kind), or
-        from one made for this call."""
+        from one made for this call. ValueError for rows that fail ``check_batch``."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x = np.atleast_2d(x)
+        check_batch(self, x)
         ws = Workspace(self, len(x), backward=False) if workspace is None else workspace
         out = self._forward(x, ws)
         return out[0] if single else out
@@ -300,12 +286,13 @@ class MaskedNetwork:
         aligned with ``parameters()``: views of one array laid out like
         ``theta`` (``out`` if given). Masked entries get exactly 0. Scratch
         arrays come from ``workspace`` (a backward one), or from one made
-        for this call."""
+        for this call. ValueError for arrays that fail ``check_batch``."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         targets = np.atleast_2d(targets)
         n = len(x)
         if n == 0:
             raise ValueError("empty batch")
+        check_batch(self, x, targets)
         ws = Workspace(self, n) if workspace is None else workspace
         if not ws.backward:
             raise ValueError("a forward-only workspace cannot hold a backward pass")
@@ -370,8 +357,7 @@ class Workspace:
     readout matrix ``readout[i]`` (i = ``net.exits.index(e)``), zero except
     that each slot exiting at e has its ``readout_w`` row at its bus's
     F-block. Every pass writes the current ``readout_w`` into it, so it
-    cannot go stale. A workspace fits ``net`` as laid out when it was made
-    (``keep_inputs``)."""
+    cannot go stale."""
 
     def __init__(self, net: MaskedNetwork, rows: int, backward: bool = True):
         shape = (rows, net.n_buses * net.f)
@@ -447,19 +433,19 @@ def train(
     shuffle, trains on the first part, tracks loss on the held-out part,
     and returns the parameters at the best held-out loss. Deterministic
     per seed. The network reads only the columns of ``features`` that are
-    nonzero in some row (``keep_inputs``). Returns (network, curve,
-    heldout_indices). Raises TrainingDiverged once a minibatch loss is not
-    finite.
+    nonzero in some row (its ``inputs``). Returns (network, curve,
+    heldout_indices). ValueError for arrays that fail ``check_batch`` or an
+    empty part; TrainingDiverged once a minibatch loss is not finite.
 
     All scratch arrays -- a workspace per minibatch size and one held-out,
     ADAM's vectors and the best-epoch snapshot -- are allocated once per call.
     """
     config = config or TrainConfig()
-    net = MaskedNetwork(plan, model, seed=config.seed)
+    check_batch(model, features, targets)
     train_idx, val_idx = split_indices(len(features), config.train_fraction, config.seed)
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("dataset too small for the configured split")
-    net.keep_inputs(np.flatnonzero(features.any(axis=0)))
+    net = MaskedNetwork(plan, model, config.seed, np.flatnonzero(features.any(axis=0)))
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 
@@ -539,10 +525,11 @@ def nu(estimates, truth) -> float:
 
 
 def evaluate(net: MaskedNetwork, features: np.ndarray, targets: np.ndarray) -> EvalReport:
-    """ν of ``net`` on ``features`` against ``targets``."""
+    """ν of ``net`` on ``features`` against ``targets`` (``check_batch``)."""
     if len(features) == 0:
         raise ValueError("empty test set")
-    return EvalReport(nu(net.forward(np.atleast_2d(features)), targets), len(features))
+    check_batch(net, features, targets)
+    return EvalReport(nu(net.forward(features), targets), len(features))
 
 
 # -- archives: datasets and checkpoints --------------------------------------
@@ -605,10 +592,8 @@ def load_checkpoint(path, model: FeederModel) -> tuple[MaskedNetwork, dict]:
                            prune=kind == "p2n2")
     if meta["plan_signature"] != plan.signature():
         raise ValueError("checkpoint plan hash does not match the feeder's plan")
-    net = MaskedNetwork(plan, model, seed=0)
-    if "inputs" in meta:
-        check_fields(meta, (("inputs", is_bus_list(meta["inputs"]), "a list of ints"),),
-                     "checkpoint metadata {!r}")
-        net.keep_inputs(meta["inputs"])
+    check_fields(meta, (("inputs", "inputs" not in meta or is_bus_list(meta["inputs"]),
+                         "a list of ints"),), "checkpoint metadata {!r}")
+    net = MaskedNetwork(plan, model, inputs=meta.get("inputs"))
     net.set_parameters([arrays.get(name) for name in net.parameter_names()], bus_order=True)
     return net, meta

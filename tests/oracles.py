@@ -21,7 +21,10 @@ evaluator's before constant rows were compiled, every row built from dense
 one-hot own-slot products and full-size selections. The reference mask plan
 is plan construction before the lifetime matrix: an all-pairs BFS per
 partition, a separate unpruned return, and a loop over layers, partitions
-and bus pairs.
+and bus pairs. The reference network parameters are a network's first
+construction path: every layer drawn in bus order over every input cell
+with its kron-expanded mask, then permuted into unit order, then W_0's kept
+columns taken.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ from dsse.network import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    INPUT_CHANNELS,
     LEAKY_SLOPE,
+    LIVE,
     InputEmbedding,
     MaskedNetwork,
     TrainConfig,
@@ -48,7 +53,7 @@ from dsse.network import (
     TrainingDiverged,
     split_indices,
 )
-from dsse.partitioning import MaskPlan, resolution_depth
+from dsse.partitioning import MaskPlan, rcm_order, resolution_depth
 from dsse.pipeline import Dataset, sample_multipliers
 from dsse.powerflow import (SLACK_ANGLES, NotConvergedError, StateVector, slack_state,
                             solve_power_flow)
@@ -396,6 +401,38 @@ def fd_scalar_grad(fun, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
 # -- training oracle -------------------------------------------------------
 
 
+def reference_initial_parameters(plan: MaskPlan, model: FeederModel, seed: int, inputs=None):
+    """(theta, mask) of ``MaskedNetwork(plan, model, seed, inputs)`` as networks
+    were first built: each layer's live rows drawn in bus order over every
+    cell, beside its mask as the kron of the plan's bus mask with an F x C
+    (F x F) block of LIVE; then every hidden-unit axis permuted into the
+    ``rcm_order`` unit order; then W_0's ``inputs`` columns taken (every
+    cell if None) and the masked entries zeroed."""
+    n, f, slots = model.n_buses, plan.block_width, len(model.slots)
+    units = (rcm_order(plan.adjacency)[:, None] * f + np.arange(f)).ravel()
+    cells = np.arange(n * INPUT_CHANNELS) if inputs is None else np.asarray(inputs, dtype=int)
+    rng = np.random.default_rng(seed)
+    weights, biases, weight_masks, bias_masks = [], [], [], []
+    for t, mask in enumerate(plan.masks):
+        wm = np.kron(mask, np.full((f, f if t else INPUT_CHANNELS), LIVE))
+        fan_in = np.count_nonzero(wm, axis=1)
+        live = fan_in > 0
+        w = np.zeros(wm.shape)
+        w[live] = rng.normal(0.0, 1.0, (int(live.sum()), w.shape[1])) * np.sqrt(
+            2.0 / fan_in[live])[:, None]
+        w, wm = w[units], wm[units]  # the permutation, rows first
+        cols = units if t else cells  # then the hidden columns, or the column take
+        weights.append(w[:, cols])
+        weight_masks.append(wm[:, cols])
+        biases.append(np.zeros(n * f))
+        bias_masks.append((LIVE * live)[units])
+    readout = [rng.normal(0.0, 1.0, (slots, f)) / np.sqrt(f), np.ones(slots)]
+    theta = np.concatenate([a.ravel() for a in weights + biases + readout])
+    mask = np.concatenate([a.ravel() for a in weight_masks + bias_masks]
+                          + [np.full(slots * (f + 1), LIVE)])
+    return np.where(mask != 0, theta, 0.0), mask
+
+
 def parameter_masks(net: MaskedNetwork) -> list:
     """Bool mask of each parameter array, in ``parameters()`` order: the
     views of ``net.mask``."""
@@ -528,11 +565,11 @@ def reference_train(plan, model, features, targets, config=None):
     ``features`` nonzero in some row. Returns (network, curve,
     heldout_indices)."""
     config = config or TrainConfig()
-    net = MaskedNetwork(plan, model, seed=config.seed)
     train_idx, val_idx = split_indices(len(features), config.train_fraction, config.seed)
     if len(train_idx) == 0 or len(val_idx) == 0:
         raise ValueError("dataset too small for the configured split")
-    net.keep_inputs([c for c in range(features.shape[1]) if np.any(features[:, c])])
+    net = MaskedNetwork(plan, model, config.seed,
+                        [c for c in range(features.shape[1]) if np.any(features[:, c])])
     x_tr, y_tr = features[train_idx], targets[train_idx]
     x_val, y_val = features[val_idx], targets[val_idx]
 

@@ -471,7 +471,28 @@ class TestTraining:
 
 
 class TestInputs:
-    """A network reads the feature cells ``inputs``; ``train`` keeps those its data fills."""
+    """A network reads the feature cells ``inputs`` it is built with; ``train``
+    builds one over those its data fills."""
+
+    @pytest.mark.parametrize("f", [2, 3, 8])
+    @pytest.mark.parametrize("prune", [True, False], ids=["p2n2", "pawnn"])
+    @pytest.mark.parametrize("fixture, labels", [("six_bus", (4,)), ("thirteen_bus", (1, 12))])
+    def test_built_as_drawn_in_bus_order_then_permuted(self, request, fixture, labels, prune, f):
+        model = request.getfixturevalue(fixture)
+        pmu = [model.bus_by_label(label) for label in labels]
+        plan = make_plan(model, pmu, f, prune=prune)
+        template = plan_measurements(model, pmu)
+        filled = InputEmbedding(model, template).embed_values(np.ones(len(template)))
+        width = model.n_buses * INPUT_CHANNELS
+        for seed, cells in [(0, None), (5, np.flatnonzero(filled)), (1, np.arange(1, width, 3)),
+                            (2, [])]:
+            net = MaskedNetwork(plan, model, seed, cells)
+            theta, mask = oracles.reference_initial_parameters(plan, model, seed, cells)
+            assert net.theta.tobytes() == theta.tobytes()
+            assert net.mask.tobytes() == mask.tobytes()
+            assert net.live.tolist() == np.flatnonzero(mask).tolist()
+        # the 13-bus units run in another order than the buses
+        assert (net.order != np.arange(model.n_buses)).any() == (fixture == "thirteen_bus")
 
     @pytest.mark.parametrize("fixture, labels, cells", [
         ("six_bus", (4,), (54, 54, 40)),
@@ -499,8 +520,7 @@ class TestInputs:
         template = plan_measurements(model, pmu)
         cells = np.flatnonzero(InputEmbedding(model, template).embed_values(np.ones(len(template))))
         plan = make_plan(model, pmu, 8)
-        full, part = MaskedNetwork(plan, model, seed=0), MaskedNetwork(plan, model, seed=0)
-        part.keep_inputs(cells)
+        full, part = MaskedNetwork(plan, model, seed=0), MaskedNetwork(plan, model, 0, cells)
         dropped = model.n_buses * 8 * (len(full.inputs) - len(cells))
         assert len(part.theta) == len(full.theta) - dropped
         rng = np.random.default_rng(0)
@@ -518,11 +538,9 @@ class TestInputs:
             assert np.abs(grad - kept).max() <= 1e-15 * np.abs(kept).max()
             assert not np.any(grad[part.mask == 0])
 
-    def test_keep_inputs_keeps_the_columns_and_the_rest_of_theta(self, six_bus):
+    def test_inputs_keep_the_columns_and_the_rest_of_theta(self, six_bus):
         plan = make_plan(six_bus, [3], 2)
-        full, net = MaskedNetwork(plan, six_bus, seed=1), MaskedNetwork(plan, six_bus, seed=1)
-        net.keep_inputs([0, 5, 40])
-        net.keep_inputs(np.array([5, 40]))  # a subset of the kept cells
+        full, net = MaskedNetwork(plan, six_bus, seed=1), MaskedNetwork(plan, six_bus, 1, [5, 40])
         assert net.inputs.tolist() == [5, 40]
         assert net.weights[0].tobytes() == full.weights[0][:, [5, 40]].tobytes()
         assert oracles.parameter_masks(net)[0].tolist() == (
@@ -537,26 +555,51 @@ class TestInputs:
     ], ids=["unsorted", "repeated", "past-the-end", "negative", "floats", "bools", "nested",
             "strings"])
     def test_bad_cells_rejected(self, six_bus, cells):
-        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
-        theta = net.theta
         with pytest.raises(ValueError, match="input cells must"):
-            net.keep_inputs(cells)
-        assert net.theta is theta and len(net.inputs) == 6 * INPUT_CHANNELS
+            MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1, inputs=cells)
 
     def test_integer_features_read_as_floats(self, six_bus):
-        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
-        net.keep_inputs([0, 7, 9])
+        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1, inputs=[0, 7, 9])
         x = np.arange(3 * 6 * INPUT_CHANNELS).reshape(3, -1) % 5
         assert net.forward(x).tobytes() == net.forward(x.astype(float)).tobytes()
         assert net.forward(x[0]).tobytes() == net.forward(x[0].astype(float)).tobytes()
         loss, _ = net.loss_and_gradients(x, np.ones((3, six_bus.n_slots)))
         assert loss == net.loss_and_gradients(x.astype(float), np.ones((3, six_bus.n_slots)))[0]
 
-    def test_cells_outside_a_restricted_network_rejected(self, six_bus):
+
+class TestBatchShapes:
+    """Features are n_buses * INPUT_CHANNELS cells wide and targets one row of
+    slot magnitudes per feature row; anything else is a ValueError, not a
+    clamped column or a broadcast row."""
+
+    @pytest.mark.parametrize("width", [10, 107, 109, 200])
+    def test_feature_width_checked(self, six_bus, width):
         net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
-        net.keep_inputs([2, 4])
-        with pytest.raises(ValueError, match="among the network's 2 inputs"):
-            net.keep_inputs([3])
+        y = np.ones((3, six_bus.n_slots))
+        message = rf"features must be of shape \((1|3), 108\), got \(\1, {width}\)"
+        for call in (lambda: net.forward(np.ones(width)),
+                     lambda: net.forward(np.ones((3, width))),
+                     lambda: net.loss_and_gradients(np.ones((3, width)), y),
+                     lambda: evaluate(net, np.ones((3, width)), y),
+                     lambda: train(net.plan, six_bus, np.ones((3, width)), y)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    # the 6-bus feeder has 18 slots: a one-row target would broadcast, and
+    # fewer target rows than feature rows would index past their end
+    @pytest.mark.parametrize("shape", [(1, 18), (4, 18), (6, 18), (5, 17), (5, 19), (5,),
+                                       (5, 18, 1)],
+                             ids=["one-row", "four-rows", "six-rows", "slot-short", "slot-over",
+                                  "flat", "three-axes"])
+    def test_target_shape_checked(self, six_bus, shape):
+        net = MaskedNetwork(make_plan(six_bus, [3], 2), six_bus, seed=1)
+        x = np.random.default_rng(0).normal(0, 1, (5, 6 * INPUT_CHANNELS))
+        y = np.ones(shape)
+        assert six_bus.n_slots == 18
+        for call in (lambda: net.loss_and_gradients(x, y), lambda: evaluate(net, x, y),
+                     lambda: train(net.plan, six_bus, x, y)):
+            with pytest.raises(ValueError, match=r"targets must be of shape \(5, 18\), got"):
+                call()
 
 
 PANEL_PLANS = pytest.mark.parametrize("feeder, labels, prune", [
@@ -570,10 +613,10 @@ class TestPanels:
     """Hidden layers multiply panels over the network's banded unit order, with
     the bytes of the whole masked products on that order."""
 
-    def net(self, request, feeder, labels, prune, f=8):
+    def net(self, request, feeder, labels, prune, f=8, inputs=None):
         model = request.getfixturevalue(feeder)
         pmu = [model.bus_by_label(label) for label in labels]
-        return MaskedNetwork(make_plan(model, pmu, f, prune=prune), model, seed=6)
+        return MaskedNetwork(make_plan(model, pmu, f, prune=prune), model, 6, inputs)
 
     # a cost of 0 cuts each hidden layer into its least area, so the 6-bus
     # plan's third layer skips its two dead rows and columns at every count;
@@ -642,10 +685,11 @@ class TestPanels:
 
     @PANEL_PLANS
     def test_checkpoint_keeps_bus_order(self, request, tmp_path, feeder, labels, prune):
-        net = self.net(request, feeder, labels, prune)
-        model, plan, f = request.getfixturevalue(feeder), net.plan, net.f
+        model = request.getfixturevalue(feeder)
+        net = self.net(request, feeder, labels, prune,
+                       inputs=np.arange(0, model.n_buses * INPUT_CHANNELS, 2))
+        plan, f = net.plan, net.f
         pmu = [model.bus_by_label(label) for label in labels]
-        net.keep_inputs(np.arange(0, len(net.inputs), 2))
         net.theta[net.live] += np.random.default_rng(0).normal(0, 0.1, len(net.live))
         path = tmp_path / "net.npz"
         save_checkpoint(net, path, pmu, plan_measurements(model, pmu))
