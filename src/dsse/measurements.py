@@ -266,8 +266,8 @@ class RowEvaluator:
     """One template compiled into arrays, reused for every state.
 
     PMU rows are linear in the rectangular state, so their Jacobian rows are
-    compiled once; ``jacobian`` copies them and computes only the injection
-    rows."""
+    compiled once; ``jacobian`` copies them and writes ``injection_rows``, the
+    only state-dependent rows, at rows ``inj``."""
 
     def __init__(self, model: FeederModel, template: MeasurementSet):
         self.model = model
@@ -288,10 +288,13 @@ class RowEvaluator:
         # w = V conj(C) and own is the row's slot
         turn = np.where(self.imag, 1j, np.where(self.power, -1.0, 1.0))[:, None]
         self._H = (np.conj(self.C) * turn).view(float)
-        self._inj = np.flatnonzero(self.power)
-        self._inj_slot, self._inj_turn = self.slot[self._inj], turn[self._inj]
-        self._inj_conj_C = np.conj(self.C[self._inj])
-        self._inj_sign = np.where(self.imag[self._inj], -1.0, 1.0)
+        self.inj = np.flatnonzero(self.power)
+        self._inj_slot, self._inj_turn = self.slot[self.inj], turn[self.inj]
+        self._inj_conj_C = np.conj(self.C[self.inj])
+        self._inj_sign = np.where(self.imag[self.inj], -1.0, 1.0)
+        self._inj_own = np.arange(len(self.inj)), self._inj_slot
+        # each row's real or imaginary part, as an index into q.view(float)
+        self._part = 2 * np.arange(len(code)) + self.imag
 
     @cached_property
     def sparse_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -309,19 +312,24 @@ class RowEvaluator:
         of C's row in the dense einsum's order, equal bit for bit and, unlike
         BLAS, independent of M."""
         v = state.values
-        i = self.C @ v if v.ndim == 1 else np.einsum(
+        q = self.C @ v if v.ndim == 1 else np.einsum(
             "rk,mrk->mr", self.sparse_rows[1], v.take(self.sparse_rows[0], axis=1))
-        q = np.where(self.power, -v[..., self.slot] * np.conj(i), i)
-        return np.where(self.imag, q.imag, q.real)
+        q[..., self.inj] = (-v.take(self._inj_slot, axis=-1)
+                            * np.conj(q.take(self.inj, axis=-1)))
+        return q.view(float).take(self._part, axis=-1)
+
+    def injection_rows(self, state: StateVector) -> np.ndarray:
+        """Rows ``inj`` of d h / d x_rect at ``state``, |inj| x (2 * n_slots)."""
+        v = state.values
+        w = v.take(self._inj_slot)[:, None] * self._inj_conj_C
+        w[self._inj_own] += self._inj_sign * (self.C @ v).take(self.inj)
+        return np.multiply(w, self._inj_turn, out=w).view(float)
 
     def jacobian(self, state: StateVector) -> np.ndarray:
         """Analytic d h / d x_rect, |rows| x (2 * n_slots): the compiled PMU
         rows plus the injection rows at ``state``."""
-        v = state.values
-        w = v[self._inj_slot][:, None] * self._inj_conj_C
-        w[np.arange(len(self._inj)), self._inj_slot] += self._inj_sign * (self.C @ v)[self._inj]
         H = self._H.copy()
-        H[self._inj] = (w * self._inj_turn).view(float)
+        H[self.inj] = self.injection_rows(state)
         return H
 
 

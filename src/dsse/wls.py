@@ -4,13 +4,17 @@ Minimizes J(x) = [z - h(x)]^T R^-1 [z - h(x)] over the rectangular voltage
 state. ``check_observable`` tests each template once per model: the flat-start
 Jacobian, each row made per-unit by its unit base, must have full column rank,
 or the estimator raises ``UnobservableError`` (scenario 3 tests row subsets of
-one such matrix). The evaluator, flat start, its Jacobian, that outcome and an
-upper-triangular 0/1 mask are compiled once and shared by every set
-``with_values`` realizes from the template. Each step recomputes only what the
-state changes (the evaluator's injection rows of H; its PMU rows are compiled),
-writes the sigma-whitened augmented system [H | r] into one buffer per call
-and factors it with one raw-mode QR, whose R has Q^T r in its last column. The
-accepted trial's residual and rectangular state carry into the next step; a
+one such matrix). The evaluator, the flat rectangular state, h and the
+Jacobian there, that outcome and an upper-triangular 0/1 mask are compiled
+once and shared by every set ``with_values`` realizes from the template.
+
+Each estimate writes every row of the sigma-whitened flat-start Jacobian once
+into one augmented buffer [H | r] / sigma. Each step then rewrites only what
+the state changes, the evaluator's injection rows (wherever the template puts
+them) and the residual column, and factors the buffer with one raw-mode QR,
+whose R has Q^T r in its last column; the PMU rows are linear in the state and
+stay as written. A trial state is a complex view of its rectangular vector.
+The accepted trial's residual and state carry into the next step; a
 step-halving guard keeps the objective non-increasing. Every estimate starts
 from the flat state and stops when a step moves no state entry by
 ``TOLERANCE`` per-unit, or after ``MAX_ITER`` steps.
@@ -71,41 +75,50 @@ def check_observable(H: np.ndarray) -> float:
 
 
 def _compile(model: FeederModel, template: MeasurementSet) -> tuple:
-    """(evaluator, flat state, flat-start Jacobian, margin or UnobservableError,
-    read-only upper-triangular 0/1 mask that cuts R out of a raw QR)."""
+    """(evaluator, flat rectangular state, h at it, flat-start Jacobian, margin
+    or UnobservableError, upper-triangular 0/1 mask that cuts R out of a raw
+    QR), every array read-only."""
     ev, flat = RowEvaluator(model, template), slack_state(model)
     H = ev.jacobian(flat)
     upper = np.triu(np.ones((H.shape[1], H.shape[1])))
-    upper.flags.writeable = False
     try:
         margin = check_observable(H / unit_bases(model, template)[:, None])
     except UnobservableError as exc:
         margin = exc
-    return ev, flat, H, margin, upper
+    xr, h = flat.rect, ev.h(flat)
+    for a in (xr, h, H, upper):
+        a.flags.writeable = False
+    return ev, xr, h, H, margin, upper
 
 
 def estimate(model: FeederModel, z: MeasurementSet) -> WlsReport:
-    ev, flat, H, margin, upper = z.compiled(model, _compile)
+    ev, xr, h_flat, H, margin, upper = z.compiled(model, _compile)
     check_usable(z)
     zv, variances = z.values(), z.variances()
     if isinstance(margin, UnobservableError):
         raise UnobservableError(*margin.args)
     sigma = np.sqrt(variances)[:, None]
-    x = flat.copy()
-    xr = x.rect
-    r = zv - ev.h(x)
-    j_cur = float(np.sum(r * r / variances))
-    base, n = model.base_voltage, H.shape[1]
-    A = np.empty((len(zv), n + 1))  # [H | r] / sigma, rewritten each step
+    # the state is a complex view of its rectangular vector, which interleaves
+    # (real, imag) per slot as complex128 does; a copy, as a stalled first
+    # step hands it to the caller as x_hat
+    xr = xr.copy()
+    x = StateVector(xr.view(complex))
+    r = zv - h_flat
+    j_cur = float((r * r / variances).sum())
+    base, n, inj = model.base_voltage, H.shape[1], ev.inj
+    # [H | r] / sigma: all of H is written here, and each step rewrites only
+    # the state-dependent injection rows and the residual column
+    A = np.empty((len(zv), n + 1))
+    np.divide(H, sigma, out=A[:, :n])
+    sigma_inj = sigma[inj]
 
     for it in range(1, MAX_ITER + 1):
-        if it > 1:  # the first step reuses the flat-start H
-            H = ev.jacobian(x)
+        if it > 1:  # the first step uses the flat-start H
+            A[inj, :n] = ev.injection_rows(x) / sigma_inj
         # Gauss-Newton step (H / sigma) delta = r / sigma by least squares: the
         # R factor of [H | r] / sigma holds R_H and Q^T r, so Q is never formed.
         # Raw mode returns geqrf's output, R above the diagonal and the
-        # Householder vectors below it
-        np.divide(H, sigma, out=A[:, :n])
+        # Householder vectors below it; qr copies A, which stays intact
         np.divide(r[:, None], sigma, out=A[:, n:])
         R = np.linalg.qr(A, mode="raw")[0].T
         delta = np.linalg.solve(R[:n, :n] * upper, R[:n, n])
@@ -114,20 +127,20 @@ def estimate(model: FeederModel, z: MeasurementSet) -> WlsReport:
         alpha = 1.0
         for _ in range(MAX_STEP_HALVINGS + 1):
             xr_try = xr + alpha * delta
-            x_try = StateVector.from_rect(xr_try)
+            x_try = StateVector(xr_try.view(complex))
             r_try = zv - ev.h(x_try)
-            j_try = float(np.sum(r_try * r_try / variances))
+            j_try = float((r_try * r_try / variances).sum())
             if j_try <= j_cur * (1.0 + 1e-9) + 1e-12:
                 break
             alpha *= 0.5
         else:
             # no productive step left; converged if the full step was already
             # below tolerance, otherwise report the stall
-            if float(np.max(np.abs(delta))) / base < TOLERANCE:
+            if float(np.abs(delta).max()) / base < TOLERANCE:
                 return WlsReport(x, j_cur, it, True, margin)
             raise NonConvergedError(WlsReport(x, j_cur, it, False, margin))
         x, xr, r, j_cur = x_try, xr_try, r_try, min(j_try, j_cur)
-        if float(np.max(np.abs(alpha * delta))) / base < TOLERANCE:
+        if float(np.abs(alpha * delta).max()) / base < TOLERANCE:
             return WlsReport(x, j_cur, it, True, margin)
 
     raise NonConvergedError(WlsReport(x, j_cur, MAX_ITER, False, margin))

@@ -2,6 +2,7 @@
 its units against BENCHMARK.json, and a provenance that names a commit. Also, the
 recorder stops its child when it is stopped."""
 
+import importlib.util
 import json
 import os
 import re
@@ -99,3 +100,48 @@ def test_sigterm_stops_the_recorder_and_its_child(tmp_path):
         if recorder.poll() is None:
             recorder.kill()
             recorder.wait()
+
+
+def test_against_summary_arithmetic(monkeypatch, capsys, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_recorder", ROOT / "tools" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    base, change = tmp_path, ROOT
+    # op_ms_p50 in call order. Each pair runs base and change (the change first
+    # in odd pairs), then the change twice for its A/A pair
+    ops = iter([1.0, 0.9, 0.5, 0.6,
+                1.0, 1.2, 1.3, 1.0,
+                1.1, 1.2, 1.0, 1.0,
+                0.8, 0.9, 2.0, 1.5])
+    calls = []
+
+    def run_json(root, workload, seed, seconds, trace):
+        assert (workload, seconds, trace) == ("wls-estimate", 2.0, 0)
+        calls.append((root, seed))
+        op = next(ops)
+        return {"seed": seed, "correct": (root, seed) != (base, 3),
+                "metrics": {name: {"value": op if name == "op_ms_p50" else 1.0, "unit": "?"}
+                            for name in ("setup_s", "wall_s", "op_ms_p50", "peak_rss_mb",
+                                         "success_ratio")},
+                "raw": {"setup_s": 1.0, "wall_s": 1.0, "op_ms_p50": 2 * op}}
+
+    monkeypatch.setattr(bench, "run_json", run_json)
+    assert bench.against(change, base, "wls-estimate", 4, 2.0, SPEC["end_to_end"]) == 1
+    assert calls == [(base, 1), (change, 1), (change, 1), (change, 1),
+                     (change, 2), (base, 2), (change, 2), (change, 2),
+                     (base, 3), (change, 3), (change, 3), (change, 3),
+                     (change, 1), (base, 1), (change, 1), (change, 1)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "check failed in A/B pair 2 (seed 3)"
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in lines[2:-1]}
+    assert [name for name, _ in rows] == ["setup_s", "setup_s", "wall_s", "wall_s", "op_ms_p50",
+                                          "op_ms_p50", "peak_rss_mb", "success_ratio"]
+    # base 1.0, 1.2, 1.1, 0.9 against change 0.9, 1.0, 1.2, 0.8: medians 1.05
+    # and 0.95 with inclusive quartiles, -9.5%, lower in pairs 0, 1 and 3. A/A
+    # 0.5, 1.3, 1.0, 2.0 against 0.6, 1.0, 1.0, 1.5: medians 1.15 and 1.0,
+    # -13.0%, lower in pairs 1 and 3 (pair 2 ties)
+    assert rows["op_ms_p50", "ms"] == ["1.05", "[0.975,", "1.125]", "0.95", "[0.875,", "1.05]",
+                                       "-9.5%", "3/4", "-13.0%", "2/4"]
+    assert rows["op_ms_p50", "(raw)"] == ["ms", "2.1", "[1.95,", "2.25]", "1.9", "[1.75,",
+                                          "2.1]", "-9.5%", "3/4", "-13.0%", "2/4"]
+    assert rows["success_ratio", "ratio"][-4:] == ["+0.0%", "0/4", "+0.0%", "0/4"]
